@@ -21,7 +21,7 @@ from .model import (
     parse_state,
 )
 from .operations import Action, Outcome, default_operations, grant_auto, step
-from .statespace import Bounds, enumerate_states, system_space
+from .statespace import Bounds, enumerate_states
 from .verifier import Report, Verdict, check_query, recheck, run_suite
 
 __version__ = "0.1.0"
@@ -31,5 +31,5 @@ __all__ = [
     "Report", "State", "SysImgApp", "System", "Verdict", "check_clauses",
     "check_query", "default_operations", "emit_state", "empty_system",
     "enumerate_states", "grant_auto", "parse_state", "recheck", "run_suite",
-    "standard_clauses", "step", "system_space", "valid_state", "__version__",
+    "standard_clauses", "step", "valid_state", "__version__",
 ]

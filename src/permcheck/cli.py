@@ -15,7 +15,7 @@ import sys as _sys
 
 from .invariants import check_clauses, standard_clauses
 from .model import ParseError, emit_state, parse_state
-from .operations import scenario_from_doc, step
+from .operations import parse_scenario, step
 from .statespace import Bounds
 from .verifier import (
     SUITES,
@@ -61,7 +61,7 @@ def _read(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    scenario = scenario_from_doc(json.loads(_read(args.scenario)))
+    scenario = parse_scenario(_read(args.scenario))
     current = scenario.initial
     for i, action in enumerate(scenario.actions, 1):
         out = step(scenario.system_perms, current, action)

@@ -75,24 +75,6 @@ def canonical_order(values: Iterable[Value]) -> list:
     return sorted(values, key=value_key)
 
 
-# -- plain set algebra -------------------------------------------------------
-
-def union(a: frozenset, b: frozenset) -> frozenset:
-    return a | b
-
-
-def subset(a: frozenset, b: frozenset) -> bool:
-    return a <= b
-
-
-def member(x: Value, s: frozenset) -> bool:
-    return x in s
-
-
-def difference(a: frozenset, b: frozenset) -> frozenset:
-    return a - b
-
-
 # -- binary relations --------------------------------------------------------
 
 def dom(r: Rel) -> frozenset:

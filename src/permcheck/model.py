@@ -157,8 +157,11 @@ def get_component(sys: System, name: str):
 def with_component(sys: System, name: str, value) -> System:
     """System equal to sys except for the one named component."""
     if name in STATE_FIELDS:
-        return System(dataclasses.replace(sys.state, **{name: value}),
-                      sys.environment)
+        # every successful operation step passes here; a positional rebuild
+        # is measurably cheaper than dataclasses.replace
+        st = sys.state
+        return System(State(*[value if f == name else getattr(st, f)
+                              for f in STATE_FIELDS]), sys.environment)
     if name in ENV_FIELDS:
         return System(sys.state,
                       dataclasses.replace(sys.environment, **{name: value}))
@@ -273,10 +276,6 @@ def system_perms_to_doc(sp: frozenset) -> dict:
     return {"systemPerms": _sorted_docs(sp, perm_to_doc)}
 
 
-def emit_system_perms(sp: frozenset) -> str:
-    return json.dumps(system_perms_to_doc(sp), indent=2) + "\n"
-
-
 # -- parsing -----------------------------------------------------------------
 
 def _need(doc, keys, path):
@@ -385,6 +384,8 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", "") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply", "") from e
 
 
 def parse_state(text: str) -> System:

@@ -48,17 +48,17 @@ from .model import (
     Manifest,
     ParseError,
     Perm,
-    State,
     System,
     _list,
+    _loads,
     _need,
     _atom,
     perm_from_doc,
     perm_to_doc,
     state_from_doc,
-    state_to_doc,
     system_perms_from_doc,
     usr_def_perm,
+    with_component,
 )
 
 OP_NAMES = ("grantAuto", "grant", "revoke", "revokeGroup", "hasPermission")
@@ -99,26 +99,7 @@ def _image_union(rel, key) -> frozenset:
     return u
 
 
-def _with_perms(sys: System, rel) -> System:
-    st = sys.state
-    return System(State(st.apps, st.alreadyVerified, st.grantedPermGroups, rel,
-                        st.opaque5, st.opaque6, st.opaque7, st.opaque8,
-                        st.opaque9),
-                  sys.environment)
-
-
-def _with_groups(sys: System, rel) -> System:
-    st = sys.state
-    return System(State(st.apps, st.alreadyVerified, rel, st.perms,
-                        st.opaque5, st.opaque6, st.opaque7, st.opaque8,
-                        st.opaque9),
-                  sys.environment)
-
-
 # -- grantAuto ----------------------------------------------------------------
-
-GRANT_AUTO_CONJUNCTS = (1, 2, 3, 4, 5)
-
 
 def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
                    skip: tuple = ()) -> Optional[int]:
@@ -156,7 +137,7 @@ def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
 
 def _grant_perm(sys: System, p: Perm, a: str) -> System:
     new_image = _image_union(sys.state.perms, a) | {p}
-    return _with_perms(sys, foplus(sys.state.perms, a, new_image))
+    return with_component(sys, "perms", foplus(sys.state.perms, a, new_image))
 
 
 def grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
@@ -186,8 +167,9 @@ def grant(sp: frozenset, sys: System, p: Perm, a: str) -> Outcome:
         return _blocked(failed)
     nxt = _grant_perm(sys, p, a)
     if p.group is not None:
-        groups = _image_union(nxt.state.grantedPermGroups, a) | {p.group}
-        nxt = _with_groups(nxt, foplus(nxt.state.grantedPermGroups, a, groups))
+        mg = nxt.state.grantedPermGroups
+        groups = _image_union(mg, a) | {p.group}
+        nxt = with_component(nxt, "grantedPermGroups", foplus(mg, a, groups))
     return Outcome(ok=True, system=nxt)
 
 
@@ -205,7 +187,7 @@ def revoke(sys: System, p: Perm, a: str) -> Outcome:
     granted = _image_union(sys.state.perms, a)
     if p not in granted:
         return _blocked(2)
-    nxt = _with_perms(sys, foplus(sys.state.perms, a, granted - {p}))
+    nxt = with_component(sys, "perms", foplus(sys.state.perms, a, granted - {p}))
     return Outcome(ok=True, system=nxt)
 
 
@@ -220,12 +202,13 @@ def revoke_group(sys: System, g: str, a: str) -> Outcome:
     """
     if not any(k == a and g in gs for k, gs in sys.state.grantedPermGroups):
         return _blocked(1)
-    groups = _image_union(sys.state.grantedPermGroups, a) - {g}
-    nxt = _with_groups(sys, foplus(sys.state.grantedPermGroups, a, groups))
+    mg = sys.state.grantedPermGroups
+    groups = _image_union(mg, a) - {g}
+    nxt = with_component(sys, "grantedPermGroups", foplus(mg, a, groups))
     granted = _images(sys.state.perms, a)
     if granted:
         kept = frozenset(q for q in _image_union(sys.state.perms, a) if q.group != g)
-        nxt = _with_perms(nxt, foplus(nxt.state.perms, a, kept))
+        nxt = with_component(nxt, "perms", foplus(nxt.state.perms, a, kept))
     return Outcome(ok=True, system=nxt)
 
 
@@ -375,9 +358,5 @@ def scenario_from_doc(doc) -> Scenario:
     return Scenario(sp, initial, actions)
 
 
-def scenario_to_doc(sc: Scenario) -> dict:
-    return {
-        "systemPerms": [perm_to_doc(p) for p in canonical_order(sc.system_perms)],
-        "initial": state_to_doc(sc.initial),
-        "actions": [action_to_doc(a) for a in sc.actions],
-    }
+def parse_scenario(text: str) -> Scenario:
+    return scenario_from_doc(_loads(text))

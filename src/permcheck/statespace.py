@@ -90,6 +90,28 @@ def make_pools(bounds: Bounds) -> Pools:
 
 # -- indexed component spaces --------------------------------------------------
 
+CACHE_LIMIT = 120_000  # spaces up to this size keep every decoded value
+
+
+class _CachedSpace:
+    """A space of ``size`` values decoded by ``_decode``; ``unrank`` keeps
+    each decoded value when the space has at most CACHE_LIMIT of them."""
+
+    size: int
+
+    def _init_cache(self) -> None:
+        self._cache = [None] * self.size if self.size <= CACHE_LIMIT else None
+
+    def unrank(self, r: int):
+        cache = self._cache
+        if cache is None:
+            return self._decode(r)
+        value = cache[r]
+        if value is None:
+            value = cache[r] = self._decode(r)
+        return value
+
+
 class _CombUnranker:
     """Lexicographic unranking of k-combinations of range(m), via prefix sums."""
 
@@ -118,32 +140,27 @@ class _CombUnranker:
         return tuple(out)
 
 
-class SubsetSpace:
+class SubsetSpace(_CachedSpace):
     """All subsets of an indexable pool with cardinality <= max_card."""
 
     def __init__(self, pool_size: int, elem: Callable[[int], object],
-                 max_card: int, cache_limit: int = 120_000):
+                 max_card: int):
         self.pool_size = pool_size
         self.elem = elem
         self.cards = list(range(min(max_card, pool_size) + 1))
         self.block_sizes = [comb(pool_size, k) for k in self.cards]
         self.size = sum(self.block_sizes)
         self._unrankers: dict = {}
-        self._cache: Optional[list] = [None] * self.size if self.size <= cache_limit else None
+        self._init_cache()
 
-    def unrank(self, r: int) -> frozenset:
-        if self._cache is not None and self._cache[r] is not None:
-            return self._cache[r]
+    def _decode(self, r: int) -> frozenset:
         i = r
         for k, block in zip(self.cards, self.block_sizes):
             if i < block:
                 if k not in self._unrankers:
                     self._unrankers[k] = _CombUnranker(self.pool_size, k)
                 combo = self._unrankers[k].unrank(i)
-                value = frozenset(self.elem(j) for j in combo)
-                if self._cache is not None:
-                    self._cache[r] = value
-                return value
+                return frozenset(self.elem(j) for j in combo)
             i -= block
         raise IndexError(r)
 
@@ -157,28 +174,22 @@ class AtomSpace:
         return self.pool[r]
 
 
-class MappedSpace:
+class MappedSpace(_CachedSpace):
     """A space whose values are a function of another space's values."""
 
-    def __init__(self, base, fn: Callable, cache_limit: int = 120_000):
+    def __init__(self, base, fn: Callable):
         self.base, self.fn = base, fn
         self.size = base.size
-        self._cache: Optional[list] = [None] * self.size if self.size <= cache_limit else None
+        self._init_cache()
 
-    def unrank(self, r: int):
-        if self._cache is not None and self._cache[r] is not None:
-            return self._cache[r]
-        value = self.fn(self.base.unrank(r))
-        if self._cache is not None:
-            self._cache[r] = value
-        return value
+    def _decode(self, r: int):
+        return self.fn(self.base.unrank(r))
 
 
-class MappingSpace:
+class MappingSpace(_CachedSpace):
     """Relations keyed by distinct pool apps with images from a value space."""
 
-    def __init__(self, keys: tuple, value_space, max_card: int,
-                 cache_limit: int = 120_000):
+    def __init__(self, keys: tuple, value_space, max_card: int):
         self.keys = keys
         self.value_space = value_space
         n = len(keys)
@@ -187,11 +198,9 @@ class MappingSpace:
         v = value_space.size
         self.block_sizes = [len(c) * v ** k for k, c in enumerate(self.combos)]
         self.size = sum(self.block_sizes)
-        self._cache: Optional[list] = [None] * self.size if self.size <= cache_limit else None
+        self._init_cache()
 
-    def unrank(self, r: int) -> frozenset:
-        if self._cache is not None and self._cache[r] is not None:
-            return self._cache[r]
+    def _decode(self, r: int) -> frozenset:
         i = r
         v = self.value_space.size
         for k, block in enumerate(self.block_sizes):
@@ -203,11 +212,8 @@ class MappingSpace:
                     digits_rank, d = divmod(digits_rank, v)
                     digits.append(d)
                 digits.reverse()
-                value = frozenset((self.keys[j], self.value_space.unrank(d))
-                                  for j, d in zip(combo, digits))
-                if self._cache is not None:
-                    self._cache[r] = value
-                return value
+                return frozenset((self.keys[j], self.value_space.unrank(d))
+                                 for j, d in zip(combo, digits))
             i -= block
         raise IndexError(r)
 
@@ -263,10 +269,6 @@ class SystemSpace:
                         defPerms=spaces[6][1].unrank(digits[1]),
                         systemImage=spaces[7][1].unrank(digits[0])),
         )
-
-
-def system_space(bounds: Bounds) -> SystemSpace:
-    return SystemSpace(bounds)
 
 
 def enumerate_states(bounds: Bounds,

@@ -1,19 +1,26 @@
 """Bounded verification of the permission model.
 
-Proof obligations come in three kinds:
+Every proof obligation is a query on one operation, made of three parts: an
+optional *hypothesis* on a state S, checked once before any step; an *action
+filter* on the operation's candidate actions, applied before any step is
+tried; and a *conclusion* on S and the successor S' of an enabled step
+S -a-> S', which says whether the step is a hit.  One search loop runs every
+query; the three kinds differ only in these parts.
 
-* *invariance*: for one validity clause I and one mutating operation a,
-  search for a system S with I(S), an enabled step S -a-> S', and not
-  I(S').  One query per (clause, operation) pair -- the hypothesis is the
-  single clause under test, never the whole validity conjunction, so a
-  failure names exactly the clause an operation breaks.
-* *universal*: search for a state satisfying the property's negated body
-  (``cannotAutoGrantWithoutGroup``: a dangerous grouped permission whose
-  group the user never authorized for the app, yet grantAuto succeeds).
-* *existential*: search for a witness of the property's body
-  (``execAutoGrantWithoutIndividualPerms``: a valid state where an app
-  holds no permission of a group, yet grantAuto of a dangerous permission
-  of that group is enabled).
+* *invariance*: the hypothesis is one validity clause I, the filter keeps
+  every action, and a step is a counterexample when not I(S').  One query
+  per (clause, operation) pair, so a failure names exactly the clause an
+  operation breaks.
+* *universal* (``cannotAutoGrantWithoutGroup``): the filter keeps grantAuto
+  of a dangerous grouped permission whose group the user never authorized
+  for the app; every enabled such step is a counterexample.
+* *existential* (``execAutoGrantWithoutIndividualPerms``): the filter keeps
+  grantAuto of a dangerous permission of a group the app holds no
+  permission of; an enabled such step from a valid state is a witness.
+
+The loop stops at the first enabled system-permission variant of an action:
+the successor never depends on the system-permission set, and no conclusion
+reads that set except through the step being enabled.
 
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
@@ -34,18 +41,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY, canonical_order
-from .model import DANGEROUS, System, perm_to_doc, state_to_doc
-from .operations import (
-    Action,
-    Operation,
-    action_to_doc,
-    default_operations,
-)
-from .statespace import Bounds, Pools, SystemSpace, targeted_states
+from .model import DANGEROUS, Perm, System, perm_to_doc, state_to_doc
+from .operations import Action, Operation, action_to_doc, default_operations
+from .statespace import Bounds, SystemSpace, targeted_states
 
 
 class VerifierError(Exception):
@@ -54,105 +56,55 @@ class VerifierError(Exception):
 
 # -- security properties --------------------------------------------------------
 
+@dataclass(frozen=True)
 class SecurityProperty:
-    """A named universal or existential property over single steps."""
+    """A universal or existential property of one grantAuto step.
+
+    ``covers`` is the action filter; ``conclusion`` decides whether an
+    enabled covered step from a state to its successor is a hit (a
+    counterexample of a universal property, a witness of an existential one).
+    """
 
     id: str
     kind: str  # "universal" | "existential"
-
-    def find(self, sys: System, pools: Pools, op: Operation) -> Optional[dict]:
-        """Search one system; a hit is a payload for a verdict."""
-        raise NotImplementedError
-
-    def evaluate(self, sys: System, bindings: dict, sp: frozenset,
-                 op: Operation) -> bool:
-        """Re-evaluate the property body on concrete values."""
-        raise NotImplementedError
+    covers: Callable[[System, Action], bool]
+    conclusion: Callable[[System, System], bool]
 
 
-def _group_authorized(sys: System, a: str, g: str) -> bool:
-    return any(k == a and g in gs for k, gs in sys.state.grantedPermGroups)
+def _dangerous_grouped(p: Perm) -> bool:
+    return p.level == DANGEROUS and p.group is not None
 
 
-class CannotAutoGrantWithoutGroup(SecurityProperty):
-    """grantAuto never fires for a permission of an unauthorized group.
-
-    A hit (counterexample) is a state plus (perm, app) where the permission
-    is dangerous and grouped, the group is not authorized for the app, and
-    grantAuto nevertheless succeeds.
-    """
-
-    id = "cannotAutoGrantWithoutGroup"
-    kind = "universal"
-
-    def find(self, sys, pools, op):
-        for action in op.candidates(sys):
-            p, a = action.perm, action.app
-            if p.level != DANGEROUS or p.group is None:
-                continue
-            if _group_authorized(sys, a, p.group):
-                continue
-            for sp in (EMPTY, frozenset((p,))):
-                out = op.apply(sp, sys, action)
-                if out.ok:
-                    return {"bindings": {"perm": p, "app": a, "group": p.group},
-                            "system_perms": sp, "action": action,
-                            "next": out.system}
-        return None
-
-    def evaluate(self, sys, bindings, sp, op):
-        p, a, g = bindings["perm"], bindings["app"], bindings["group"]
-        if p.level != DANGEROUS or p.group != g:
-            return False
-        if _group_authorized(sys, a, g):
-            return False
-        return op.apply(sp, sys, Action("grantAuto", perm=p, app=a)).ok
+def _group_unauthorized(sys: System, action: Action) -> bool:
+    # a dangerous grouped permission whose group the user never authorized
+    # for the app: grantAuto must not fire
+    p, a = action.perm, action.app
+    return _dangerous_grouped(p) and not any(
+        k == a and p.group in gs for k, gs in sys.state.grantedPermGroups)
 
 
-class ExecAutoGrantWithoutIndividualPerms(SecurityProperty):
-    """grantAuto can fire for a group the app holds no permission of.
-
-    A witness is a valid state where the app's granted set (present, single
-    image) contains no permission of group g, yet grantAuto of a dangerous
-    permission of g is enabled.  Such states exist because withdrawing the
-    permissions of a group does not necessarily withdraw the group
-    authorization itself.
-    """
-
-    id = "execAutoGrantWithoutIndividualPerms"
-    kind = "existential"
-
-    def __init__(self, clauses: Optional[Sequence[InvariantClause]] = None):
-        self.clauses = tuple(clauses) if clauses is not None else standard_clauses()
-
-    def find(self, sys, pools, op):
-        for action in op.candidates(sys):
-            p, a = action.perm, action.app
-            if p.level != DANGEROUS or p.group is None:
-                continue
-            for sp in (EMPTY, frozenset((p,))):
-                bindings = {"perm": p, "app": a, "group": p.group}
-                if self.evaluate(sys, bindings, sp, op):
-                    return {"bindings": bindings, "system_perms": sp,
-                            "action": action, "next": None}
-        return None
-
-    def evaluate(self, sys, bindings, sp, op):
-        p, a, g = bindings["perm"], bindings["app"], bindings["group"]
-        if p.level != DANGEROUS or p.group != g:
-            return False
-        images = [v for k, v in sys.state.perms if k == a]
-        if len(images) != 1 or any(q.group == g for q in images[0]):
-            return False
-        if not op.apply(sp, sys, Action("grantAuto", perm=p, app=a)).ok:
-            return False
-        return valid_state(sys, self.clauses)
+def _holds_none_of_group(sys: System, action: Action) -> bool:
+    # the app's granted set (present, single image) holds no permission of
+    # the group.  grantAuto can still fire from a valid state, because
+    # withdrawing the permissions of a group does not necessarily withdraw
+    # the group authorization itself.
+    p, a = action.perm, action.app
+    if not _dangerous_grouped(p):
+        return False
+    images = [v for k, v in sys.state.perms if k == a]
+    return len(images) == 1 and not any(q.group == p.group for q in images[0])
 
 
 def default_properties(clauses: Optional[Sequence[InvariantClause]] = None
                        ) -> tuple[SecurityProperty, ...]:
-    return (CannotAutoGrantWithoutGroup(),
-            ExecAutoGrantWithoutIndividualPerms(clauses))
+    cls = tuple(clauses) if clauses is not None else standard_clauses()
+    return (
+        SecurityProperty("cannotAutoGrantWithoutGroup", "universal",
+                         _group_unauthorized, lambda sys, nxt: True),
+        SecurityProperty("execAutoGrantWithoutIndividualPerms", "existential",
+                         _holds_none_of_group,
+                         lambda sys, nxt: valid_state(sys, cls)),
+    )
 
 
 # -- queries and verdicts --------------------------------------------------------
@@ -162,9 +114,21 @@ class Query:
     id: str
     kind: str  # "invariance" | "universal" | "existential"
     op: Operation
-    clause: Optional[InvariantClause] = None
-    prop: Optional[SecurityProperty] = None
+    clause: Optional[InvariantClause] = None  # the hypothesis (invariance)
+    prop: Optional[SecurityProperty] = None   # filter and conclusion (security)
     tag: str = ""  # targeted-family selector
+
+    def hypothesis(self, sys: System) -> bool:
+        return self.clause is None or self.clause.eval(sys)
+
+    def covers(self, sys: System, action: Action) -> bool:
+        return self.prop is None or self.prop.covers(sys, action)
+
+    def concludes(self, sys: System, nxt: System) -> bool:
+        """Whether the enabled covered step from sys to nxt is a hit."""
+        if self.prop is None:
+            return not self.clause.eval(nxt)
+        return self.prop.conclusion(sys, nxt)
 
 
 @dataclass(frozen=True)
@@ -228,45 +192,54 @@ def _sp_variants(op: Operation, action: Action) -> tuple:
     return (EMPTY,)
 
 
-def _search_state(q: Query, sys: System, pools: Pools) -> Optional[dict]:
-    if q.kind == "invariance":
-        if not q.clause.eval(sys):
-            return None
-        for action in q.op.candidates(sys):
-            for sp in _sp_variants(q.op, action):
-                out = q.op.apply(sp, sys, action)
-                if out.ok:
-                    if not q.clause.eval(out.system):
-                        return {"bindings": None, "system_perms": sp,
-                                "action": action, "next": out.system}
-                    # the successor does not depend on the system-permission
-                    # set, so the other variant would reach the same state
-                    break
+# query kind -> (verdict on a hit, verdict on a conclusive clean sweep)
+VERDICT_KINDS = {"invariance": ("counterexample", "holds-at-bounds"),
+                 "universal": ("counterexample", "holds-at-bounds"),
+                 "existential": ("witness", "no-witness-at-bounds")}
+
+
+def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
+    # security hits bind the action's perm, app and group; a witness is a
+    # state, not a step, so it carries no successor
+    witness = VERDICT_KINDS[q.kind][0] == "witness"
+    bindings = None if q.prop is None else {
+        "perm": action.perm, "app": action.app, "group": action.perm.group}
+    return {"next_system": None if witness else nxt, "bindings": bindings}
+
+
+def _search_state(q: Query, sys: System) -> Optional[tuple]:
+    """The first hit of q in one state, as (system perms, action, successor)."""
+    if not q.hypothesis(sys):
         return None
-    return q.prop.find(sys, pools, q.op)
+    for action in q.op.candidates(sys):
+        if not q.covers(sys, action):
+            continue
+        for sp in _sp_variants(q.op, action):
+            out = q.op.apply(sp, sys, action)
+            if out.ok:
+                if q.concludes(sys, out.system):
+                    return sp, action, out.system
+                break  # every other variant reaches the same successor
+    return None
 
 
 def recheck(v: Verdict) -> bool:
     """Re-evaluate a counterexample/witness from its embedded concrete values.
 
-    Independent of the search that produced the verdict: the hypothesis,
-    the step and the conclusion are recomputed from scratch.
+    Independent of the search that produced the verdict: the path the
+    search took -- hypothesis, filter, step and conclusion -- is replayed on
+    the stored values.  The step must reach the stored successor, and the
+    bindings must name the perm, app and group of the stored action.
     """
-    q = v.query
-    if v.kind == "counterexample" and q.kind == "invariance":
-        if not q.clause.eval(v.system):
-            return False
-        out = q.op.apply(v.system_perms, v.system, v.action)
-        return (out.ok and out.system == v.next_system
-                and not q.clause.eval(v.next_system))
-    if v.kind == "counterexample" and q.kind == "universal":
-        if not q.prop.evaluate(v.system, v.bindings, v.system_perms, q.op):
-            return False
-        out = q.op.apply(v.system_perms, v.system, v.action)
-        return out.ok and out.system == v.next_system
-    if v.kind == "witness":
-        return q.prop.evaluate(v.system, v.bindings, v.system_perms, q.op)
-    raise ValueError("recheck applies to counterexample/witness verdicts only")
+    if v.kind not in ("counterexample", "witness"):
+        raise ValueError("recheck applies to counterexample/witness verdicts only")
+    q, sys, action = v.query, v.system, v.action
+    if not (q.hypothesis(sys) and q.covers(sys, action)):
+        return False
+    out = q.op.apply(v.system_perms, sys, action)
+    return (out.ok and q.concludes(sys, out.system)
+            and _hit_fields(q, action, out.system)
+            == {"next_system": v.next_system, "bindings": v.bindings})
 
 
 def check_query(q: Query, bounds: Bounds,
@@ -301,31 +274,18 @@ def check_query(q: Query, bounds: Bounds,
     examined = 0
     for sys in stream():
         examined += 1
-        hit = _search_state(q, sys, space.pools)
+        hit = _search_state(q, sys)
         if hit is None:
             continue
-        v = Verdict(
-            query_id=q.id,
-            kind="witness" if q.kind == "existential" else "counterexample",
-            states_examined=examined,
-            exhaustive=False,
-            system=sys,
-            system_perms=hit["system_perms"],
-            action=hit["action"],
-            next_system=hit["next"],
-            bindings=hit["bindings"],
-            query=q,
-        )
+        sp, action, nxt = hit
+        v = Verdict(q.id, VERDICT_KINDS[q.kind][0], examined, system=sys,
+                    system_perms=sp, action=action, query=q,
+                    **_hit_fields(q, action, nxt))
         if not recheck(v):
             raise VerifierError(f"unsound {v.kind} emitted for {q.id}")
         return v
 
-    if not conclusive:
-        kind = "budget-exhausted"
-    elif q.kind == "existential":
-        kind = "no-witness-at-bounds"
-    else:
-        kind = "holds-at-bounds"
+    kind = VERDICT_KINDS[q.kind][1] if conclusive else "budget-exhausted"
     return Verdict(q.id, kind, examined, exhaustive, query=q)
 
 
@@ -395,10 +355,7 @@ def run_suite(suite: str, bounds: Bounds,
         start = time.perf_counter()
         vs = [check_query(q, bounds, space) for q in queries]
         elapsed = time.perf_counter() - start
-        if name == INVARIANCE_ROW:
-            lemmas = len({q.clause.id for q in queries})
-        else:
-            lemmas = len({q.prop.id for q in queries})
+        lemmas = len({(q.clause or q.prop).id for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),
                      "counterexamples": sum(v.kind == "counterexample" for v in vs),
                      "seconds": round(elapsed, 3)})

@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import READ, WRITE, make_system
 from permcheck.model import emit_state, parse_state, state_to_doc
@@ -163,3 +167,22 @@ class TestWitness:
 
 def test_no_command_is_usage_error():
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_deeply_nested_json_is_parse_error(tmp_path, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    r = run_cli(command, str(nested))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_mutation_demo_reports_rechecked_counterexample():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    r = subprocess.run([sys.executable, str(root / "scripts" / "mutation_demo.py")],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert r.returncode == 0, r.stderr
+    assert "recheck: True" in r.stdout.splitlines()

@@ -8,17 +8,13 @@ from permcheck.kernel import (
     apply_or_empty,
     canonical_order,
     comp,
-    difference,
     dom,
     exists_in,
     forall_in,
     foplus,
     is_pfun,
-    member,
     not_in_dom,
     rel_apply,
-    subset,
-    union,
     value_key,
 )
 
@@ -32,22 +28,6 @@ P, Q = frozenset(("p",)), frozenset(("q",))
 
 def rel(*pairs):
     return frozenset(pairs)
-
-
-class TestSetAlgebra:
-    def test_union_identity(self):
-        assert union(EMPTY, frozenset((A1,))) == frozenset((A1,))
-
-    def test_subset(self):
-        assert subset(frozenset((A1,)), frozenset((A1, A2)))
-        assert not subset(frozenset((A1, A2)), frozenset((A1,)))
-
-    def test_member(self):
-        assert not member("p", frozenset(("q",)))
-        assert member("q", frozenset(("q",)))
-
-    def test_difference(self):
-        assert difference(frozenset((A1, A2)), frozenset((A2,))) == frozenset((A1,))
 
 
 class TestRelations:

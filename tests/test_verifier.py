@@ -4,15 +4,17 @@ import json
 import pytest
 
 from permcheck.invariants import valid_state
-from permcheck.kernel import foplus
-from permcheck.model import DANGEROUS
+from permcheck.kernel import EMPTY, foplus
+from permcheck.model import DANGEROUS, Perm, with_component
 from permcheck.operations import (
+    Outcome,
     default_operations,
     grant_auto_operation,
     pre_grant_auto,
 )
 from permcheck.statespace import Bounds, SystemSpace
 from permcheck.verifier import (
+    VerifierError,
     check_query,
     gen_invariance_queries,
     gen_security_queries,
@@ -30,6 +32,23 @@ def mutated_operations():
     ops = default_operations()
     ops["grantAuto"] = grant_auto_operation(skip=(5,))
     return ops
+
+
+def stale_revoke(sp, sys, action):
+    """revoke whose successor keeps the app's old perms pair beside the new one."""
+    out = default_operations()["revoke"].apply(sp, sys, action)
+    if not out.ok:
+        return out
+    stale = sys.state.perms | out.system.state.perms
+    return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
+
+
+def revoke_query(apply):
+    ops = default_operations()
+    ops["revoke"] = dataclasses.replace(ops["revoke"], apply=apply)
+    (q,) = [q for q in gen_invariance_queries(ops)
+            if q.id == "inv/allMapsCorrect.perms/revoke"]
+    return q
 
 
 class TestQueryGeneration:
@@ -82,6 +101,29 @@ class TestUniversalProperty:
         assert not recheck(tampered)
 
 
+class TestInvarianceCounterexample:
+    def test_stale_revoke_breaks_perms_map(self):
+        v = check_query(revoke_query(stale_revoke), SAMPLED)
+        assert v.kind == "counterexample" and v.bindings is None
+        assert recheck(v)
+
+    @pytest.mark.parametrize("tamper", ["hypothesis", "next"])
+    def test_tampered_counterexample_fails_recheck(self, tamper):
+        v = check_query(revoke_query(stale_revoke), SAMPLED)
+        if tamper == "hypothesis":
+            # a second perms pair for the app: the clause fails before the step
+            extra = (v.action.app, frozenset())
+            perms = v.system.state.perms | {extra}
+            v = dataclasses.replace(
+                v, system=with_component(v.system, "perms", perms))
+        else:
+            # the successor of the correct revoke, which keeps the clause
+            honest = default_operations()["revoke"].apply(
+                v.system_perms, v.system, v.action)
+            v = dataclasses.replace(v, next_system=honest.system)
+        assert not recheck(v)
+
+
 class TestExistentialProperty:
     def test_witness_at_tiny_bounds(self):
         q = gen_security_queries()[1]
@@ -96,6 +138,26 @@ class TestExistentialProperty:
         assert not any(q2.group == g for q2 in image)
         assert p.level == DANGEROUS and p.group == g
         assert pre_grant_auto(v.system_perms, v.system, p, a) is None
+
+    @pytest.mark.parametrize("tamper", ["authorize-nothing", "hold-group-perm"])
+    def test_tampered_witness_fails_recheck(self, tamper):
+        v = check_query(gen_security_queries()[1], TINY)
+        st, a, g = v.system.state, v.bindings["app"], v.bindings["group"]
+        if tamper == "authorize-nothing":
+            st = dataclasses.replace(st, grantedPermGroups=EMPTY)
+        else:
+            held = Perm("held", g, "normal")
+            (image,) = [img for k, img in st.perms if k == a]
+            st = dataclasses.replace(st, perms=foplus(st.perms, a, image | {held}))
+        tampered = dataclasses.replace(
+            v, system=dataclasses.replace(v.system, state=st))
+        assert not recheck(tampered)
+
+    def test_bindings_disagreeing_with_action_fail_recheck(self):
+        v = check_query(gen_security_queries()[1], TINY)
+        assert recheck(v)
+        tampered = dataclasses.replace(v, bindings={**v.bindings, "app": "other"})
+        assert not recheck(tampered)
 
     def test_no_witness_at_max_card_zero(self):
         q = gen_security_queries()[1]
@@ -136,6 +198,19 @@ class TestRecheck:
         v = check_query(q, Bounds(1, 1, 1, 0))
         with pytest.raises(ValueError):
             recheck(v)
+
+    def test_hit_that_does_not_recheck_raises(self):
+        calls = []
+
+        def first_call_only(sp, sys, action):
+            calls.append(action)
+            if len(calls) == 1:
+                return stale_revoke(sp, sys, action)
+            return Outcome(ok=False, failed_conjunct=1)
+
+        with pytest.raises(VerifierError):
+            check_query(revoke_query(first_call_only), SAMPLED)
+        assert len(calls) == 2  # the search's step, then the recheck's replay
 
 
 class TestRunSuite:
