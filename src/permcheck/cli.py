@@ -4,7 +4,8 @@ Commands: ``run`` a scenario file, ``check`` a state against the validity
 clauses, ``verify`` a query suite at bounds, ``witness`` search for an
 existential property.  Exit codes: 0 success / all hold / witness found;
 1 action blocked, clause failed, counterexample found or no witness;
-2 usage or parse error; 3 budget exhausted (inconclusive).
+2 usage or parse error; 3 budget exhausted (inconclusive); 4 internal
+error (a failed soundness guard, a model error, out of memory, ...).
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def cmd_verify(args) -> int:
         _write(args, json.dumps(report.to_doc(), indent=2) + "\n")
     else:
         _write(args, report.text())
-    if report.counterexamples:
+    if any(v.kind in ("counterexample", "no-witness-at-bounds")
+           for v in report.verdicts):
         return 1
     if report.inconclusive:
         return 3
@@ -171,6 +173,9 @@ def main(argv=None) -> int:
     except (ParseError, json.JSONDecodeError, OSError, ValueError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Values are immutable Python data with structural equality:
 * finite sets  -> ``frozenset`` (duplicate-free by construction)
 
 Binary relations are just frozensets of pairs.  Record types (permissions,
-manifests, ...) participate by exposing a ``canon_key()`` method returning
-an equivalent primitive structure.
+manifests, ...) participate by precomputing their order key in a ``_vkey``
+attribute.
 
 Everything here evaluates on fully concrete data: no unbound variables, no
 unification, no search.  The bounded verifier built on top gets its power
@@ -46,8 +46,9 @@ def value_key(v: Value) -> tuple:
     lexicographically, then sets by their sorted elements.  Record types
     sort after the primitives, grouped by class name.  This single order
     fixes the witness returned by :func:`exists_in`, serialization order,
-    and every enumeration in the verifier.  It never depends on object
-    identity or hashing, so it is stable across processes.
+    and the order of the pools and candidate actions the verifier
+    enumerates.  It never depends on object identity or hashing, so it is
+    stable across processes.
     """
     if type(v) is str:
         return (1, v)
@@ -64,9 +65,6 @@ def value_key(v: Value) -> tuple:
         return (3, tuple(value_key(x) for x in v))
     if isinstance(v, frozenset):
         return (4, tuple(sorted(value_key(x) for x in v)))
-    canon = getattr(v, "canon_key", None)
-    if canon is not None:
-        return (5, type(v).__name__, value_key(canon()))
     raise TypeError(f"not a kernel value: {v!r}")
 
 
@@ -162,8 +160,12 @@ def _bind(elem: Value, bindings: Sequence[Callable]) -> list:
 
 def forall_in(domain: Iterable[Value], body: Callable[..., bool],
               bindings: Sequence[Callable] = ()) -> bool:
-    """True iff body(elem, *bound) holds for every element of domain."""
-    for elem in canonical_order(domain):
+    """True iff body(elem, *bound) holds for every element of domain.
+
+    The domain is walked unsorted: with functional bindings the result
+    cannot depend on the order.
+    """
+    for elem in domain:
         if not body(elem, *_bind(elem, bindings)):
             return False
     return True

@@ -65,10 +65,7 @@ class Perm:
 
     def __post_init__(self):
         object.__setattr__(self, "_vkey",
-                           (5, "Perm", value_key(self.canon_key())))
-
-    def canon_key(self):
-        return (self.id, self.group, self.level)
+                           (5, "Perm", value_key((self.id, self.group, self.level))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,10 +78,7 @@ class Manifest:
 
     def __post_init__(self):
         object.__setattr__(self, "_vkey",
-                           (5, "Manifest", value_key(self.canon_key())))
-
-    def canon_key(self):
-        return (self.use, self.extra)
+                           (5, "Manifest", value_key((self.use, self.extra))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,10 +91,7 @@ class SysImgApp:
 
     def __post_init__(self):
         object.__setattr__(self, "_vkey",
-                           (5, "SysImgApp", value_key(self.canon_key())))
-
-    def canon_key(self):
-        return (self.idSI, self.defPermsSI)
+                           (5, "SysImgApp", value_key((self.idSI, self.defPermsSI))))
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,11 +7,14 @@ protection levels).  Every generated set -- including relations, which are
 sets of pairs -- has cardinality at most ``max_card``; relations are keyed
 by distinct apps.  Opaque slots stay fixed.
 
-The whole space is a product of per-component indexed spaces, so it can be
-enumerated exhaustively in a fixed order or sampled uniformly by drawing
-integer ranks.  When the space exceeds the budget the stream switches to
-seeded uniform sampling (with replacement) and the run counts as
-non-exhaustive.
+Every component, a subset of a pool or a relation keyed by distinct apps,
+is one kind of indexed space, a ``SetSpace``: a set of pool indices, each
+carrying a value rank, unranked straight from binomial coefficients with no
+table.  The whole space is the product of the eight component spaces, so
+it can be enumerated exhaustively in a fixed order or sampled uniformly by
+drawing integer ranks.  One stream, ``state_stream``, feeds every search:
+the whole space in rank order when it fits the budget, otherwise seeded
+uniform samples (with replacement), and the run counts as non-exhaustive.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -22,11 +25,9 @@ rarely stumble into such states by luck.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, prod
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .kernel import EMPTY, foplus, value_key
 from .model import (
@@ -88,18 +89,54 @@ def make_pools(bounds: Bounds) -> Pools:
     return Pools(apps, perm_ids, groups, ("cert1",), all_perms)
 
 
-# -- indexed component spaces --------------------------------------------------
+# -- indexed spaces ------------------------------------------------------------
 
 CACHE_LIMIT = 120_000  # spaces up to this size keep every decoded value
 
 
-class _CachedSpace:
-    """A space of ``size`` values decoded by ``_decode``; ``unrank`` keeps
-    each decoded value when the space has at most CACHE_LIMIT of them."""
+def _unrank_combination(m: int, k: int, r: int) -> tuple:
+    """The r-th k-combination of range(m) in lexicographic order.
 
-    size: int
+    With ``rest`` elements still to choose, all from [lo, m), the
+    combinations whose next element lies in [lo, j) number
+    ``comb(m - lo, rest) - comb(m - j, rest)``; the next element is the
+    largest j whose count does not exceed r, found by binary search.
+    """
+    out, lo = [], 0
+    for rest in range(k, 1, -1):
+        top = comb(m - lo, rest)
+        a, b = lo, m - rest
+        while a < b:
+            j = (a + b + 1) // 2
+            if top - comb(m - j, rest) <= r:
+                a = j
+            else:
+                b = j - 1
+        r -= top - comb(m - a, rest)
+        out.append(a)
+        lo = a + 1
+    if k:
+        out.append(lo + r)  # one left to choose: the count is j - lo
+    return tuple(out)
 
-    def _init_cache(self) -> None:
+
+class SetSpace:
+    """Sets of at most ``max_card`` distinct indices drawn from range(n).
+
+    Each chosen index j carries a value rank d in range(values) and stands
+    for the element ``item(j, d)`` (a mapping carries its images this way,
+    a plain subset the one value 0); ``make`` builds the set.  Rank order:
+    cardinality, then the lexicographic combination, then the value ranks
+    as digits, most significant first.  ``unrank`` keeps each decoded value
+    when the space has at most CACHE_LIMIT of them.
+    """
+
+    def __init__(self, n: int, max_card: int, item: Callable[[int, int], object],
+                 values: int = 1, make: Callable = frozenset):
+        self.n, self.values, self.item, self.make = n, values, item, make
+        self.blocks = [(k, comb(n, k) * values ** k, values ** k)
+                       for k in range(min(max_card, n) + 1)]
+        self.size = sum(size for _, size, _ in self.blocks)
         self._cache = [None] * self.size if self.size <= CACHE_LIMIT else None
 
     def unrank(self, r: int):
@@ -111,183 +148,92 @@ class _CachedSpace:
             value = cache[r] = self._decode(r)
         return value
 
-
-class _CombUnranker:
-    """Lexicographic unranking of k-combinations of range(m), via prefix sums."""
-
-    def __init__(self, m: int, k: int):
-        self.m, self.k = m, k
-        # prefix[t][j] = number of combinations whose element at position t
-        # is < j, given free choice; used with an offset for the current floor
-        self.prefix = []
-        for t in range(k):
-            remaining = k - t - 1
-            acc, row = 0, [0]
-            for j in range(m):
-                acc += comb(m - 1 - j, remaining)
-                row.append(acc)
-            self.prefix.append(row)
-
-    def unrank(self, r: int) -> tuple:
-        out, prev = [], -1
-        for t in range(self.k):
-            row = self.prefix[t]
-            target = r + row[prev + 1]
-            j = bisect_right(row, target) - 1
-            r = target - row[j]
-            out.append(j)
-            prev = j
-        return tuple(out)
-
-
-class SubsetSpace(_CachedSpace):
-    """All subsets of an indexable pool with cardinality <= max_card."""
-
-    def __init__(self, pool_size: int, elem: Callable[[int], object],
-                 max_card: int):
-        self.pool_size = pool_size
-        self.elem = elem
-        self.cards = list(range(min(max_card, pool_size) + 1))
-        self.block_sizes = [comb(pool_size, k) for k in self.cards]
-        self.size = sum(self.block_sizes)
-        self._unrankers: dict = {}
-        self._init_cache()
-
-    def _decode(self, r: int) -> frozenset:
-        i = r
-        for k, block in zip(self.cards, self.block_sizes):
-            if i < block:
-                if k not in self._unrankers:
-                    self._unrankers[k] = _CombUnranker(self.pool_size, k)
-                combo = self._unrankers[k].unrank(i)
-                return frozenset(self.elem(j) for j in combo)
-            i -= block
-        raise IndexError(r)
-
-
-class AtomSpace:
-    def __init__(self, pool: tuple):
-        self.pool = pool
-        self.size = len(pool)
-
-    def unrank(self, r: int):
-        return self.pool[r]
-
-
-class MappedSpace(_CachedSpace):
-    """A space whose values are a function of another space's values."""
-
-    def __init__(self, base, fn: Callable):
-        self.base, self.fn = base, fn
-        self.size = base.size
-        self._init_cache()
-
     def _decode(self, r: int):
-        return self.fn(self.base.unrank(r))
-
-
-class MappingSpace(_CachedSpace):
-    """Relations keyed by distinct pool apps with images from a value space."""
-
-    def __init__(self, keys: tuple, value_space, max_card: int):
-        self.keys = keys
-        self.value_space = value_space
-        n = len(keys)
-        self.combos = [tuple(combinations(range(n), k))
-                       for k in range(min(max_card, n) + 1)]
-        v = value_space.size
-        self.block_sizes = [len(c) * v ** k for k, c in enumerate(self.combos)]
-        self.size = sum(self.block_sizes)
-        self._init_cache()
-
-    def _decode(self, r: int) -> frozenset:
-        i = r
-        v = self.value_space.size
-        for k, block in enumerate(self.block_sizes):
-            if i < block:
-                combo_idx, digits_rank = divmod(i, v ** k)
-                combo = self.combos[k][combo_idx]
+        for k, size, width in self.blocks:
+            if r < size:
+                c, d = divmod(r, width)
                 digits = []
                 for _ in range(k):
-                    digits_rank, d = divmod(digits_rank, v)
-                    digits.append(d)
-                digits.reverse()
-                return frozenset((self.keys[j], self.value_space.unrank(d))
-                                 for j, d in zip(combo, digits))
-            i -= block
+                    d, x = divmod(d, self.values)
+                    digits.append(x)
+                combo = _unrank_combination(self.n, k, c)
+                return self.make(self.item(j, x)
+                                 for j, x in zip(combo, reversed(digits)))
+            r -= size
         raise IndexError(r)
 
 
 class SystemSpace:
-    """The full product space of systems at given bounds."""
+    """The full product space of systems at given bounds.  A rank's digits,
+    most significant first, are the eight varying components in State then
+    Environment field order."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
-        self.pools = make_pools(bounds)
-        p, mc = self.pools, bounds.max_card
+        self.pools = p = make_pools(bounds)
+        mc, n_apps, n_perms = bounds.max_card, len(p.apps), len(p.all_perms)
 
-        perm_sets = SubsetSpace(len(p.all_perms), p.all_perms.__getitem__, mc)
-        group_sets = SubsetSpace(len(p.groups), p.groups.__getitem__, mc)
-        manifests = MappedSpace(perm_sets, Manifest)
-        sysimg_pool_size = len(p.apps) * perm_sets.size
+        def pick(pool):
+            return lambda j, d: pool[j]
 
-        def sysimg_elem(i: int) -> SysImgApp:
-            ai, si = divmod(i, perm_sets.size)
-            return SysImgApp(p.apps[ai], perm_sets.unrank(si))
+        def mapping(size: int, value: Callable[[int], object]) -> SetSpace:
+            return SetSpace(n_apps, mc, lambda j, d: (p.apps[j], value(d)), size)
 
+        perm_sets = SetSpace(n_perms, mc, pick(p.all_perms))
+        # one Manifest per perm-set rank, shared by every mapping holding it
+        manifests = SetSpace(n_perms, mc, pick(p.all_perms),
+                             make=lambda items: Manifest(frozenset(items)))
+        group_sets = SetSpace(len(p.groups), mc, pick(p.groups))
+        n_sets = perm_sets.size
         self.components = (
-            ("apps", SubsetSpace(len(p.apps), p.apps.__getitem__, mc)),
-            ("alreadyVerified", SubsetSpace(len(p.apps), p.apps.__getitem__, mc)),
-            ("grantedPermGroups", MappingSpace(p.apps, group_sets, mc)),
-            ("perms", MappingSpace(p.apps, perm_sets, mc)),
-            ("manifest", MappingSpace(p.apps, manifests, mc)),
-            ("cert", MappingSpace(p.apps, AtomSpace(p.certs), mc)),
-            ("defPerms", MappingSpace(p.apps, perm_sets, mc)),
-            ("systemImage", SubsetSpace(sysimg_pool_size, sysimg_elem, mc)),
+            ("apps", SetSpace(n_apps, mc, pick(p.apps))),
+            ("alreadyVerified", SetSpace(n_apps, mc, pick(p.apps))),
+            ("grantedPermGroups", mapping(group_sets.size, group_sets.unrank)),
+            ("perms", mapping(n_sets, perm_sets.unrank)),
+            ("manifest", mapping(n_sets, manifests.unrank)),
+            ("cert", mapping(len(p.certs), p.certs.__getitem__)),
+            ("defPerms", mapping(n_sets, perm_sets.unrank)),
+            ("systemImage", SetSpace(
+                n_apps * n_sets, mc, lambda j, d: SysImgApp(
+                    p.apps[j // n_sets], perm_sets.unrank(j % n_sets)))),
         )
-        self._sizes = [s.size for _, s in self.components]
-        self.size = prod(self._sizes)
+        self._digits = [(s, s.size) for _, s in reversed(self.components)]
+        self.size = prod(size for _, size in self._digits)
 
     def component_sizes(self) -> dict:
         return {name: space.size for name, space in self.components}
 
     def unrank(self, r: int) -> System:
-        # component order matches self.components: the four varying state
-        # slots then the four environment slots, most significant first
-        digits = []
-        for size in reversed(self._sizes):
+        v = []
+        for space, size in self._digits:  # least significant first
             r, d = divmod(r, size)
-            digits.append(d)
-        spaces = self.components
-        return System(
-            State(apps=spaces[0][1].unrank(digits[7]),
-                  alreadyVerified=spaces[1][1].unrank(digits[6]),
-                  grantedPermGroups=spaces[2][1].unrank(digits[5]),
-                  perms=spaces[3][1].unrank(digits[4])),
-            Environment(manifest=spaces[4][1].unrank(digits[3]),
-                        cert=spaces[5][1].unrank(digits[2]),
-                        defPerms=spaces[6][1].unrank(digits[1]),
-                        systemImage=spaces[7][1].unrank(digits[0])),
-        )
+            v.append(space.unrank(d))
+        v.reverse()
+        return System(State(*v[:4]), Environment(*v[4:]))
+
+
+def state_stream(space: SystemSpace, budget: int, seed: str,
+                 prefix: Sequence[System] = ()) -> Iterator[System]:
+    """The states a bounded search examines: the whole space in rank order
+    when it fits the budget; otherwise ``prefix`` (cut to the budget), then
+    uniform samples from ``random.Random(seed)`` up to the budget."""
+    if space.size <= budget:
+        for r in range(space.size):
+            yield space.unrank(r)
+        return
+    yield from prefix[:budget]
+    rng = random.Random(seed)
+    for _ in range(budget - min(len(prefix), budget)):
+        yield space.unrank(rng.randrange(space.size))
 
 
 def enumerate_states(bounds: Bounds,
                      predicate: Optional[Callable[[System], bool]] = None
                      ) -> Iterator[System]:
-    """Stream systems at the given bounds, optionally filtered.
-
-    Exhaustive (in rank order) when the space fits the budget; otherwise
-    seeded uniform sampling of ``budget`` systems.  The same bounds always
-    produce the same stream.
-    """
-    space = SystemSpace(bounds)
-    if space.size <= bounds.budget:
-        ranks: Iterator[int] = iter(range(space.size))
-    else:
-        rng = random.Random(f"{bounds.seed}:enumerate")
-        ranks = (rng.randrange(space.size) for _ in range(bounds.budget))
-    for r in ranks:
-        sys = space.unrank(r)
+    """The state stream at the given bounds, optionally filtered; the same
+    bounds always produce the same stream."""
+    for sys in state_stream(SystemSpace(bounds), bounds.budget,
+                            f"{bounds.seed}:enumerate"):
         if predicate is None or predicate(sys):
             yield sys
 

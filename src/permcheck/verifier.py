@@ -38,7 +38,6 @@ across workers without changing any verdict.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -47,7 +46,7 @@ from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY, canonical_order
 from .model import DANGEROUS, Perm, System, perm_to_doc, state_to_doc
 from .operations import Action, Operation, action_to_doc, default_operations
-from .statespace import Bounds, SystemSpace, targeted_states
+from .statespace import Bounds, SystemSpace, state_stream, targeted_states
 
 
 class VerifierError(Exception):
@@ -256,23 +255,13 @@ def check_query(q: Query, bounds: Bounds,
     """
     if space is None:
         space = SystemSpace(bounds)
-    budget = bounds.budget
     targeted = targeted_states(bounds, q.tag)
-    exhaustive = space.size <= budget
-    conclusive = exhaustive or budget >= len(targeted)
-    rng = random.Random(f"{bounds.seed}:{q.id}")
-
-    def stream():
-        if exhaustive:
-            for i in range(space.size):
-                yield space.unrank(i)
-        else:
-            yield from targeted[:budget]
-            for _ in range(budget - min(len(targeted), budget)):
-                yield space.unrank(rng.randrange(space.size))
+    exhaustive = space.size <= bounds.budget
+    conclusive = exhaustive or bounds.budget >= len(targeted)
 
     examined = 0
-    for sys in stream():
+    for sys in state_stream(space, bounds.budget, f"{bounds.seed}:{q.id}",
+                            targeted):
         examined += 1
         hit = _search_state(q, sys)
         if hit is None:
@@ -310,8 +299,7 @@ class Report:
 
     @property
     def inconclusive(self) -> list[Verdict]:
-        return [v for v in self.verdicts
-                if v.kind in ("budget-exhausted", "no-witness-at-bounds")]
+        return [v for v in self.verdicts if v.kind == "budget-exhausted"]
 
     def to_doc(self) -> dict:
         return {

@@ -1,13 +1,16 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import permcheck.cli
 from conftest import READ, WRITE, make_system
 from permcheck.model import emit_state, parse_state, state_to_doc
+from permcheck.verifier import VerifierError
 
 PERM_READ = {"id": "read", "group": "contacts", "level": "dangerous"}
 
@@ -119,6 +122,35 @@ class TestVerify:
     def test_budget_one_is_inconclusive(self):
         r = run_cli("verify", "--suite", "invariance", *SMALL, "--budget", "1")
         assert r.returncode == 3
+
+    def test_no_witness_at_exhaustive_bounds_exits_1(self):
+        # every query is exhaustive and none runs out of budget, but the
+        # existential property has no witness
+        r = run_cli("verify", "--apps", "1", "--perms", "1", "--grps", "1",
+                    "--maxcard", "0")
+        assert r.returncode == 1, r.stdout
+        assert "no-witness-at-bounds" in r.stdout
+        assert "budget-exhausted" not in r.stdout
+
+    def test_wide_bounds_fit_in_one_gib(self):
+        # no decode table grows with the bounds: 30 apps at maxcard 30 run
+        # their 20 samples per query in well under 1 GiB of address space
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = run_cli("verify", "--apps", "30", "--maxcard", "30", "--budget", "20",
+                    preexec_fn=limit_memory, timeout=60)
+        assert r.returncode == 3, r.stderr
+
+    def test_internal_error_exits_4_without_traceback(self, monkeypatch, capsys):
+        def broken_suite(*args, **kwargs):
+            raise VerifierError("unsound counterexample emitted for inv/x")
+
+        monkeypatch.setattr(permcheck.cli, "run_suite", broken_suite)
+        assert permcheck.cli.main(["verify", *SMALL]) == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err and "unsound" in err
+        assert "Traceback" not in err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,14 +1,17 @@
+import hashlib
+import itertools
 import random
 from math import comb
 
 import pytest
 
 from permcheck.invariants import valid_state
-from permcheck.model import DANGEROUS, System
+from permcheck.model import DANGEROUS, System, emit_state
 from permcheck.operations import default_operations, pre_grant_auto
 from permcheck.statespace import (
     Bounds,
     SystemSpace,
+    _unrank_combination,
     enumerate_states,
     make_pools,
     random_grant_auto_state,
@@ -112,6 +115,32 @@ class TestSpace:
             for name in ("grantedPermGroups", "perms"):
                 rel = getattr(sys.state, name)
                 assert len({k for k, _ in rel}) == len(rel)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_unrank_combination_is_lexicographic(m):
+    for k in range(m + 1):
+        assert ([_unrank_combination(m, k, r) for r in range(comb(m, k))]
+                == list(itertools.combinations(range(m), k)))
+
+
+@pytest.mark.parametrize("bounds, size, digest", [
+    ((1, 1, 1, 1), 98_304,
+     "f6c746ea4f3c180a6082fbb5e1b6bd5a8527f28f846b0e32f5c7a6e6a363d67f"),
+    ((2, 2, 2, 2), 2_545_373_170_367_189_358_400,
+     "c20e19cee59fd70930fbaf01ef1886d95a9c429485962b48f5e9c99d5dce5ddf"),
+    ((3, 2, 1, 3), 32_730_587_347_534_848_000_000_000_000_000_000,
+     "2aef02191d2fdb3ed41740605e933eb1e5933985dba030ee54547a0429fc8ffd"),
+])
+def test_rank_to_state_digest(bounds, size, digest):
+    # pins the rank order: 2000 seeded ranks must decode to the same states
+    space = SystemSpace(Bounds(*bounds))
+    assert space.size == size
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        h.update(emit_state(space.unrank(rng.randrange(space.size))).encode())
+    assert h.hexdigest() == digest
 
 
 class TestEnumerateStates:
