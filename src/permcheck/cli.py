@@ -4,8 +4,9 @@ Commands: ``run`` a scenario file, ``check`` a state against the validity
 clauses, ``verify`` a query suite at bounds, ``witness`` search for an
 existential property.  Exit codes: 0 success / all hold / witness found;
 1 action blocked, clause failed, counterexample found or no witness;
-2 usage or parse error; 3 budget exhausted (inconclusive); 4 internal
-error (a failed soundness guard, a model error, out of memory, ...).
+2 usage or parse error (bounds too large included); 3 budget exhausted
+(inconclusive); 4 internal error (a failed soundness guard, out of memory,
+...).
 """
 
 from __future__ import annotations

@@ -49,46 +49,30 @@ def all_maps_correct_clauses() -> tuple[InvariantClause, ...]:
 # The notDupPerm clauses are written with the kernel's restricted
 # quantifiers, nesting exactly as the per-source split reads: quantify the
 # (app, perm-set) pairs over each source, then the permissions over the
-# bound sets, with accessor bindings naming ids along the way.
+# bound sets; the innermost body compares ids and defining apps.
 
 def _not_dup_perm_1(sys: System) -> bool:
     dp = sys.environment.defPerms
     return forall_in(dp, lambda e1: forall_in(dp, lambda e2: forall_in(
-        e1[1], lambda p1, ip1: forall_in(
-            e2[1],
-            lambda p2, ip2: ip1 != ip2 or (p1 == p2 and e1[0] == e2[0]),
-            bindings=(lambda p: p.id,)),
-        bindings=(lambda p: p.id,))))
+        e1[1], lambda p1: forall_in(
+            e2[1], lambda p2: p1.id != p2.id or (p1 == p2 and e1[0] == e2[0])))))
 
 
 def _not_dup_perm_2(sys: System) -> bool:
     si = sys.environment.systemImage
-    return forall_in(
-        si,
-        lambda s1, id1, l1: forall_in(
-            si,
-            lambda s2, id2, l2: forall_in(
-                l1, lambda p1, ip1: forall_in(
-                    l2,
-                    lambda p2, ip2: ip1 != ip2 or (p1 == p2 and id1 == id2),
-                    bindings=(lambda p: p.id,)),
-                bindings=(lambda p: p.id,)),
-            bindings=(lambda s: s.idSI, lambda s: s.defPermsSI)),
-        bindings=(lambda s: s.idSI, lambda s: s.defPermsSI))
+    return forall_in(si, lambda s1: forall_in(si, lambda s2: forall_in(
+        s1.defPermsSI, lambda p1: forall_in(
+            s2.defPermsSI,
+            lambda p2: p1.id != p2.id or (p1 == p2 and s1.idSI == s2.idSI)))))
 
 
 def _not_dup_perm_3(sys: System) -> bool:
     dp = sys.environment.defPerms
     si = sys.environment.systemImage
-    return forall_in(dp, lambda e1: forall_in(
-        si,
-        lambda s2, id2, l2: forall_in(
-            e1[1], lambda p1, ip1: forall_in(
-                l2,
-                lambda p2, ip2: ip1 != ip2 or (p1 == p2 and e1[0] == id2),
-                bindings=(lambda p: p.id,)),
-            bindings=(lambda p: p.id,)),
-        bindings=(lambda s: s.idSI, lambda s: s.defPermsSI)))
+    return forall_in(dp, lambda e1: forall_in(si, lambda s2: forall_in(
+        e1[1], lambda p1: forall_in(
+            s2.defPermsSI,
+            lambda p2: p1.id != p2.id or (p1 == p2 and e1[0] == s2.idSI)))))
 
 
 def not_dup_perm_clauses() -> tuple[InvariantClause, ...]:

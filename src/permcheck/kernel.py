@@ -8,18 +8,21 @@ Values are immutable Python data with structural equality:
 * finite sets  -> ``frozenset`` (duplicate-free by construction)
 
 Binary relations are just frozensets of pairs.  Record types (permissions,
-manifests, ...) participate by precomputing their order key in a ``_vkey``
-attribute.
+manifests, ...) are frozen dataclasses with a ``_vkey`` slot (default
+``None``); the kernel derives a record's order key from its fields on first
+use and stores it there.
 
 Everything here evaluates on fully concrete data: no unbound variables, no
 unification, no search.  The bounded verifier built on top gets its power
 from enumeration instead of symbolic solving.  All operations are pure
-functions over immutable inputs and are safe to share across threads.
+functions over immutable inputs and are safe to share across threads: the
+one write, caching a record's key, stores a value that depends only on the
+record's fields, so a racing write stores the same value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 Value = Any
 Rel = frozenset
@@ -35,25 +38,31 @@ class AmbiguousApplication(KernelError):
     """Relation application hit a key with two or more distinct images."""
 
 
-class BindingNotFunctional(KernelError):
-    """A quantifier binding produced zero or several results for an element."""
+_NOT_RECORD = object()
 
 
 def value_key(v: Value) -> tuple:
     """Total-order key over values.
 
     Atoms sort lexicographically, then integers, then pairs/tuples
-    lexicographically, then sets by their sorted elements.  Record types
-    sort after the primitives, grouped by class name.  This single order
-    fixes the witness returned by :func:`exists_in`, serialization order,
-    and the order of the pools and candidate actions the verifier
-    enumerates.  It never depends on object identity or hashing, so it is
-    stable across processes.
+    lexicographically, then sets by their sorted elements.  Records sort
+    after the primitives, by class name and then by their init fields in
+    declaration order.  A record's key is computed here on first use and
+    stored in its ``_vkey`` slot; it depends only on the fields, so a racing
+    write stores the same value.  This single order fixes the witness
+    returned by :func:`exists_in`, serialization order, and the order of the
+    pools and candidate actions the verifier enumerates.  It never depends
+    on object identity or hashing, so it is stable across processes.
     """
     if type(v) is str:
         return (1, v)
-    vk = getattr(v, "_vkey", None)  # records may precompute their key
-    if vk is not None:
+    vk = getattr(v, "_vkey", _NOT_RECORD)
+    if vk is not _NOT_RECORD:
+        if vk is None:
+            # a dataclass's __match_args__ names its init fields in order
+            fields = tuple(getattr(v, f) for f in v.__match_args__)
+            vk = (5, type(v).__name__, value_key(fields))
+            object.__setattr__(v, "_vkey", vk)
         return vk
     if v is None:
         return (0,)
@@ -117,15 +126,6 @@ def rel_apply(r: Rel, x: Value) -> Optional[Value]:
     return images[0]
 
 
-def apply_or_empty(r: Rel, x: Value) -> frozenset:
-    """rel_apply(r, x) if x is a key, otherwise the empty set.
-
-    Assumes every image of x, if any, is itself a set; ambiguity propagates.
-    """
-    y = rel_apply(r, x)
-    return EMPTY if y is None else y
-
-
 def foplus(f: Rel, x: Value, y: Value) -> Rel:
     """Function override: replace or insert the image of one key.
 
@@ -137,44 +137,19 @@ def foplus(f: Rel, x: Value, y: Value) -> Rel:
 
 # -- restricted quantifiers --------------------------------------------------
 #
-# forall_in/exists_in quantify over membership in a finite set, optionally
-# naming intermediate results through "bindings": callables applied to the
-# element whose single result is passed to the body as an extra argument.
-# A binding returning None (zero results) or hitting an ambiguous relation
-# application (several results) is not functional and is reported as such.
-# Nested quantification is plain lexical nesting of calls.
+# forall_in/exists_in quantify over membership in a finite set.  A body that
+# needs an intermediate value (an id, a record's field) reads it itself;
+# nested quantification is plain lexical nesting of calls.
 
-def _bind(elem: Value, bindings: Sequence[Callable]) -> list:
-    out = []
-    for b in bindings:
-        try:
-            v = b(elem)
-        except AmbiguousApplication as e:
-            raise BindingNotFunctional(
-                f"binding yielded several results for {elem!r}") from e
-        if v is None:
-            raise BindingNotFunctional(f"binding yielded no result for {elem!r}")
-        out.append(v)
-    return out
+def forall_in(domain: Iterable[Value], body: Callable[[Value], bool]) -> bool:
+    """True iff body(elem) holds for every element of domain.
 
-
-def forall_in(domain: Iterable[Value], body: Callable[..., bool],
-              bindings: Sequence[Callable] = ()) -> bool:
-    """True iff body(elem, *bound) holds for every element of domain.
-
-    The domain is walked unsorted: with functional bindings the result
-    cannot depend on the order.
+    The domain is walked unsorted: the result cannot depend on the order.
     """
-    for elem in domain:
-        if not body(elem, *_bind(elem, bindings)):
-            return False
-    return True
+    return all(map(body, domain))
 
 
-def exists_in(domain: Iterable[Value], body: Callable[..., bool],
-              bindings: Sequence[Callable] = ()) -> Optional[Value]:
+def exists_in(domain: Iterable[Value],
+              body: Callable[[Value], bool]) -> Optional[Value]:
     """First element (in canonical order) satisfying body, or None."""
-    for elem in canonical_order(domain):
-        if body(elem, *_bind(elem, bindings)):
-            return elem
-    return None
+    return next(filter(body, canonical_order(domain)), None)

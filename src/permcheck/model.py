@@ -15,29 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import (
-    EMPTY,
-    Rel,
-    AmbiguousApplication,
-    canonical_order,
-    rel_apply,
-    value_key,
-)
+from .kernel import EMPTY, Rel, canonical_order
 
 PROTECTION_LEVELS = ("normal", "signature", "dangerous")
 DANGEROUS = "dangerous"
 OPAQUE = "unused"
-
-
-class ModelError(Exception):
-    pass
-
-
-class ConflictingDefPerms(ModelError):
-    """An app's defined permissions disagree between its two sources."""
 
 
 class ParseError(ValueError):
@@ -51,8 +36,9 @@ class ParseError(ValueError):
         self.path = path
 
 
-# The three record types precompute their canonical-order key (_vkey);
-# they sit inside sets and relations, so ordering them is hot.
+# The three record types sit inside sets and relations, so ordering them is
+# hot: each has one cache slot, in which the kernel stores the record's order
+# key the first time it is asked for.
 
 @dataclass(frozen=True, slots=True)
 class Perm:
@@ -61,11 +47,7 @@ class Perm:
     id: str
     group: Optional[str]
     level: str
-    _vkey: tuple = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_vkey",
-                           (5, "Perm", value_key((self.id, self.group, self.level))))
+    _vkey: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,11 +56,7 @@ class Manifest:
 
     use: frozenset  # of Perm
     extra: tuple = (OPAQUE,) * 5
-    _vkey: tuple = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_vkey",
-                           (5, "Manifest", value_key((self.use, self.extra))))
+    _vkey: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,11 +65,7 @@ class SysImgApp:
 
     idSI: str
     defPermsSI: frozenset  # of Perm
-    _vkey: tuple = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_vkey",
-                           (5, "SysImgApp", value_key((self.idSI, self.defPermsSI))))
+    _vkey: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,33 +140,6 @@ def differing_components(a: System, b: System) -> list[str]:
 
 # -- helper predicates -------------------------------------------------------
 
-def manifest_of_app(sys: System, a: str) -> Optional[Manifest]:
-    """Manifest registered for app a, or None.
-
-    Raises :class:`~permcheck.kernel.AmbiguousApplication` when the manifest
-    relation is not a partial function at a.
-    """
-    return rel_apply(sys.environment.manifest, a)
-
-
-def def_perms_for_app(sys: System, a: str) -> Optional[frozenset]:
-    """Permissions defined by app a, from either defining source.
-
-    The two sources are the defPerms mapping and the system image.  When
-    both define a with different sets the conflict is reported, not
-    resolved: valid states rule it out, so hitting it means an invariant
-    was already broken.
-    """
-    candidates = [l for k, l in sys.environment.defPerms if k == a]
-    candidates += [s.defPermsSI for s in sys.environment.systemImage if s.idSI == a]
-    distinct = set(candidates)
-    if not distinct:
-        return None
-    if len(distinct) > 1:
-        raise ConflictingDefPerms(f"app {a!r} has conflicting defined-permission sets")
-    return candidates[0]
-
-
 def usr_def_perm(sys: System, p: Perm) -> bool:
     """True iff p is defined by some app (either defining source)."""
     return (any(p in l for _, l in sys.environment.defPerms)
@@ -215,8 +162,7 @@ def _sorted_docs(values, to_doc):
 
 
 def _rel_doc(rel: Rel, value_doc) -> list:
-    pairs = sorted(rel, key=value_key)
-    return [[k, value_doc(v)] for k, v in pairs]
+    return [[k, value_doc(v)] for k, v in canonical_order(rel)]
 
 
 def manifest_to_doc(m: Manifest) -> dict:

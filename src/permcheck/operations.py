@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .kernel import EMPTY, canonical_order, foplus, value_key
+from .kernel import EMPTY, canonical_order, foplus
 from .model import (
     DANGEROUS,
     Manifest,
@@ -259,7 +259,7 @@ def _manifest_candidates(op: str, sys: System,
     # conjunct 1 restricts (p, a) to manifest-listed pairs; conjunct 4
     # additionally blocks everything non-dangerous, so those pairs can be
     # pruned whenever conjunct 4 is active
-    for a, m in sorted(sys.environment.manifest, key=value_key):
+    for a, m in canonical_order(sys.environment.manifest):
         if isinstance(m, Manifest):
             for p in canonical_order(m.use):
                 if dangerous_only and p.level != DANGEROUS:
@@ -268,14 +268,14 @@ def _manifest_candidates(op: str, sys: System,
 
 
 def _revoke_candidates(sys: System) -> Iterator[Action]:
-    for a, granted in sorted(sys.state.perms, key=value_key):
+    for a, granted in canonical_order(sys.state.perms):
         for p in canonical_order(granted):
             if p.group is None:
                 yield Action("revoke", perm=p, app=a)
 
 
 def _revoke_group_candidates(sys: System) -> Iterator[Action]:
-    for a, groups in sorted(sys.state.grantedPermGroups, key=value_key):
+    for a, groups in canonical_order(sys.state.grantedPermGroups):
         for g in canonical_order(groups):
             yield Action("revokeGroup", group=g, app=a)
 

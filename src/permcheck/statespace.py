@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from .kernel import EMPTY, foplus, value_key
+from .kernel import EMPTY, canonical_order, foplus
 from .model import (
     DANGEROUS,
     Environment,
@@ -41,6 +41,12 @@ from .model import (
     System,
 )
 from .operations import _image_union
+
+
+# The permission pool and the targeted families grow with the number of
+# (app, permission triple) pairs; bounds with more are rejected up front,
+# since building their pools alone can exhaust memory.
+MAX_APP_PERM_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,10 @@ class Bounds:
             raise ValueError("max_card must be >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        pairs = self.apps * self.perms * (self.grps + 1) * len(PROTECTION_LEVELS)
+        if pairs > MAX_APP_PERM_PAIRS:
+            raise ValueError(f"bounds give {pairs:,} (app, permission triple) "
+                             f"pairs; the limit is {MAX_APP_PERM_PAIRS:,}")
 
     def to_doc(self) -> dict:
         return {"apps": self.apps, "perms": self.perms, "grps": self.grps,
@@ -77,15 +87,14 @@ class Pools:
 
 
 def make_pools(bounds: Bounds) -> Pools:
-    apps = tuple(sorted((f"app{i + 1}" for i in range(bounds.apps)), key=value_key))
-    perm_ids = tuple(sorted((f"perm{i + 1}" for i in range(bounds.perms)), key=value_key))
-    groups = tuple(sorted((f"grp{i + 1}" for i in range(bounds.grps)), key=value_key))
-    all_perms = tuple(sorted(
-        (Perm(pid, g, lvl)
-         for pid in perm_ids
-         for g in (None,) + groups
-         for lvl in PROTECTION_LEVELS),
-        key=value_key))
+    apps = tuple(canonical_order(f"app{i + 1}" for i in range(bounds.apps)))
+    perm_ids = tuple(canonical_order(f"perm{i + 1}" for i in range(bounds.perms)))
+    groups = tuple(canonical_order(f"grp{i + 1}" for i in range(bounds.grps)))
+    all_perms = tuple(canonical_order(
+        Perm(pid, g, lvl)
+        for pid in perm_ids
+        for g in (None,) + groups
+        for lvl in PROTECTION_LEVELS))
     return Pools(apps, perm_ids, groups, ("cert1",), all_perms)
 
 

@@ -70,13 +70,6 @@ def o_rel_apply(r, x):
     return images[0]
 
 
-def o_apply_or_empty(r, x):
-    y = o_rel_apply(r, x)
-    if y is None:
-        return frozenset()
-    return y
-
-
 def o_foplus(f, x, y):
     candidates = set(f) | {(x, y)}
     return frozenset(q for q in candidates
@@ -95,16 +88,6 @@ def o_exists(domain, body):
 
 
 # -- model / invariant oracles ---------------------------------------------------
-
-def o_def_perms_for_app(sys, a):
-    found = [l for k, l in sys.environment.defPerms if k == a]
-    found += [s.defPermsSI for s in sys.environment.systemImage if s.idSI == a]
-    if not found:
-        return None
-    if len(set(found)) > 1:
-        return AMBIGUOUS
-    return found[0]
-
 
 def _def_sources(sys):
     pairs = [(a, l) for a, l in sys.environment.defPerms]

@@ -15,9 +15,23 @@ from permcheck.verifier import VerifierError
 PERM_READ = {"id": "read", "group": "contacts", "level": "dangerous"}
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "permcheck", *args],
                           capture_output=True, text=True, **kwargs)
+
+
+def run_script(name, *args):
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def write_scenario(path, f1, actions):
@@ -135,12 +149,20 @@ class TestVerify:
     def test_wide_bounds_fit_in_one_gib(self):
         # no decode table grows with the bounds: 30 apps at maxcard 30 run
         # their 20 samples per query in well under 1 GiB of address space
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         r = run_cli("verify", "--apps", "30", "--maxcard", "30", "--budget", "20",
                     preexec_fn=limit_memory, timeout=60)
         assert r.returncode == 3, r.stderr
+
+    @pytest.mark.parametrize("bounds", [
+        ("--apps", "2", "--perms", "1500", "--grps", "1500", "--budget", "1"),
+        ("--apps", "20000", "--budget", "1", "--suite", "security"),
+    ])
+    def test_oversize_bounds_are_rejected_before_any_work(self, bounds):
+        # both used to build pools until MemoryError (exit 4) under 1 GiB
+        r = run_cli("verify", *bounds, preexec_fn=limit_memory, timeout=5)
+        assert r.returncode == 2, r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
 
     def test_internal_error_exits_4_without_traceback(self, monkeypatch, capsys):
         def broken_suite(*args, **kwargs):
@@ -211,10 +233,18 @@ def test_deeply_nested_json_is_parse_error(tmp_path, command):
 
 
 def test_mutation_demo_reports_rechecked_counterexample():
-    root = Path(__file__).resolve().parent.parent
-    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    r = subprocess.run([sys.executable, str(root / "scripts" / "mutation_demo.py")],
-                       capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    r = run_script("mutation_demo.py")
     assert r.returncode == 0, r.stderr
     assert "recheck: True" in r.stdout.splitlines()
+
+
+def test_run_experiments_writes_one_report_per_maxcard(tmp_path):
+    r = run_script("run_experiments.py", "--apps", "1", "--perms", "1",
+                   "--grps", "1", "--maxcard", "0", "1", "--budget", "200",
+                   "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert sum(line.startswith("== state space:")
+               for line in r.stdout.splitlines()) == 2
+    for mc in (0, 1):
+        doc = json.loads((tmp_path / f"report_mc{mc}.json").read_text())
+        assert set(doc) == {"suite", "bounds", "rows", "verdicts"}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,25 @@ def test_clauses_agree_with_brute_force_on_generated_states(rank):
     sys = SPACE.unrank(rank)
     for c in standard_clauses():
         assert c.eval(sys) == brute.o_valid_clause(sys, c.id), c.id
+
+
+def test_clauses_agree_with_brute_force_on_seeded_samples():
+    # a notDupPerm clause holds on only 1-2% of (2,2,2,2) states, too few for
+    # the 200 examples above to check the holding branch; 10,000 seeded
+    # states over two bounds see each outcome of each clause 50+ times
+    outcomes = {c.id: [0, 0] for c in not_dup_perm_clauses()}
+    for bounds in ((2, 2, 2, 2), (2, 1, 1, 2)):
+        space = SystemSpace(Bounds(*bounds))
+        rng = random.Random(0)
+        for _ in range(5000):
+            sys = space.unrank(rng.randrange(space.size))
+            for c in standard_clauses():
+                held = c.eval(sys)
+                assert held == brute.o_valid_clause(sys, c.id), (bounds, c.id)
+                if c.id in outcomes:
+                    outcomes[c.id][held] += 1
+    for cid, (failed, held) in outcomes.items():
+        assert failed >= 50 and held >= 50, (cid, failed, held)
 
 
 @pytest.mark.parametrize("sys", [

@@ -1,11 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from permcheck.kernel import (
     EMPTY,
     AmbiguousApplication,
-    BindingNotFunctional,
-    apply_or_empty,
     canonical_order,
     comp,
     dom,
@@ -17,6 +17,8 @@ from permcheck.kernel import (
     rel_apply,
     value_key,
 )
+from permcheck.model import Manifest, Perm, SysImgApp
+from permcheck.statespace import Bounds, SystemSpace
 
 import brute
 
@@ -61,11 +63,6 @@ class TestRelations:
         with pytest.raises(AmbiguousApplication):
             rel_apply(rel((A1, P), (A1, Q)), A1)
 
-    def test_apply_or_empty(self):
-        assert apply_or_empty(EMPTY, A1) == EMPTY
-        assert apply_or_empty(rel((A1, P)), A1) == P
-        assert apply_or_empty(rel((A2, P)), A1) == EMPTY
-
     def test_foplus_insert(self):
         assert foplus(EMPTY, A1, P) == rel((A1, P))
 
@@ -85,11 +82,6 @@ class TestQuantifiers:
         assert forall_in(frozenset((1, 2, 3)), lambda x: x <= 3)
         assert not forall_in(frozenset((1, 2, 3)), lambda x: x <= 2)
 
-    def test_forall_with_binding(self):
-        dp = rel((A1, P))
-        assert forall_in(dp, lambda kv, n: "p" in n,
-                         bindings=(lambda kv: rel_apply(dp, kv[0]),))
-
     def test_exists_empty(self):
         assert exists_in(EMPTY, lambda x: True) is None
 
@@ -97,24 +89,6 @@ class TestQuantifiers:
         assert exists_in(frozenset(("p", "q")), lambda x: x == "q") == "q"
         # both satisfy: canonically-first one wins
         assert exists_in(frozenset(("p", "q")), lambda x: True) == "p"
-
-    def test_exists_with_binding(self):
-        from permcheck.model import Perm
-        p = Perm("read", "g1", "dangerous")
-        assert exists_in(frozenset((p,)), lambda x, m: m == "g1",
-                         bindings=(lambda x: x.group,)) == p
-
-    def test_binding_not_functional_on_absent(self):
-        dp = rel((A1, P))
-        with pytest.raises(BindingNotFunctional):
-            forall_in(frozenset((A2,)), lambda x, n: True,
-                      bindings=(lambda x: rel_apply(dp, x),))
-
-    def test_binding_not_functional_on_ambiguous(self):
-        dp = rel((A1, P), (A1, Q))
-        with pytest.raises(BindingNotFunctional):
-            forall_in(frozenset((A1,)), lambda x, n: True,
-                      bindings=(lambda x: rel_apply(dp, x),))
 
 
 class TestCanonicalOrder:
@@ -127,7 +101,6 @@ class TestCanonicalOrder:
             [frozenset(("a", "b")), frozenset(("b",))]
 
     def test_total_on_records(self):
-        from permcheck.model import Perm
         p1 = Perm("a", None, "normal")
         p2 = Perm("a", "g", "normal")
         assert canonical_order([p2, p1]) == [p1, p2]  # ungrouped sorts first
@@ -137,6 +110,53 @@ class TestCanonicalOrder:
             value_key(object())
         with pytest.raises(TypeError):
             value_key(True)
+
+    def test_records_sort_by_their_field_tuples(self):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        rng = random.Random(0)
+        manifests, sysimgs = [], []
+        for _ in range(500):
+            env = space.unrank(rng.randrange(space.size)).environment
+            manifests += [m for _, m in env.manifest]
+            sysimgs += env.systemImage
+        assert manifests and sysimgs
+        for values, oracle in ((list(space.pools.all_perms), _perm_tuple),
+                               (manifests, _manifest_tuple),
+                               (sysimgs, _sysimg_tuple)):
+            expected = sorted(values, key=oracle)
+            fresh = [_rebuilt(v) for v in values]
+            assert all(v._vkey is None for v in fresh)
+            assert canonical_order(fresh) == expected  # keys computed here
+            assert canonical_order(fresh) == expected  # keys cached
+            assert canonical_order(values) == expected
+
+
+# field-tuple order oracles that do not go through value_key: None sorts
+# before every group, a set by its sorted members
+
+def _perm_tuple(p):
+    return (p.id, p.group is not None, p.group or "", p.level)
+
+
+def _perm_set_tuple(ps):
+    return tuple(sorted(map(_perm_tuple, ps)))
+
+
+def _manifest_tuple(m):
+    return (_perm_set_tuple(m.use), m.extra)
+
+
+def _sysimg_tuple(s):
+    return (s.idSI, _perm_set_tuple(s.defPermsSI))
+
+
+def _rebuilt(v):
+    """An equal record built afresh, down to its permissions."""
+    if isinstance(v, Perm):
+        return Perm(v.id, v.group, v.level)
+    if isinstance(v, Manifest):
+        return Manifest(frozenset(map(_rebuilt, v.use)), v.extra)
+    return SysImgApp(v.idSI, frozenset(map(_rebuilt, v.defPermsSI)))
 
 
 # -- randomized agreement with the brute-force oracles -------------------------

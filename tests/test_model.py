@@ -3,23 +3,19 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import brute
 from conftest import NET, READ, WRITE, make_system
-from permcheck.kernel import EMPTY, AmbiguousApplication
+from permcheck.kernel import EMPTY
 from permcheck.model import (
     COMPONENTS,
-    ConflictingDefPerms,
     Manifest,
     ParseError,
     Perm,
     SysImgApp,
     System,
-    def_perms_for_app,
     differing_components,
     emit_state,
     empty_system,
     get_component,
-    manifest_of_app,
     parse_state,
     parse_system_perms,
     system_perms_to_doc,
@@ -56,62 +52,6 @@ class TestAccessors:
     def test_unknown_component(self):
         with pytest.raises(KeyError):
             get_component(empty_system(), "nope")
-
-
-class TestManifestOfApp:
-    def test_absent(self):
-        assert manifest_of_app(empty_system(), "a1") is None
-
-    def test_present(self):
-        m = Manifest(frozenset((READ,)))
-        sys = make_system(manifest=frozenset((("a1", m),)))
-        assert manifest_of_app(sys, "a1") == m
-
-    def test_two_apps(self):
-        m1, m2 = Manifest(frozenset((READ,))), Manifest(frozenset((WRITE,)))
-        sys = make_system(manifest=frozenset((("a1", m1), ("a2", m2))))
-        assert manifest_of_app(sys, "a2") == m2
-
-    def test_non_functional_manifest_is_ambiguous(self):
-        sys = make_system(manifest=frozenset((("a1", Manifest(frozenset((READ,)))),
-                                              ("a1", Manifest(frozenset((WRITE,)))))))
-        with pytest.raises(AmbiguousApplication):
-            manifest_of_app(sys, "a1")
-
-
-class TestDefPermsForApp:
-    def test_from_def_perms(self):
-        sys = make_system(def_perms=frozenset((("a1", frozenset((READ,))),)))
-        assert def_perms_for_app(sys, "a1") == frozenset((READ,))
-
-    def test_from_system_image(self):
-        sys = make_system(system_image=frozenset((SysImgApp("a1", frozenset((WRITE,))),)))
-        assert def_perms_for_app(sys, "a1") == frozenset((WRITE,))
-
-    def test_absent(self):
-        assert def_perms_for_app(empty_system(), "a1") is None
-
-    def test_agreeing_sources(self):
-        sys = make_system(def_perms=frozenset((("a1", frozenset((READ,))),)),
-                          system_image=frozenset((SysImgApp("a1", frozenset((READ,))),)))
-        assert def_perms_for_app(sys, "a1") == frozenset((READ,))
-
-    def test_conflicting_sources_reported(self):
-        sys = make_system(def_perms=frozenset((("a1", frozenset((READ,))),)),
-                          system_image=frozenset((SysImgApp("a1", frozenset((WRITE,))),)))
-        with pytest.raises(ConflictingDefPerms):
-            def_perms_for_app(sys, "a1")
-
-    @given(st.integers(0, SPACE.size - 1), st.sampled_from(["app1", "app2"]))
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_brute_force(self, rank, app):
-        sys = SPACE.unrank(rank)
-        expected = brute.o_def_perms_for_app(sys, app)
-        if expected == brute.AMBIGUOUS:
-            with pytest.raises(ConflictingDefPerms):
-                def_perms_for_app(sys, app)
-        else:
-            assert def_perms_for_app(sys, app) == expected
 
 
 class TestUsrDefPerm:

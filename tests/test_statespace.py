@@ -52,6 +52,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("kwargs", [
         {"apps": 0}, {"perms": 0}, {"grps": -1}, {"max_card": -1}, {"budget": 0},
+        # more (app, permission triple) pairs than MAX_APP_PERM_PAIRS
+        {"apps": 2, "perms": 1500, "grps": 1500}, {"apps": 20000},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
