@@ -15,6 +15,8 @@ it can be enumerated exhaustively in a fixed order or sampled uniformly by
 drawing integer ranks.  One stream, ``state_stream``, feeds every search:
 the whole space in rank order when it fits the budget, otherwise seeded
 uniform samples (with replacement), and the run counts as non-exhaustive.
+The samples are a pure function of the bounds: every query of a run, and
+``enumerate_states``, reads the same ones.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import comb, prod
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -220,29 +224,45 @@ class SystemSpace:
         v.reverse()
         return System(State(*v[:4]), Environment(*v[4:]))
 
+    def __iter__(self) -> Iterator[System]:
+        """Every system in rank order, equal to ``unrank(0)``, ``unrank(1)``,
+        ...  Each component value is decoded once, each State built once per
+        state prefix and each Environment once per sweep; the Environments
+        are held for the sweep, so iterate only spaces that are swept whole.
+        """
+        values = [[space.unrank(d) for d in range(space.size)]
+                  for _, space in self.components]
+        envs = [Environment(*e) for e in product(*values[4:])]
+        for st in product(*values[:4]):
+            state = State(*st)
+            for env in envs:
+                yield System(state, env)
 
-def state_stream(space: SystemSpace, budget: int, seed: str,
+
+def state_stream(space: SystemSpace, bounds: Bounds,
                  prefix: Sequence[System] = ()) -> Iterator[System]:
-    """The states a bounded search examines: the whole space in rank order
-    when it fits the budget; otherwise ``prefix`` (cut to the budget), then
-    uniform samples from ``random.Random(seed)`` up to the budget."""
-    if space.size <= budget:
-        for r in range(space.size):
-            yield space.unrank(r)
+    """The states a bounded search at ``bounds`` examines: the whole space
+    in rank order when it fits the budget; otherwise ``prefix`` (cut to the
+    budget), then uniform samples up to the budget.  The samples come from
+    one generator seeded by ``bounds.seed`` alone, so every query of a run
+    reads the same samples in the same order, whichever queries run and in
+    whatever order; a run may be split across workers by sample index."""
+    if space.size <= bounds.budget:
+        yield from space
         return
-    yield from prefix[:budget]
-    rng = random.Random(seed)
-    for _ in range(budget - min(len(prefix), budget)):
+    yield from prefix[:bounds.budget]
+    rng = random.Random(f"{bounds.seed}:enumerate")
+    for _ in range(bounds.budget - min(len(prefix), bounds.budget)):
         yield space.unrank(rng.randrange(space.size))
 
 
 def enumerate_states(bounds: Bounds,
                      predicate: Optional[Callable[[System], bool]] = None
                      ) -> Iterator[System]:
-    """The state stream at the given bounds, optionally filtered; the same
-    bounds always produce the same stream."""
-    for sys in state_stream(SystemSpace(bounds), bounds.budget,
-                            f"{bounds.seed}:enumerate"):
+    """The state stream at the given bounds with no targeted prefix,
+    optionally filtered: the states a query with an empty targeted family
+    examines.  The same bounds always produce the same stream."""
+    for sys in state_stream(SystemSpace(bounds), bounds):
         if predicate is None or predicate(sys):
             yield sys
 
@@ -257,16 +277,24 @@ def _mk_system(a: str, manifest: frozenset, mg: frozenset, perms: frozenset,
     )
 
 
-def targeted_states(bounds: Bounds, tag: str) -> list[System]:
+def targeted_states(bounds: Bounds, tag: str) -> tuple[System, ...]:
     """Deterministic family of states aimed at one operation or property.
 
     Tags are operation ids plus the two security property names.  States
     wire the manifest/group/granted-set plumbing the tag's enabling
     condition needs; the remaining components are left empty, which keeps
-    every state well within bounds and valid.
+    every state well within bounds and valid.  Budget and seed do not enter,
+    so each family is built once per pool sizes and tag and shared, as an
+    immutable tuple, by every caller.
     """
+    return _targeted_family(
+        Bounds(bounds.apps, bounds.perms, bounds.grps, bounds.max_card), tag)
+
+
+@lru_cache(maxsize=64)
+def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
     if bounds.max_card < 1:
-        return []
+        return ()
     pools = make_pools(bounds)
     dangerous_grouped = [p for p in pools.all_perms
                          if p.level == DANGEROUS and p.group is not None]
@@ -323,7 +351,7 @@ def targeted_states(bounds: Bounds, tag: str) -> list[System]:
                 for perms in perm_variants:
                     out.append(_mk_system(a, EMPTY, mg, perms, EMPTY))
 
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))
 
 
 def random_grant_auto_state(space: SystemSpace, rng: random.Random

@@ -31,9 +31,11 @@ family the verdict is ``budget-exhausted`` (inconclusive).  Every emitted
 counterexample or witness is re-evaluated from its concrete values before
 being returned; an unsound hit raises instead of reporting.
 
-Queries are independent and deterministic for a fixed seed (each derives
-its own generator from seed and query id), so they may be distributed
-across workers without changing any verdict.
+Queries are independent and deterministic for a fixed seed.  Every query
+of a run reads the same seeded samples, so the first query warms the
+decode caches for the others and no verdict depends on which other
+queries run; work splits by sample index, since the i-th sample is the
+same state for every query.
 """
 
 from __future__ import annotations
@@ -247,8 +249,10 @@ def check_query(q: Query, bounds: Bounds,
 
     The examined stream is: the full space in rank order when it fits the
     budget; otherwise the targeted family for the query's tag followed by
-    seeded uniform samples up to the budget.  A sampled sweep that could
-    not fit the whole targeted family is inconclusive.
+    the run's seeded uniform samples up to the budget.  The samples depend
+    on the bounds alone, not on the query: every query reads the same ones,
+    the first states ``enumerate_states(bounds)`` yields.  A sampled sweep
+    that could not fit the whole targeted family is inconclusive.
 
     ``space`` may carry a prebuilt (cache-warm) space for the same bounds;
     it never changes the verdict, only the decoding cost.
@@ -260,8 +264,7 @@ def check_query(q: Query, bounds: Bounds,
     conclusive = exhaustive or bounds.budget >= len(targeted)
 
     examined = 0
-    for sys in state_stream(space, bounds.budget, f"{bounds.seed}:{q.id}",
-                            targeted):
+    for sys in state_stream(space, bounds, targeted):
         examined += 1
         hit = _search_state(q, sys)
         if hit is None:

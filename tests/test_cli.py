@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import permcheck.cli
-from conftest import READ, WRITE, make_system
-from permcheck.model import emit_state, parse_state, state_to_doc
+from conftest import NET, READ, WRITE, make_system
+from permcheck.kernel import EMPTY
+from permcheck.model import Manifest, SysImgApp, emit_state, parse_state, state_to_doc
 from permcheck.verifier import VerifierError
 
 PERM_READ = {"id": "read", "group": "contacts", "level": "dangerous"}
@@ -248,3 +252,78 @@ def test_run_experiments_writes_one_report_per_maxcard(tmp_path):
     for mc in (0, 1):
         doc = json.loads((tmp_path / f"report_mc{mc}.json").read_text())
         assert set(doc) == {"suite", "bounds", "rows", "verdicts"}
+
+
+def test_benchmark_self_check_passes():
+    # the benchmark times each query by wrapping verifier.check_query and
+    # reaches SystemSpace, targeted_states and recheck as verifier
+    # attributes; its self-check fails when any of these goes missing
+    r = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                        "--self-check"], capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr
+
+
+# -- malformed documents ----------------------------------------------------------
+
+# every component non-empty, so every JSON path of a state document occurs
+RICH = state_to_doc(make_system(
+    apps=("a1", "a2"), verified=("a2",),
+    mg=frozenset((("a1", frozenset(("contacts",))),)),
+    perms=frozenset((("a1", frozenset((WRITE,))), ("a2", EMPTY))),
+    manifest=frozenset((("a1", Manifest(frozenset((READ, NET)))),)),
+    cert=frozenset((("a1", "cert1"),)),
+    def_perms=frozenset((("a2", frozenset((READ,))),)),
+    system_image=frozenset((SysImgApp("sys1", frozenset((WRITE,))),))))
+SCENARIO = {"systemPerms": [PERM_READ], "initial": RICH,
+            "actions": [GRANT_AUTO_READ,
+                        {"op": "hasPermission", "perm": PERM_READ, "app": "a1"}]}
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for k, v in items:
+        yield from json_paths(v, prefix + (k,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    head, *rest = path
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[head] = replaced(doc[head], rest, value)
+    return out
+
+
+MALFORMED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["", "a1", "contacts", "dangerous", "normal", "read"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "group", "level", "use", "x"]),
+                      inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["check", "run"]), data=st.data(),
+       value=MALFORMED)
+def test_one_malformed_path_never_crashes(tmp_path_factory, command, data, value):
+    # check reads a state document, run a scenario whose initial state is one
+    base = RICH if command == "check" else SCENARIO
+    paths = list(json_paths(RICH))
+    if command == "run":
+        paths = [("initial",) + p for p in paths]
+    path = data.draw(st.sampled_from(paths))
+    doc_file = tmp_path_factory.getbasetemp() / "malformed.json"
+    doc_file.write_text(json.dumps(replaced(base, path, value)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = permcheck.cli.main([command, str(doc_file)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -94,6 +94,28 @@ class TestSpace:
         seen = {space.unrank(i) for i in range(4096)}
         assert len(seen) == 4096
 
+    @pytest.mark.parametrize("bounds", [(1, 1, 1, 0), (1, 1, 1, 1)])
+    def test_iteration_is_rank_order(self, bounds):
+        space = SystemSpace(Bounds(*bounds))
+        count = 0
+        for r, sys in enumerate(space):
+            assert sys == space.unrank(r)
+            count += 1
+        assert count == space.size
+
+    def test_iteration_is_rank_order_with_two_apps(self):
+        # (2,1,1,1) has 6,834,375 states and components of unequal sizes:
+        # walk it whole and compare a seeded spread of ranks
+        space = SystemSpace(Bounds(2, 1, 1, 1))
+        rng = random.Random(0)
+        picks = sorted({0, space.size - 1,
+                        *(rng.randrange(space.size) for _ in range(2000))})
+        it, pos = iter(space), 0
+        for r in picks:
+            assert next(itertools.islice(it, r - pos, None)) == space.unrank(r)
+            pos = r + 1
+        assert next(it, None) is None
+
     def test_unrank_covers_small_space_exactly(self):
         space = SystemSpace(Bounds(1, 1, 1, 0))
         assert len({space.unrank(i) for i in range(space.size)}) == space.size
@@ -180,7 +202,13 @@ class TestTargeted:
         assert fam == targeted_states(bounds, tag)
 
     def test_empty_at_max_card_zero(self):
-        assert targeted_states(Bounds(1, 1, 1, 0), "grantAuto") == []
+        assert targeted_states(Bounds(1, 1, 1, 0), "grantAuto") == ()
+
+    def test_family_is_shared_across_budgets_and_seeds(self):
+        fam = targeted_states(Bounds(2, 2, 2, 2, budget=10, seed=1), "revoke")
+        assert isinstance(fam, tuple)
+        assert targeted_states(Bounds(2, 2, 2, 2, budget=99, seed=7), "revoke") is fam
+        assert targeted_states(Bounds(2, 2, 2, 1), "revoke") != fam
 
     def test_grant_auto_family_contains_enabled_states(self):
         b = Bounds(1, 1, 1, 1)

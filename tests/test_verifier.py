@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import permcheck.verifier as verifier
 from permcheck.invariants import valid_state
 from permcheck.kernel import EMPTY, foplus
 from permcheck.model import DANGEROUS, Perm, with_component
@@ -12,7 +13,7 @@ from permcheck.operations import (
     grant_auto_operation,
     pre_grant_auto,
 )
-from permcheck.statespace import Bounds, SystemSpace
+from permcheck.statespace import Bounds, SystemSpace, enumerate_states, targeted_states
 from permcheck.verifier import (
     VerifierError,
     check_query,
@@ -43,12 +44,20 @@ def stale_revoke(sp, sys, action):
     return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
 
 
-def revoke_query(apply):
+def revoke_operations(apply):
     ops = default_operations()
     ops["revoke"] = dataclasses.replace(ops["revoke"], apply=apply)
-    (q,) = [q for q in gen_invariance_queries(ops)
+    return ops
+
+
+def revoke_query(apply):
+    (q,) = [q for q in gen_invariance_queries(revoke_operations(apply))
             if q.id == "inv/allMapsCorrect.perms/revoke"]
     return q
+
+
+def all_queries(operations=None):
+    return gen_invariance_queries(operations) + gen_security_queries(operations)
 
 
 class TestQueryGeneration:
@@ -190,6 +199,40 @@ class TestBudget:
         q = gen_security_queries()[0]
         v = check_query(q, Bounds(1, 1, 1, 1, budget=2500, seed=11))
         assert v.kind == "holds-at-bounds"
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("bounds", [Bounds(2, 2, 2, 2, budget=200, seed=3),
+                                        SAMPLED])
+    def test_queries_examine_their_family_then_the_enumerated_states(
+            self, monkeypatch, bounds):
+        seen = []
+        monkeypatch.setattr(verifier, "_search_state",
+                            lambda q, sys: seen.append(sys))
+        samples = list(enumerate_states(bounds))
+        for q in all_queries():
+            seen.clear()
+            check_query(q, bounds)
+            family = list(targeted_states(bounds, q.tag))
+            assert seen == family + samples[:bounds.budget - len(family)]
+
+    @pytest.mark.parametrize("operations", [
+        default_operations, mutated_operations,
+        lambda: revoke_operations(stale_revoke)],
+        ids=["default", "grantAuto-skip-group", "revoke-stale-perms"])
+    def test_query_alone_gets_its_verdict_in_the_suite(self, monkeypatch,
+                                                       operations):
+        # with no targeted family every hit comes from the shared samples
+        monkeypatch.setattr(verifier, "targeted_states", lambda bounds, tag: ())
+        bounds = Bounds(1, 1, 1, 1, budget=300, seed=0)
+        ops = operations()
+        in_suite = [verdict_to_doc(v)
+                    for v in run_suite("all", bounds, ops).verdicts]
+        alone = [verdict_to_doc(check_query(q, bounds))
+                 for q in reversed(all_queries(ops))]
+        assert in_suite == alone[::-1]
+        assert any(v["statesExamined"] > 1 for v in in_suite
+                   if v["verdict"] in ("counterexample", "witness"))
 
 
 class TestRecheck:
