@@ -110,7 +110,7 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     name = args.property.removeprefix("sec/")
-    queries = {q.prop.id: q for q in gen_security_queries()
+    queries = {q.lemma: q for q in gen_security_queries()
                if q.kind == "existential"}
     if name not in queries:
         print(f"unknown existential property: {args.property!r} "

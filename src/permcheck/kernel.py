@@ -30,11 +30,7 @@ Rel = frozenset
 EMPTY: frozenset = frozenset()
 
 
-class KernelError(Exception):
-    """Base class for kernel evaluation errors."""
-
-
-class AmbiguousApplication(KernelError):
+class AmbiguousApplication(Exception):
     """Relation application hit a key with two or more distinct images."""
 
 

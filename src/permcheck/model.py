@@ -146,6 +146,11 @@ def usr_def_perm(sys: System, p: Perm) -> bool:
             or any(p in s.defPermsSI for s in sys.environment.systemImage))
 
 
+def group_authorized(sys: System, app: str, group: str) -> bool:
+    """True iff the user authorized the group for the app."""
+    return any(k == app and group in gs for k, gs in sys.state.grantedPermGroups)
+
+
 # -- canonical JSON documents -------------------------------------------------
 #
 # A set is an array in canonical order with no duplicates.  A relation is an

@@ -28,7 +28,8 @@ each docstring so they can be re-aligned later:
 * ``revoke`` removes one *ungrouped* granted permission.
 * ``revokeGroup`` withdraws a group authorization and removes every granted
   permission of that group.
-* ``hasPermission`` is a read-only membership check.
+* ``hasPermission`` is a read-only membership check: a scenario action
+  served by ``step``, not a verified operation.
 
 Operations are total: preconditions that fail yield an error outcome
 carrying the conjunct id, never an exception.  On relations that are not
@@ -53,6 +54,7 @@ from .model import (
     _loads,
     _need,
     _atom,
+    group_authorized,
     perm_from_doc,
     perm_to_doc,
     state_from_doc,
@@ -128,9 +130,7 @@ def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
         if p.level != DANGEROUS:
             return 4
     if 5 not in skip:
-        if p.group is None:
-            return 5
-        if not any(k == a and p.group in gs for k, gs in st.grantedPermGroups):
+        if p.group is None or not group_authorized(sys, a, p.group):
             return 5
     return None
 
@@ -150,19 +150,15 @@ def grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
 
 # -- grant --------------------------------------------------------------------
 
-def pre_grant(sp: frozenset, sys: System, p: Perm, a: str) -> Optional[int]:
-    """DESIGN DECISION: grant requires conjuncts 1-4 of grantAuto only."""
-    return pre_grant_auto(sp, sys, p, a, skip=(5,))
-
-
 def grant(sp: frozenset, sys: System, p: Perm, a: str) -> Outcome:
     """Grant with explicit user consent.
 
-    DESIGN DECISION: on success the permission is added to the app's
-    granted set and, when grouped, the group is recorded as authorized so
-    later requests from the same group auto-grant.
+    DESIGN DECISION: grant requires conjuncts 1-4 of grantAuto only.  On
+    success the permission is added to the app's granted set and, when
+    grouped, the group is recorded as authorized so later requests from the
+    same group auto-grant.
     """
-    failed = pre_grant(sp, sys, p, a)
+    failed = pre_grant_auto(sp, sys, p, a, skip=(5,))
     if failed is not None:
         return _blocked(failed)
     nxt = _grant_perm(sys, p, a)
@@ -200,7 +196,7 @@ def revoke_group(sys: System, g: str, a: str) -> Outcome:
     app.  The app's granted set is rewritten only when it exists; revoking
     a group an app holds no permissions of leaves the mapping's keys alone.
     """
-    if not any(k == a and g in gs for k, gs in sys.state.grantedPermGroups):
+    if not group_authorized(sys, a, g):
         return _blocked(1)
     mg = sys.state.grantedPermGroups
     groups = _image_union(mg, a) - {g}
@@ -241,15 +237,15 @@ def step(sp: frozenset, sys: System, action: Action) -> Outcome:
 #
 # The verifier works against Operation records rather than the functions
 # above so externally defined operations (or deliberately broken variants)
-# can be checked with the same machinery.  ``candidates`` enumerates, from a
-# concrete system, every action parameterization that could possibly
-# succeed; anything it omits is provably blocked by a precondition.
+# can be checked with the same machinery.  The registry holds the four
+# operations that change state.  ``apply`` reads the system-permission set
+# only through membership of the action's permission; ``candidates``
+# enumerates, from a concrete system, every action parameterization that
+# could possibly succeed; anything it omits is provably blocked.
 
 @dataclass(frozen=True)
 class Operation:
     id: str
-    mutating: bool
-    uses_system_perms: bool
     apply: Callable[[frozenset, System, Action], Outcome]
     candidates: Callable[[System], Iterator[Action]]
 
@@ -285,8 +281,6 @@ def grant_auto_operation(skip: tuple = ()) -> Operation:
     dangerous_only = 4 not in skip
     return Operation(
         id="grantAuto",
-        mutating=True,
-        uses_system_perms=True,
         apply=lambda sp, sys, act: grant_auto(sp, sys, act.perm, act.app, skip),
         candidates=lambda sys: _manifest_candidates("grantAuto", sys, dangerous_only),
     )
@@ -296,21 +290,9 @@ def default_operations() -> dict[str, Operation]:
     return {
         "grantAuto": grant_auto_operation(),
         "grant": Operation(
-            "grant", True, True,
-            lambda sp, sys, act: grant(sp, sys, act.perm, act.app),
-            lambda sys: _manifest_candidates("grant", sys)),
-        "revoke": Operation(
-            "revoke", True, False,
-            lambda sp, sys, act: revoke(sys, act.perm, act.app),
-            _revoke_candidates),
-        "revokeGroup": Operation(
-            "revokeGroup", True, False,
-            lambda sp, sys, act: revoke_group(sys, act.group, act.app),
-            _revoke_group_candidates),
-        "hasPermission": Operation(
-            "hasPermission", False, False,
-            lambda sp, sys, act: step(sp, sys, act),
-            lambda sys: iter(())),
+            "grant", step, lambda sys: _manifest_candidates("grant", sys)),
+        "revoke": Operation("revoke", step, _revoke_candidates),
+        "revokeGroup": Operation("revokeGroup", step, _revoke_group_candidates),
     }
 
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .kernel import EMPTY, canonical_order, foplus
+from .kernel import EMPTY, canonical_order
 from .model import (
     DANGEROUS,
     Environment,
@@ -44,13 +44,17 @@ from .model import (
     SysImgApp,
     System,
 )
-from .operations import _image_union
 
 
 # The permission pool and the targeted families grow with the number of
 # (app, permission triple) pairs; bounds with more are rejected up front,
 # since building their pools alone can exhaust memory.
 MAX_APP_PERM_PAIRS = 100_000
+# One cold decode bisects over binomials that grow with max_card.  At the
+# pair limit with one app (a pool of 99,996 permission triples) it takes
+# about 0.7 s at 32, 5.5 s at 48 and 23 s at 64 (2-vCPU VM, Python 3.11),
+# so larger caps are rejected.
+MAX_CARD = 32
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ class Bounds:
     def __post_init__(self):
         if min(self.apps, self.perms, self.grps) < 1:
             raise ValueError("pool sizes must be positive")
-        if self.max_card < 0:
-            raise ValueError("max_card must be >= 0")
+        if not 0 <= self.max_card <= MAX_CARD:
+            raise ValueError(f"max_card must be between 0 and {MAX_CARD}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         pairs = self.apps * self.perms * (self.grps + 1) * len(PROTECTION_LEVELS)
@@ -213,9 +217,6 @@ class SystemSpace:
         self._digits = [(s, s.size) for _, s in reversed(self.components)]
         self.size = prod(size for _, size in self._digits)
 
-    def component_sizes(self) -> dict:
-        return {name: space.size for name, space in self.components}
-
     def unrank(self, r: int) -> System:
         v = []
         for space, size in self._digits:  # least significant first
@@ -256,15 +257,11 @@ def state_stream(space: SystemSpace, bounds: Bounds,
         yield space.unrank(rng.randrange(space.size))
 
 
-def enumerate_states(bounds: Bounds,
-                     predicate: Optional[Callable[[System], bool]] = None
-                     ) -> Iterator[System]:
-    """The state stream at the given bounds with no targeted prefix,
-    optionally filtered: the states a query with an empty targeted family
-    examines.  The same bounds always produce the same stream."""
-    for sys in state_stream(SystemSpace(bounds), bounds):
-        if predicate is None or predicate(sys):
-            yield sys
+def enumerate_states(bounds: Bounds) -> Iterator[System]:
+    """The state stream at the given bounds with no targeted prefix: the
+    states a query with an empty targeted family examines.  The same bounds
+    always produce the same stream."""
+    yield from state_stream(SystemSpace(bounds), bounds)
 
 
 # -- targeted generation --------------------------------------------------------
@@ -352,35 +349,3 @@ def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
                     out.append(_mk_system(a, EMPTY, mg, perms, EMPTY))
 
     return tuple(dict.fromkeys(out))
-
-
-def random_grant_auto_state(space: SystemSpace, rng: random.Random
-                            ) -> tuple[System, Perm, str, frozenset]:
-    """A seeded random system rewired so grantAuto's condition holds.
-
-    Returns the system plus the (perm, app, system-permission set) to grant.
-    Used by the operation contract tests, which need many varied enabled
-    states rather than the small deterministic targeted family.
-    """
-    pools = space.pools
-    base = space.unrank(rng.randrange(space.size))
-    a = rng.choice(pools.apps)
-    p = rng.choice([q for q in pools.all_perms
-                    if q.level == DANGEROUS and q.group is not None])
-    st, env = base.state, base.environment
-
-    manifest = foplus(env.manifest, a, Manifest(frozenset((p,))))
-    mg = foplus(st.grantedPermGroups, a,
-                _image_union(st.grantedPermGroups, a) | {p.group})
-    perms = st.perms
-    if any(k == a for k, _ in perms):
-        perms = foplus(perms, a, _image_union(perms, a) - {p})
-    def_perms = env.defPerms
-    if rng.random() < 0.5:
-        sp: frozenset = frozenset((p,))
-    else:
-        sp = EMPTY
-        def_perms = foplus(def_perms, a, frozenset((p,)))
-    return (System(State(st.apps | {a}, st.alreadyVerified, mg, perms),
-                   Environment(manifest, env.cert, def_perms, env.systemImage)),
-            p, a, sp)

@@ -1,11 +1,11 @@
 """Bounded verification of the permission model.
 
-Every proof obligation is a query on one operation, made of three parts: an
-optional *hypothesis* on a state S, checked once before any step; an *action
-filter* on the operation's candidate actions, applied before any step is
-tried; and a *conclusion* on S and the successor S' of an enabled step
-S -a-> S', which says whether the step is a hit.  One search loop runs every
-query; the three kinds differ only in these parts.
+Every proof obligation is a ``Query`` record on one operation, made of
+three plain callables: a *hypothesis* on a state S (always true for the
+security kinds), checked once before any step; an *action filter* on the
+operation's candidate actions, applied before any step is tried; and a
+*conclusion* on S and the successor S' of an enabled step S -a-> S', which
+says whether the step is a hit.  One search loop runs every query.
 
 * *invariance*: the hypothesis is one validity clause I, the filter keeps
   every action, and a step is a counterexample when not I(S').  One query
@@ -18,9 +18,10 @@ query; the three kinds differ only in these parts.
   grantAuto of a dangerous permission of a group the app holds no
   permission of; an enabled such step from a valid state is a witness.
 
-The loop stops at the first enabled system-permission variant of an action:
-the successor never depends on the system-permission set, and no conclusion
-reads that set except through the step being enabled.
+An operation reads the system-permission set only through membership of
+the action's permission, so the loop tries the empty set, then that one
+permission if the step was blocked, and stops at the first enabled variant:
+no conclusion reads the set except through the step being enabled.
 
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY, canonical_order
-from .model import DANGEROUS, Perm, System, perm_to_doc, state_to_doc
+from .model import DANGEROUS, Perm, System, group_authorized, perm_to_doc, state_to_doc
 from .operations import Action, Operation, action_to_doc, default_operations
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
 
@@ -55,81 +56,22 @@ class VerifierError(Exception):
     """Internal soundness failure: an emitted hit did not re-evaluate."""
 
 
-# -- security properties --------------------------------------------------------
-
-@dataclass(frozen=True)
-class SecurityProperty:
-    """A universal or existential property of one grantAuto step.
-
-    ``covers`` is the action filter; ``conclusion`` decides whether an
-    enabled covered step from a state to its successor is a hit (a
-    counterexample of a universal property, a witness of an existential one).
-    """
-
-    id: str
-    kind: str  # "universal" | "existential"
-    covers: Callable[[System, Action], bool]
-    conclusion: Callable[[System, System], bool]
-
-
-def _dangerous_grouped(p: Perm) -> bool:
-    return p.level == DANGEROUS and p.group is not None
-
-
-def _group_unauthorized(sys: System, action: Action) -> bool:
-    # a dangerous grouped permission whose group the user never authorized
-    # for the app: grantAuto must not fire
-    p, a = action.perm, action.app
-    return _dangerous_grouped(p) and not any(
-        k == a and p.group in gs for k, gs in sys.state.grantedPermGroups)
-
-
-def _holds_none_of_group(sys: System, action: Action) -> bool:
-    # the app's granted set (present, single image) holds no permission of
-    # the group.  grantAuto can still fire from a valid state, because
-    # withdrawing the permissions of a group does not necessarily withdraw
-    # the group authorization itself.
-    p, a = action.perm, action.app
-    if not _dangerous_grouped(p):
-        return False
-    images = [v for k, v in sys.state.perms if k == a]
-    return len(images) == 1 and not any(q.group == p.group for q in images[0])
-
-
-def default_properties(clauses: Optional[Sequence[InvariantClause]] = None
-                       ) -> tuple[SecurityProperty, ...]:
-    cls = tuple(clauses) if clauses is not None else standard_clauses()
-    return (
-        SecurityProperty("cannotAutoGrantWithoutGroup", "universal",
-                         _group_unauthorized, lambda sys, nxt: True),
-        SecurityProperty("execAutoGrantWithoutIndividualPerms", "existential",
-                         _holds_none_of_group,
-                         lambda sys, nxt: valid_state(sys, cls)),
-    )
-
-
 # -- queries and verdicts --------------------------------------------------------
 
 @dataclass(frozen=True)
 class Query:
+    """One proof obligation: ``lemma`` names the clause or property checked,
+    ``tag`` selects the targeted family, and the last three fields are the
+    hypothesis, the action filter and the conclusion."""
+
     id: str
     kind: str  # "invariance" | "universal" | "existential"
     op: Operation
-    clause: Optional[InvariantClause] = None  # the hypothesis (invariance)
-    prop: Optional[SecurityProperty] = None   # filter and conclusion (security)
-    tag: str = ""  # targeted-family selector
-
-    def hypothesis(self, sys: System) -> bool:
-        return self.clause is None or self.clause.eval(sys)
-
-    def covers(self, sys: System, action: Action) -> bool:
-        return self.prop is None or self.prop.covers(sys, action)
-
-    def concludes(self, sys: System, nxt: System) -> bool:
-        """Whether the enabled covered step from sys to nxt is a hit."""
-        if self.prop is None:
-            return not self.clause.eval(nxt)
-        return self.prop.conclusion(sys, nxt)
+    lemma: str
+    tag: str
+    hypothesis: Callable[[System], bool]
+    covers: Callable[[System, Action], bool]
+    concludes: Callable[[System, System], bool]
 
 
 @dataclass(frozen=True)
@@ -166,31 +108,64 @@ def verdict_to_doc(v: Verdict) -> dict:
     return doc
 
 
+def _always(*_) -> bool:
+    return True
+
+
 def gen_invariance_queries(operations: Optional[dict] = None,
                            clauses: Optional[Sequence[InvariantClause]] = None
                            ) -> list[Query]:
-    """One query per (validity clause, mutating operation)."""
+    """One query per (validity clause, operation)."""
     ops = operations if operations is not None else default_operations()
     cls = tuple(clauses) if clauses is not None else standard_clauses()
-    mutating = [op for op in ops.values() if op.mutating]
-    return [Query(f"inv/{c.id}/{op.id}", "invariance", op=op, clause=c, tag=op.id)
-            for c in cls for op in mutating]
+    return [Query(f"inv/{c.id}/{op.id}", "invariance", op, c.id, op.id,
+                  c.eval, _always, lambda sys, nxt, ev=c.eval: not ev(nxt))
+            for c in cls for op in ops.values()]
+
+
+def _dangerous_grouped(p: Perm) -> bool:
+    return p.level == DANGEROUS and p.group is not None
+
+
+def _group_unauthorized(sys: System, action: Action) -> bool:
+    p = action.perm
+    return _dangerous_grouped(p) and not group_authorized(sys, action.app, p.group)
+
+
+def _holds_none_of_group(sys: System, action: Action) -> bool:
+    # the app's granted set (present, single image) holds no permission of
+    # the group.  grantAuto can still fire from a valid state, because
+    # withdrawing the permissions of a group does not necessarily withdraw
+    # the group authorization itself.
+    p, a = action.perm, action.app
+    if not _dangerous_grouped(p):
+        return False
+    images = [v for k, v in sys.state.perms if k == a]
+    return len(images) == 1 and not any(q.group == p.group for q in images[0])
 
 
 def gen_security_queries(operations: Optional[dict] = None,
                          clauses: Optional[Sequence[InvariantClause]] = None
                          ) -> list[Query]:
+    """The two security properties, both about one grantAuto step."""
     ops = operations if operations is not None else default_operations()
-    return [Query(f"sec/{p.id}", p.kind, op=ops["grantAuto"], prop=p, tag=p.id)
-            for p in default_properties(clauses)]
+    cls = tuple(clauses) if clauses is not None else standard_clauses()
+
+    def query(name, kind, covers, concludes) -> Query:
+        return Query(f"sec/{name}", kind, ops["grantAuto"], name, name,
+                     _always, covers, concludes)
+
+    return [
+        query("cannotAutoGrantWithoutGroup", "universal",
+              _group_unauthorized, _always),
+        query("execAutoGrantWithoutIndividualPerms", "existential",
+              _holds_none_of_group, lambda sys, nxt: valid_state(sys, cls)),
+    ]
 
 
-def _sp_variants(op: Operation, action: Action) -> tuple:
-    # the step depends on the system-permission set only through membership
-    # of the one permission being granted, so two variants cover all sets
-    if op.uses_system_perms and action.perm is not None:
-        return (EMPTY, frozenset((action.perm,)))
-    return (EMPTY,)
+def _sp_variants(action: Action) -> tuple:
+    # two variants cover every system-permission set (see the module docstring)
+    return (EMPTY,) if action.perm is None else (EMPTY, frozenset((action.perm,)))
 
 
 # query kind -> (verdict on a hit, verdict on a conclusive clean sweep)
@@ -203,7 +178,7 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     # security hits bind the action's perm, app and group; a witness is a
     # state, not a step, so it carries no successor
     witness = VERDICT_KINDS[q.kind][0] == "witness"
-    bindings = None if q.prop is None else {
+    bindings = None if q.kind == "invariance" else {
         "perm": action.perm, "app": action.app, "group": action.perm.group}
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
@@ -215,7 +190,7 @@ def _search_state(q: Query, sys: System) -> Optional[tuple]:
     for action in q.op.candidates(sys):
         if not q.covers(sys, action):
             continue
-        for sp in _sp_variants(q.op, action):
+        for sp in _sp_variants(action):
             out = q.op.apply(sp, sys, action)
             if out.ok:
                 if q.concludes(sys, out.system):
@@ -346,7 +321,7 @@ def run_suite(suite: str, bounds: Bounds,
         start = time.perf_counter()
         vs = [check_query(q, bounds, space) for q in queries]
         elapsed = time.perf_counter() - start
-        lemmas = len({(q.clause or q.prop).id for q in queries})
+        lemmas = len({q.lemma for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),
                      "counterexamples": sum(v.kind == "counterexample" for v in vs),
                      "seconds": round(elapsed, 3)})

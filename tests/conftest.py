@@ -1,6 +1,6 @@
 import pytest
 
-from permcheck.kernel import EMPTY
+from permcheck.kernel import EMPTY, foplus
 from permcheck.model import (
     DANGEROUS,
     Environment,
@@ -35,3 +35,36 @@ def f1():
         manifest=frozenset((("a1", Manifest(frozenset((READ,)))),)),
     )
     return {"sp": frozenset((READ,)), "sys": sys, "p": READ, "app": "a1"}
+
+
+def _image_union(rel, key) -> frozenset:
+    return frozenset().union(*(v for k, v in rel if k == key))
+
+
+def random_grant_auto_state(space, rng):
+    """A seeded random system of ``space`` rewired so grantAuto's condition
+    holds.  Returns the system plus the (perm, app, system-permission set)
+    to grant; the contract tests need many varied enabled states rather
+    than the small deterministic targeted family."""
+    pools = space.pools
+    base = space.unrank(rng.randrange(space.size))
+    a = rng.choice(pools.apps)
+    p = rng.choice([q for q in pools.all_perms
+                    if q.level == DANGEROUS and q.group is not None])
+    st, env = base.state, base.environment
+
+    manifest = foplus(env.manifest, a, Manifest(frozenset((p,))))
+    mg = foplus(st.grantedPermGroups, a,
+                _image_union(st.grantedPermGroups, a) | {p.group})
+    perms = st.perms
+    if any(k == a for k, _ in perms):
+        perms = foplus(perms, a, _image_union(perms, a) - {p})
+    def_perms = env.defPerms
+    if rng.random() < 0.5:
+        sp = frozenset((p,))
+    else:
+        sp = EMPTY
+        def_perms = foplus(def_perms, a, frozenset((p,)))
+    return (System(State(st.apps | {a}, st.alreadyVerified, mg, perms),
+                   Environment(manifest, env.cert, def_perms, env.systemImage)),
+            p, a, sp)

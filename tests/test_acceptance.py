@@ -15,6 +15,7 @@ import time
 import pytest
 
 import brute
+from conftest import random_grant_auto_state
 from permcheck.kernel import (
     AmbiguousApplication,
     comp,
@@ -33,12 +34,7 @@ from permcheck.operations import (
     grant_auto_operation,
     pre_grant_auto,
 )
-from permcheck.statespace import (
-    Bounds,
-    SystemSpace,
-    enumerate_states,
-    random_grant_auto_state,
-)
+from permcheck.statespace import Bounds, SystemSpace, enumerate_states
 from permcheck.invariants import valid_state
 from permcheck.verifier import (
     check_query,

@@ -160,9 +160,12 @@ class TestVerify:
     @pytest.mark.parametrize("bounds", [
         ("--apps", "2", "--perms", "1500", "--grps", "1500", "--budget", "1"),
         ("--apps", "20000", "--budget", "1", "--suite", "security"),
+        ("--suite", "security", "--apps", "16000", "--perms", "1", "--grps", "1",
+         "--maxcard", "16000", "--budget", "1"),
     ])
     def test_oversize_bounds_are_rejected_before_any_work(self, bounds):
-        # both used to build pools until MemoryError (exit 4) under 1 GiB
+        # the first two used to build pools until MemoryError (exit 4) under
+        # 1 GiB; the third, inside the pair limit, ran for minutes decoding
         r = run_cli("verify", *bounds, preexec_fn=limit_memory, timeout=5)
         assert r.returncode == 2, r.stderr
         lines = r.stderr.splitlines()

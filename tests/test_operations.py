@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from conftest import NET, READ, WRITE, make_system
+from conftest import NET, READ, WRITE, make_system, random_grant_auto_state
 from permcheck.kernel import EMPTY
 from permcheck.model import (
     DANGEROUS,
@@ -14,6 +15,7 @@ from permcheck.model import (
 )
 from permcheck.operations import (
     Action,
+    Operation,
     action_from_doc,
     action_to_doc,
     default_operations,
@@ -26,7 +28,7 @@ from permcheck.operations import (
     scenario_from_doc,
     step,
 )
-from permcheck.statespace import Bounds, SystemSpace, random_grant_auto_state
+from permcheck.statespace import Bounds, SystemSpace
 
 
 def granted(sys, app):
@@ -294,10 +296,11 @@ class TestActionDocs:
 
 def test_default_registry_shape():
     ops = default_operations()
-    assert list(ops) == ["grantAuto", "grant", "revoke", "revokeGroup",
-                         "hasPermission"]
-    assert [o.id for o in ops.values() if o.mutating] == \
-        ["grantAuto", "grant", "revoke", "revokeGroup"]
+    # hasPermission changes no state, so it is a scenario action only
+    assert list(ops) == ["grantAuto", "grant", "revoke", "revokeGroup"]
+    assert [o.id for o in ops.values()] == list(ops)
+    assert [f.name for f in dataclasses.fields(Operation)] == \
+        ["id", "apply", "candidates"]
 
 
 def test_candidates_cover_enabled_actions(f1):

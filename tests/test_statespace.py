@@ -5,16 +5,17 @@ from math import comb
 
 import pytest
 
+from conftest import random_grant_auto_state
 from permcheck.invariants import valid_state
 from permcheck.model import DANGEROUS, System, emit_state
 from permcheck.operations import default_operations, pre_grant_auto
 from permcheck.statespace import (
+    MAX_CARD,
     Bounds,
     SystemSpace,
     _unrank_combination,
     enumerate_states,
     make_pools,
-    random_grant_auto_state,
     targeted_states,
 )
 from permcheck.verifier import _sp_variants
@@ -26,6 +27,10 @@ def subsets_upto(n, k):
 
 def mapping_space(n_keys, n_values, k):
     return sum(comb(n_keys, j) * n_values ** j for j in range(min(n_keys, k) + 1))
+
+
+def component_sizes(space):
+    return {name: s.size for name, s in space.components}
 
 
 def expected_component_sizes(apps, perms, grps, mc):
@@ -54,6 +59,8 @@ class TestBounds:
         {"apps": 0}, {"perms": 0}, {"grps": -1}, {"max_card": -1}, {"budget": 0},
         # more (app, permission triple) pairs than MAX_APP_PERM_PAIRS
         {"apps": 2, "perms": 1500, "grps": 1500}, {"apps": 20000},
+        # a cold decode above MAX_CARD can take minutes
+        {"max_card": MAX_CARD + 1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -82,12 +89,12 @@ class TestSpace:
 
     def test_component_counts_match_hand_formulas_1111(self):
         space = SystemSpace(Bounds(1, 1, 1, 1))
-        assert space.component_sizes() == expected_component_sizes(1, 1, 1, 1)
+        assert component_sizes(space) == expected_component_sizes(1, 1, 1, 1)
         assert space.size == 98304
 
     def test_component_counts_match_hand_formulas_2222(self):
         space = SystemSpace(Bounds(2, 2, 2, 2))
-        assert space.component_sizes() == expected_component_sizes(2, 2, 2, 2)
+        assert component_sizes(space) == expected_component_sizes(2, 2, 2, 2)
 
     def test_unrank_is_injective_on_prefix(self):
         space = SystemSpace(Bounds(1, 1, 1, 1))
@@ -181,11 +188,6 @@ class TestEnumerateStates:
         c = list(enumerate_states(Bounds(2, 2, 2, 2, budget=50, seed=2)))
         assert a != c
 
-    def test_filtered_mode_only_yields_passing_states(self):
-        b = Bounds(2, 2, 2, 2, budget=300, seed=3)
-        for sys in enumerate_states(b, predicate=valid_state):
-            assert valid_state(sys)
-
     def test_sampled_stream_has_budget_length(self):
         b = Bounds(2, 2, 2, 2, budget=40, seed=4)
         assert len(list(enumerate_states(b))) == 40
@@ -216,7 +218,7 @@ class TestTargeted:
         enabled = 0
         for sys in targeted_states(b, "grantAuto"):
             for action in ops["grantAuto"].candidates(sys):
-                for sp in _sp_variants(ops["grantAuto"], action):
+                for sp in _sp_variants(action):
                     if pre_grant_auto(sp, sys, action.perm, action.app) is None:
                         enabled += 1
         assert enabled > 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,14 @@ def stale_revoke(sp, sys, action):
         return out
     stale = sys.state.perms | out.system.state.perms
     return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
+
+
+def stale_revoke_of_system_perm(sp, sys, action):
+    """stale_revoke, enabled only when the revoked permission is a system
+    permission: the search must try the variant holding it."""
+    if action.perm not in sp:
+        return Outcome(ok=False, failed_conjunct=1)
+    return stale_revoke(sp, sys, action)
 
 
 def revoke_operations(apply):
@@ -131,6 +140,15 @@ class TestInvarianceCounterexample:
                 v.system_perms, v.system, v.action)
             v = dataclasses.replace(v, next_system=honest.system)
         assert not recheck(v)
+
+
+class TestSystemPermVariants:
+    def test_step_enabled_only_by_a_system_permission_is_searched(self):
+        v = check_query(revoke_query(stale_revoke_of_system_perm), SAMPLED)
+        assert v.query_id == "inv/allMapsCorrect.perms/revoke"
+        assert v.kind == "counterexample"
+        assert v.system_perms == frozenset((v.action.perm,))
+        assert recheck(v)
 
 
 class TestExistentialProperty:
@@ -308,3 +326,28 @@ class TestRunSuite:
         assert "Security properties" in text
         for v in report.verdicts:
             assert v.query_id in text
+
+
+# SHA-256 of the verdict sections (verdict_to_doc JSON, indent=2) from a
+# known-good run.  A change that keeps behaviour keeps them byte-identical;
+# a change that moves a verdict must say why it updates a digest here.
+RECORDED_VERDICTS = {
+    "all-2222": ("all", Bounds(2, 2, 2, 2, budget=1000, seed=0), None,
+                 "90234e6179c3640a32e36ae2c752a3ebc0e36471079b0f717e3e015414fd674a"),
+    "security-1111": ("security", TINY, None,
+                      "2773eaae977708ac20d8b6b9274461cfca0c5e6f8cbbfe88c0ecb31458a3aaed"),
+    "grantAuto-skip-group": (
+        "all", Bounds(2, 2, 2, 2, budget=200, seed=0), mutated_operations,
+        "a2fd950e01c9222db387d06f113de8c78ac42b3ae20986d291692b191ae34cf9"),
+    "revoke-stale-perms": (
+        "all", SAMPLED, lambda: revoke_operations(stale_revoke),
+        "e7bc9d847ac7960d9b23d714c9ff2db5b99de664a3b933d50273dbb209fb449e"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_VERDICTS)
+def test_verdict_sections_match_recorded_digests(name):
+    suite, bounds, operations, digest = RECORDED_VERDICTS[name]
+    report = run_suite(suite, bounds, operations and operations())
+    text = json.dumps([verdict_to_doc(v) for v in report.verdicts], indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
