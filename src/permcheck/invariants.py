@@ -29,7 +29,6 @@ from .model import System, get_component
 class InvariantClause:
     id: str
     eval: Callable[[System], bool]
-    description: str
 
 
 MAPPING_COMPONENTS = ("manifest", "cert", "defPerms", "grantedPermGroups", "perms")
@@ -41,7 +40,6 @@ def all_maps_correct_clauses() -> tuple[InvariantClause, ...]:
         return InvariantClause(
             id=f"allMapsCorrect.{name}",
             eval=lambda sys, _n=name: is_pfun(get_component(sys, _n)),
-            description=f"the {name} mapping has no repeated keys",
         )
     return tuple(make(n) for n in MAPPING_COMPONENTS)
 
@@ -77,12 +75,9 @@ def _not_dup_perm_3(sys: System) -> bool:
 
 def not_dup_perm_clauses() -> tuple[InvariantClause, ...]:
     return (
-        InvariantClause("notDupPerm.1", _not_dup_perm_1,
-                        "defPerms-defined permissions are uniquely identified"),
-        InvariantClause("notDupPerm.2", _not_dup_perm_2,
-                        "system-image-defined permissions are uniquely identified"),
-        InvariantClause("notDupPerm.3", _not_dup_perm_3,
-                        "defPerms and system-image definitions agree on shared ids"),
+        InvariantClause("notDupPerm.1", _not_dup_perm_1),
+        InvariantClause("notDupPerm.2", _not_dup_perm_2),
+        InvariantClause("notDupPerm.3", _not_dup_perm_3),
     )
 
 

@@ -3,8 +3,13 @@
 The machine state is a ``System``: a 9-slot ``State`` (four slots carry
 meaning here, five are opaque) paired with a 4-slot ``Environment``.  Every
 mapping component is a ground binary relation (frozenset of pairs) as in
-:mod:`permcheck.kernel`.  This module also owns the canonical JSON text
-format for states and permission lists.
+:mod:`permcheck.kernel`.
+
+This module also owns the canonical JSON documents.  Each document kind
+(permission, manifest, system-image app, state, environment, system, and the
+permission set) is declared once as a ``Codec``, built from ``record``,
+``set_of``, ``rel_of`` and a few leaf codecs; both the emitter and the
+parser come from that one declaration.
 
 Identifiers (app ids, permission ids, group ids, certificates) are plain
 nonempty strings.  Optional groups are ``None`` or a group id; documents
@@ -16,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .kernel import EMPTY, Rel, canonical_order
 
@@ -158,68 +163,6 @@ def group_authorized(sys: System, app: str, group: str) -> bool:
 # produces the canonical form; parse accepts any order but rejects
 # duplicates and unknown fields.
 
-def perm_to_doc(p: Perm) -> dict:
-    return {"id": p.id, "group": p.group, "level": p.level}
-
-
-def _sorted_docs(values, to_doc):
-    return [to_doc(v) for v in canonical_order(values)]
-
-
-def _rel_doc(rel: Rel, value_doc) -> list:
-    return [[k, value_doc(v)] for k, v in canonical_order(rel)]
-
-
-def manifest_to_doc(m: Manifest) -> dict:
-    return {"use": _sorted_docs(m.use, perm_to_doc), "extra": list(m.extra)}
-
-
-def sysimg_to_doc(s: SysImgApp) -> dict:
-    return {"idSI": s.idSI, "defPermsSI": _sorted_docs(s.defPermsSI, perm_to_doc)}
-
-
-def _atoms_doc(s: frozenset) -> list:
-    return canonical_order(s)
-
-
-def _perm_set_doc(s: frozenset) -> list:
-    return _sorted_docs(s, perm_to_doc)
-
-
-def state_to_doc(sys: System) -> dict:
-    st, env = sys.state, sys.environment
-    return {
-        "state": {
-            "apps": _atoms_doc(st.apps),
-            "alreadyVerified": _atoms_doc(st.alreadyVerified),
-            "grantedPermGroups": _rel_doc(st.grantedPermGroups, _atoms_doc),
-            "perms": _rel_doc(st.perms, _perm_set_doc),
-            "opaque5": st.opaque5,
-            "opaque6": st.opaque6,
-            "opaque7": st.opaque7,
-            "opaque8": st.opaque8,
-            "opaque9": st.opaque9,
-        },
-        "environment": {
-            "manifest": _rel_doc(env.manifest, manifest_to_doc),
-            "cert": _rel_doc(env.cert, lambda c: c),
-            "defPerms": _rel_doc(env.defPerms, _perm_set_doc),
-            "systemImage": _sorted_docs(env.systemImage, sysimg_to_doc),
-        },
-    }
-
-
-def emit_state(sys: System) -> str:
-    """Canonical, newline-terminated text for a system."""
-    return json.dumps(state_to_doc(sys), indent=2) + "\n"
-
-
-def system_perms_to_doc(sp: frozenset) -> dict:
-    return {"systemPerms": _sorted_docs(sp, perm_to_doc)}
-
-
-# -- parsing -----------------------------------------------------------------
-
 def _need(doc, keys, path):
     if not isinstance(doc, dict):
         raise ParseError("expected an object", path)
@@ -242,18 +185,6 @@ def _list(x, path) -> list:
     return x
 
 
-def perm_from_doc(doc, path="perm") -> Perm:
-    _need(doc, ("id", "group", "level"), path)
-    pid = _atom(doc["id"], f"{path}.id")
-    group = doc["group"]
-    if group is not None:
-        group = _atom(group, f"{path}.group")
-    level = doc["level"]
-    if level not in PROTECTION_LEVELS:
-        raise ParseError(f"level must be one of {PROTECTION_LEVELS}", f"{path}.level")
-    return Perm(pid, group, level)
-
-
 def _dedup(items, path) -> frozenset:
     out = set()
     for i, v in enumerate(items):
@@ -263,62 +194,82 @@ def _dedup(items, path) -> frozenset:
     return frozenset(out)
 
 
-def _atom_set(doc, path) -> frozenset:
-    return _dedup([_atom(x, f"{path}[{i}]") for i, x in enumerate(_list(doc, path))], path)
+@dataclass(frozen=True, slots=True)
+class Codec:
+    """One document kind: ``emit(value)`` gives its JSON document, and
+    ``parse(doc, path)`` gives the value back or raises ``ParseError`` at
+    ``path``."""
+
+    emit: Callable[[object], object]
+    parse: Callable[[object, str], object]
 
 
-def _perm_set(doc, path) -> frozenset:
-    return _dedup([perm_from_doc(x, f"{path}[{i}]") for i, x in enumerate(_list(doc, path))], path)
+def set_of(item: Codec) -> Codec:
+    """A set of items, emitted in canonical order."""
+    return Codec(
+        lambda s: [item.emit(v) for v in canonical_order(s)],
+        lambda doc, path: _dedup([item.parse(x, f"{path}[{i}]")
+                                  for i, x in enumerate(_list(doc, path))], path))
 
 
-def _rel(doc, value_parser, path) -> Rel:
-    pairs = []
-    for i, entry in enumerate(_list(doc, path)):
-        epath = f"{path}[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError("expected a [key, value] pair", epath)
-        pairs.append((_atom(entry[0], f"{epath}[0]"), value_parser(entry[1], f"{epath}[1]")))
-    return _dedup(pairs, path)
+def rel_of(value: Codec) -> Codec:
+    """A relation from atoms to values, as [key, value] pairs."""
+    def parse(doc, path) -> Rel:
+        pairs = []
+        for i, entry in enumerate(_list(doc, path)):
+            epath = f"{path}[{i}]"
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ParseError("expected a [key, value] pair", epath)
+            pairs.append((_atom(entry[0], f"{epath}[0]"),
+                          value.parse(entry[1], f"{epath}[1]")))
+        return _dedup(pairs, path)
+    return Codec(lambda rel: [[k, value.emit(v)] for k, v in canonical_order(rel)],
+                 parse)
 
 
-def manifest_from_doc(doc, path) -> Manifest:
-    _need(doc, ("use", "extra"), path)
-    extra = _list(doc["extra"], f"{path}.extra")
-    if len(extra) != 5:
-        raise ParseError("expected exactly 5 opaque slots", f"{path}.extra")
-    extra = tuple(_atom(x, f"{path}.extra[{i}]") for i, x in enumerate(extra))
-    return Manifest(_perm_set(doc["use"], f"{path}.use"), extra)
+def record(cls, **fields: Codec) -> Codec:
+    """An object with exactly the given fields, emitted in declaration order;
+    ``cls`` takes them as keyword arguments and exposes them as attributes."""
+    def parse(doc, path):
+        _need(doc, fields, path)
+        return cls(**{name: c.parse(doc[name], f"{path}.{name}" if path else name)
+                      for name, c in fields.items()})
+    return Codec(lambda v: {name: c.emit(getattr(v, name))
+                            for name, c in fields.items()},
+                 parse)
 
 
-def sysimg_from_doc(doc, path) -> SysImgApp:
-    _need(doc, ("idSI", "defPermsSI"), path)
-    return SysImgApp(_atom(doc["idSI"], f"{path}.idSI"),
-                     _perm_set(doc["defPermsSI"], f"{path}.defPermsSI"))
+def _same(x):
+    return x
 
 
-def state_from_doc(doc) -> System:
-    _need(doc, ("state", "environment"), "")
-    st_doc, env_doc = doc["state"], doc["environment"]
-    _need(st_doc, STATE_FIELDS, "state")
-    _need(env_doc, ENV_FIELDS, "environment")
-    st = State(
-        apps=_atom_set(st_doc["apps"], "state.apps"),
-        alreadyVerified=_atom_set(st_doc["alreadyVerified"], "state.alreadyVerified"),
-        grantedPermGroups=_rel(st_doc["grantedPermGroups"], _atom_set,
-                               "state.grantedPermGroups"),
-        perms=_rel(st_doc["perms"], _perm_set, "state.perms"),
-        **{f: _atom(st_doc[f], f"state.{f}") for f in STATE_FIELDS[4:]},
-    )
-    env = Environment(
-        manifest=_rel(env_doc["manifest"], manifest_from_doc, "environment.manifest"),
-        cert=_rel(env_doc["cert"], _atom, "environment.cert"),
-        defPerms=_rel(env_doc["defPerms"], _perm_set, "environment.defPerms"),
-        systemImage=_dedup(
-            [sysimg_from_doc(x, f"environment.systemImage[{i}]")
-             for i, x in enumerate(_list(env_doc["systemImage"], "environment.systemImage"))],
-            "environment.systemImage"),
-    )
-    return System(st, env)
+def _level(x, path) -> str:
+    if x not in PROTECTION_LEVELS:
+        raise ParseError(f"level must be one of {PROTECTION_LEVELS}", path)
+    return x
+
+
+def _opaque_slots(doc, path) -> tuple:
+    if len(_list(doc, path)) != 5:
+        raise ParseError("expected exactly 5 opaque slots", path)
+    return tuple(_atom(x, f"{path}[{i}]") for i, x in enumerate(doc))
+
+
+ATOM = Codec(_same, _atom)
+GROUP = Codec(_same, lambda x, path: None if x is None else _atom(x, path))
+LEVEL = Codec(_same, _level)
+OPAQUE_SLOTS = Codec(list, _opaque_slots)
+
+PERM = record(Perm, id=ATOM, group=GROUP, level=LEVEL)
+PERM_SET = set_of(PERM)  # also the system-permission set
+MANIFEST = record(Manifest, use=PERM_SET, extra=OPAQUE_SLOTS)
+SYSIMG = record(SysImgApp, idSI=ATOM, defPermsSI=PERM_SET)
+STATE = record(State, apps=set_of(ATOM), alreadyVerified=set_of(ATOM),
+               grantedPermGroups=rel_of(set_of(ATOM)), perms=rel_of(PERM_SET),
+               **{f: ATOM for f in STATE_FIELDS[4:]})
+ENVIRONMENT = record(Environment, manifest=rel_of(MANIFEST), cert=rel_of(ATOM),
+                     defPerms=rel_of(PERM_SET), systemImage=set_of(SYSIMG))
+SYSTEM = record(System, state=STATE, environment=ENVIRONMENT)
 
 
 def _loads(text: str):
@@ -330,14 +281,28 @@ def _loads(text: str):
         raise ParseError("invalid JSON: nested too deeply", "") from e
 
 
+perm_to_doc = PERM.emit
+state_to_doc = SYSTEM.emit
+
+
+def perm_from_doc(doc, path="perm") -> Perm:
+    return PERM.parse(doc, path)
+
+
+def state_from_doc(doc) -> System:
+    return SYSTEM.parse(doc, "")
+
+
+def emit_state(sys: System) -> str:
+    """Canonical, newline-terminated text for a system."""
+    return json.dumps(state_to_doc(sys), indent=2) + "\n"
+
+
 def parse_state(text: str) -> System:
     return state_from_doc(_loads(text))
 
 
 def system_perms_from_doc(doc) -> frozenset:
+    """The set of a ``{"systemPerms": [...]}`` document."""
     _need(doc, ("systemPerms",), "")
-    return _perm_set(doc["systemPerms"], "systemPerms")
-
-
-def parse_system_perms(text: str) -> frozenset:
-    return system_perms_from_doc(_loads(text))
+    return PERM_SET.parse(doc["systemPerms"], "systemPerms")

@@ -45,7 +45,11 @@ from typing import Callable, Iterator, Optional
 
 from .kernel import EMPTY, canonical_order, foplus
 from .model import (
+    ATOM,
     DANGEROUS,
+    PERM,
+    PERM_SET,
+    Codec,
     Manifest,
     ParseError,
     Perm,
@@ -53,12 +57,9 @@ from .model import (
     _list,
     _loads,
     _need,
-    _atom,
     group_authorized,
-    perm_from_doc,
-    perm_to_doc,
+    record,
     state_from_doc,
-    system_perms_from_doc,
     usr_def_perm,
     with_component,
 )
@@ -298,30 +299,25 @@ def default_operations() -> dict[str, Operation]:
 
 # -- scenario documents ---------------------------------------------------------
 
+# A revokeGroup names a group; every other action names a permission.
+_GROUP_ACTION = record(Action, op=ATOM, app=ATOM, group=ATOM)
+_PERM_ACTION = record(Action, op=ATOM, perm=PERM, app=ATOM)
+
+
+def _action_codec(op: str) -> Codec:
+    return _GROUP_ACTION if op == "revokeGroup" else _PERM_ACTION
+
+
 def action_to_doc(action: Action) -> dict:
-    doc = {"op": action.op}
-    if action.perm is not None:
-        doc["perm"] = perm_to_doc(action.perm)
-    if action.app is not None:
-        doc["app"] = action.app
-    if action.group is not None:
-        doc["group"] = action.group
-    return doc
+    return _action_codec(action.op).emit(action)
 
 
 def action_from_doc(doc, path="action") -> Action:
     if not isinstance(doc, dict) or "op" not in doc:
         raise ParseError("expected an action object with an 'op' field", path)
-    op = doc["op"]
-    if op not in OP_NAMES:
+    if doc["op"] not in OP_NAMES:
         raise ParseError(f"op must be one of {OP_NAMES}", f"{path}.op")
-    if op == "revokeGroup":
-        _need(doc, ("op", "group", "app"), path)
-        return Action(op, group=_atom(doc["group"], f"{path}.group"),
-                      app=_atom(doc["app"], f"{path}.app"))
-    _need(doc, ("op", "perm", "app"), path)
-    return Action(op, perm=perm_from_doc(doc["perm"], f"{path}.perm"),
-                  app=_atom(doc["app"], f"{path}.app"))
+    return _action_codec(doc["op"]).parse(doc, path)
 
 
 @dataclass(frozen=True)
@@ -333,7 +329,7 @@ class Scenario:
 
 def scenario_from_doc(doc) -> Scenario:
     _need(doc, ("systemPerms", "initial", "actions"), "")
-    sp = system_perms_from_doc({"systemPerms": doc["systemPerms"]})
+    sp = PERM_SET.parse(doc["systemPerms"], "systemPerms")
     initial = state_from_doc(doc["initial"])
     actions = tuple(action_from_doc(x, f"actions[{i}]")
                     for i, x in enumerate(_list(doc["actions"], "actions")))

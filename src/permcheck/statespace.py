@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
@@ -98,11 +98,11 @@ def make_pools(bounds: Bounds) -> Pools:
     apps = tuple(canonical_order(f"app{i + 1}" for i in range(bounds.apps)))
     perm_ids = tuple(canonical_order(f"perm{i + 1}" for i in range(bounds.perms)))
     groups = tuple(canonical_order(f"grp{i + 1}" for i in range(bounds.grps)))
-    all_perms = tuple(canonical_order(
-        Perm(pid, g, lvl)
-        for pid in perm_ids
-        for g in (None,) + groups
-        for lvl in PROTECTION_LEVELS))
+    # built in canonical order: by id, then group (None first), then level
+    all_perms = tuple(Perm(pid, g, lvl)
+                      for pid in perm_ids
+                      for g in (None,) + groups
+                      for lvl in sorted(PROTECTION_LEVELS))
     return Pools(apps, perm_ids, groups, ("cert1",), all_perms)
 
 
@@ -280,23 +280,28 @@ def targeted_states(bounds: Bounds, tag: str) -> tuple[System, ...]:
     Tags are operation ids plus the two security property names.  States
     wire the manifest/group/granted-set plumbing the tag's enabling
     condition needs; the remaining components are left empty, which keeps
-    every state well within bounds and valid.  Budget and seed do not enter,
-    so each family is built once per pool sizes and tag and shared, as an
-    immutable tuple, by every caller.
+    every state well within bounds and valid.  A family longer than the
+    budget is cut after ``budget + 1`` states, one more than a search
+    examines, so a caller can tell that it did not fit.  The seed does not
+    enter, so each family is built once per pool sizes, budget and tag and
+    shared, as an immutable tuple, by every caller.
     """
-    return _targeted_family(
-        Bounds(bounds.apps, bounds.perms, bounds.grps, bounds.max_card), tag)
+    return _cut_family(Bounds(bounds.apps, bounds.perms, bounds.grps,
+                              bounds.max_card, bounds.budget), tag)
 
 
 @lru_cache(maxsize=64)
-def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
+def _cut_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
+    return tuple(islice(_targeted_family(bounds, tag), bounds.budget + 1))
+
+
+def _targeted_family(bounds: Bounds, tag: str) -> Iterator[System]:
     if bounds.max_card < 1:
-        return ()
+        return
     pools = make_pools(bounds)
     dangerous_grouped = [p for p in pools.all_perms
                          if p.level == DANGEROUS and p.group is not None]
     ungrouped = [p for p in pools.all_perms if p.group is None]
-    out: list[System] = []
 
     if tag in ("grantAuto", "grant", "cannotAutoGrantWithoutGroup",
                "execAutoGrantWithoutIndividualPerms"):
@@ -323,7 +328,7 @@ def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
                 for def_perms in (EMPTY, frozenset(((a, frozenset((p,))),))):
                     for mg in mg_variants:
                         for perms in prior_variants:
-                            out.append(_mk_system(a, manifest, mg, perms, def_perms))
+                            yield _mk_system(a, manifest, mg, perms, def_perms)
 
     elif tag == "revoke":
         for a in pools.apps:
@@ -332,8 +337,7 @@ def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
                 if bounds.max_card >= 2 and dangerous_grouped:
                     images.append(frozenset((p, dangerous_grouped[0])))
                 for img in images:
-                    out.append(_mk_system(a, EMPTY, EMPTY,
-                                          frozenset(((a, img),)), EMPTY))
+                    yield _mk_system(a, EMPTY, EMPTY, frozenset(((a, img),)), EMPTY)
 
     elif tag == "revokeGroup":
         for a in pools.apps:
@@ -346,6 +350,4 @@ def _targeted_family(bounds: Bounds, tag: str) -> tuple[System, ...]:
                     perm_variants.append(
                         frozenset(((a, frozenset((grouped[0], ungrouped[0]))),)))
                 for perms in perm_variants:
-                    out.append(_mk_system(a, EMPTY, mg, perms, EMPTY))
-
-    return tuple(dict.fromkeys(out))
+                    yield _mk_system(a, EMPTY, mg, perms, EMPTY)

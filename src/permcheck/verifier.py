@@ -46,8 +46,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
-from .kernel import EMPTY, canonical_order
-from .model import DANGEROUS, Perm, System, group_authorized, perm_to_doc, state_to_doc
+from .kernel import EMPTY
+from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to_doc,
+                    state_to_doc)
 from .operations import Action, Operation, action_to_doc, default_operations
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
 
@@ -95,8 +96,7 @@ def verdict_to_doc(v: Verdict) -> dict:
     if v.system is not None:
         doc["state"] = state_to_doc(v.system)
     if v.system_perms is not None:
-        doc["systemPerms"] = [perm_to_doc(p)
-                              for p in canonical_order(v.system_perms)]
+        doc["systemPerms"] = PERM_SET.emit(v.system_perms)
     if v.action is not None:
         doc["action"] = action_to_doc(v.action)
     if v.next_system is not None:

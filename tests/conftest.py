@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from permcheck.kernel import EMPTY, foplus
@@ -9,6 +12,16 @@ from permcheck.model import (
     State,
     System,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's ``src/`` first on
+    PYTHONPATH, so a subprocess imports the permcheck under test."""
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
 
 READ = Perm("read", "contacts", DANGEROUS)
 WRITE = Perm("write", "contacts", DANGEROUS)

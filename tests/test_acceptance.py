@@ -15,7 +15,7 @@ import time
 import pytest
 
 import brute
-from conftest import random_grant_auto_state
+from conftest import random_grant_auto_state, src_env
 from permcheck.kernel import (
     AmbiguousApplication,
     comp,
@@ -173,8 +173,8 @@ def test_criterion_7_determinism(tmp_path):
     args = [sys.executable, "-m", "permcheck", "verify", "--suite", "all",
             "--apps", "1", "--perms", "1", "--grps", "1", "--maxcard", "1",
             "--budget", "2000", "--seed", "7", "--format", "json"]
-    first = subprocess.run(args, capture_output=True, text=True)
-    second = subprocess.run(args, capture_output=True, text=True)
+    first = subprocess.run(args, capture_output=True, text=True, env=src_env())
+    second = subprocess.run(args, capture_output=True, text=True, env=src_env())
     assert first.returncode == second.returncode
     va = json.loads(first.stdout)["verdicts"]
     vb = json.loads(second.stdout)["verdicts"]

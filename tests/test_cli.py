@@ -1,17 +1,16 @@
 import contextlib
+import hashlib
 import io
 import json
-import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import permcheck.cli
-from conftest import NET, READ, WRITE, make_system
+from conftest import NET, READ, ROOT, WRITE, make_system, src_env
 from permcheck.kernel import EMPTY
 from permcheck.model import Manifest, SysImgApp, emit_state, parse_state, state_to_doc
 from permcheck.verifier import VerifierError
@@ -19,19 +18,14 @@ from permcheck.verifier import VerifierError
 PERM_READ = {"id": "read", "group": "contacts", "level": "dangerous"}
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "permcheck", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True, env=src_env(), **kwargs)
 
 
 def run_script(name, *args):
-    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+                          capture_output=True, text=True, env=src_env())
 
 
 def limit_memory():
@@ -154,6 +148,14 @@ class TestVerify:
         # no decode table grows with the bounds: 30 apps at maxcard 30 run
         # their 20 samples per query in well under 1 GiB of address space
         r = run_cli("verify", "--apps", "30", "--maxcard", "30", "--budget", "20",
+                    preexec_fn=limit_memory, timeout=60)
+        assert r.returncode == 3, r.stderr
+
+    def test_wide_permission_pool_fits_in_one_gib(self):
+        # 99,999 permission triples: targeted families are built only up to
+        # the budget, where they used to be built whole until MemoryError
+        r = run_cli("verify", "--apps", "1", "--perms", "1", "--grps", "33332",
+                    "--maxcard", "2", "--budget", "1",
                     preexec_fn=limit_memory, timeout=60)
         assert r.returncode == 3, r.stderr
 
@@ -330,3 +332,29 @@ def test_one_malformed_path_never_crashes(tmp_path_factory, command, data, value
         code = permcheck.cli.main([command, str(doc_file)])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Each document below has one malformed value at one JSON path.  The digest,
+# from a known-good run, pins for every such document the exit code and the
+# exact stdout and stderr (the ParseError text included) of `check` on a
+# state document and of `run` on a scenario.  A change that keeps the JSON
+# formats keeps it.
+FAULTS = (None, 0, "", "x", [], {}, ["a1", "a1"])
+FAULT_OUTCOMES_DIGEST = (
+    "41943921729c0517c22cf9dc997c4ac1c531c6956aa0dc03e4a5979eeb5ad09b")
+
+
+def test_single_fault_documents_match_recorded_outcomes(tmp_path):
+    outcomes = []
+    doc_file = tmp_path / "fault.json"
+    for command, base in (("check", RICH), ("run", SCENARIO)):
+        for path in json_paths(base):
+            for value in FAULTS:
+                doc_file.write_text(json.dumps(replaced(base, path, value)))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = permcheck.cli.main([command, str(doc_file)])
+                outcomes.append([command, list(path), value, code,
+                                 out.getvalue(), err.getvalue()])
+    text = json.dumps(outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_OUTCOMES_DIGEST

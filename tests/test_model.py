@@ -7,6 +7,7 @@ from conftest import NET, READ, WRITE, make_system
 from permcheck.kernel import EMPTY
 from permcheck.model import (
     COMPONENTS,
+    PERM_SET,
     Manifest,
     ParseError,
     Perm,
@@ -17,8 +18,7 @@ from permcheck.model import (
     empty_system,
     get_component,
     parse_state,
-    parse_system_perms,
-    system_perms_to_doc,
+    system_perms_from_doc,
     usr_def_perm,
     with_component,
 )
@@ -147,7 +147,8 @@ class TestSerialization:
 
     def test_system_perms_round_trip(self):
         sp = frozenset((READ, NET))
-        assert parse_system_perms(json.dumps(system_perms_to_doc(sp))) == sp
+        doc = json.loads(json.dumps({"systemPerms": PERM_SET.emit(sp)}))
+        assert system_perms_from_doc(doc) == sp
 
     @given(st.integers(0, SPACE.size - 1))
     @settings(max_examples=120, deadline=None)

@@ -78,6 +78,11 @@ class TestPools:
         pools = make_pools(Bounds(2, 2, 2, 2))
         assert pools.apps == ("app1", "app2")
         assert list(pools.all_perms) == sorted(pools.all_perms, key=value_key)
+        # from ten ids on, string order ("perm10" < "perm2") is not numeric
+        pools = make_pools(Bounds(1, 12, 11, 1))
+        assert pools.perm_ids[:3] == ("perm1", "perm10", "perm11")
+        assert list(pools.groups) == sorted(pools.groups)
+        assert list(pools.all_perms) == sorted(pools.all_perms, key=value_key)
 
 
 class TestSpace:
@@ -193,10 +198,12 @@ class TestEnumerateStates:
         assert len(list(enumerate_states(b))) == 40
 
 
+TAGS = ("grantAuto", "grant", "revoke", "revokeGroup",
+        "cannotAutoGrantWithoutGroup", "execAutoGrantWithoutIndividualPerms")
+
+
 class TestTargeted:
-    @pytest.mark.parametrize("tag", ["grantAuto", "grant", "revoke", "revokeGroup",
-                                     "cannotAutoGrantWithoutGroup",
-                                     "execAutoGrantWithoutIndividualPerms"])
+    @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("bounds", [Bounds(1, 1, 1, 1), Bounds(2, 2, 2, 2)])
     def test_families_are_nonempty_and_deterministic(self, tag, bounds):
         fam = targeted_states(bounds, tag)
@@ -207,10 +214,23 @@ class TestTargeted:
         assert targeted_states(Bounds(1, 1, 1, 0), "grantAuto") == ()
 
     def test_family_is_shared_across_budgets_and_seeds(self):
-        fam = targeted_states(Bounds(2, 2, 2, 2, budget=10, seed=1), "revoke")
+        fam = targeted_states(Bounds(2, 2, 2, 2, budget=99, seed=1), "revoke")
         assert isinstance(fam, tuple)
         assert targeted_states(Bounds(2, 2, 2, 2, budget=99, seed=7), "revoke") is fam
         assert targeted_states(Bounds(2, 2, 2, 1), "revoke") != fam
+        # one state past the budget shows that the family did not fit
+        assert len(fam) < 99
+        for budget in (1, 3, len(fam) - 1):
+            cut = targeted_states(Bounds(2, 2, 2, 2, budget=budget), "revoke")
+            assert cut == fam[:budget + 1]
+        assert targeted_states(Bounds(2, 2, 2, 2, budget=len(fam)), "revoke") == fam
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_families_have_no_duplicates(self, tag):
+        for a, p, g, mc in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3),
+                                             (0, 1, 2, 3)):
+            fam = targeted_states(Bounds(a, p, g, mc), tag)
+            assert len(set(fam)) == len(fam), (a, p, g, mc)
 
     def test_grant_auto_family_contains_enabled_states(self):
         b = Bounds(1, 1, 1, 1)
