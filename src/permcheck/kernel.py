@@ -107,6 +107,23 @@ def is_pfun(r: Rel) -> bool:
     return len({x for x, _ in r}) == len(r)
 
 
+def order_by_key(r: Rel) -> list:
+    """The pairs of r in canonical order.
+
+    When no two pairs share a key, the keys alone decide the order of the
+    pairs, so they are sorted by the key's :func:`value_key` and no image's
+    key is computed.  A multiply keyed relation falls back to
+    :func:`canonical_order`, which breaks ties between a key's images.
+    """
+    if not is_pfun(r):
+        return canonical_order(r)
+    return sorted(r, key=_key_of_key)
+
+
+def _key_of_key(pair: tuple) -> tuple:
+    return value_key(pair[0])
+
+
 def rel_apply(r: Rel, x: Value) -> Optional[Value]:
     """Image of x under r when unique; None when x is not a key.
 

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kernel import EMPTY, Rel, canonical_order
+from .kernel import EMPTY, Rel, canonical_order, order_by_key
 
 PROTECTION_LEVELS = ("normal", "signature", "dangerous")
 DANGEROUS = "dangerous"
@@ -223,7 +223,7 @@ def rel_of(value: Codec) -> Codec:
             pairs.append((_atom(entry[0], f"{epath}[0]"),
                           value.parse(entry[1], f"{epath}[1]")))
         return _dedup(pairs, path)
-    return Codec(lambda rel: [[k, value.emit(v)] for k, v in canonical_order(rel)],
+    return Codec(lambda rel: [[k, value.emit(v)] for k, v in order_by_key(rel)],
                  parse)
 
 

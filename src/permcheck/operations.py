@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .kernel import EMPTY, canonical_order, foplus
+from .kernel import EMPTY, canonical_order, foplus, order_by_key
 from .model import (
     ATOM,
     DANGEROUS,
@@ -256,7 +256,7 @@ def _manifest_candidates(op: str, sys: System,
     # conjunct 1 restricts (p, a) to manifest-listed pairs; conjunct 4
     # additionally blocks everything non-dangerous, so those pairs can be
     # pruned whenever conjunct 4 is active
-    for a, m in canonical_order(sys.environment.manifest):
+    for a, m in order_by_key(sys.environment.manifest):
         if isinstance(m, Manifest):
             for p in canonical_order(m.use):
                 if dangerous_only and p.level != DANGEROUS:
@@ -265,14 +265,14 @@ def _manifest_candidates(op: str, sys: System,
 
 
 def _revoke_candidates(sys: System) -> Iterator[Action]:
-    for a, granted in canonical_order(sys.state.perms):
+    for a, granted in order_by_key(sys.state.perms):
         for p in canonical_order(granted):
             if p.group is None:
                 yield Action("revoke", perm=p, app=a)
 
 
 def _revoke_group_candidates(sys: System) -> Iterator[Action]:
-    for a, groups in canonical_order(sys.state.grantedPermGroups):
+    for a, groups in order_by_key(sys.state.grantedPermGroups):
         for g in canonical_order(groups):
             yield Action("revokeGroup", group=g, app=a)
 

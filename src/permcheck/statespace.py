@@ -16,7 +16,8 @@ drawing integer ranks.  One stream, ``state_stream``, feeds every search:
 the whole space in rank order when it fits the budget, otherwise seeded
 uniform samples (with replacement), and the run counts as non-exhaustive.
 The samples are a pure function of the bounds: every query of a run, and
-``enumerate_states``, reads the same ones.
+``enumerate_states``, reads the same ones, and a space decodes each of its
+first CACHE_LIMIT samples once for all of them.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -95,9 +96,16 @@ class Pools:
 
 
 def make_pools(bounds: Bounds) -> Pools:
-    apps = tuple(canonical_order(f"app{i + 1}" for i in range(bounds.apps)))
-    perm_ids = tuple(canonical_order(f"perm{i + 1}" for i in range(bounds.perms)))
-    groups = tuple(canonical_order(f"grp{i + 1}" for i in range(bounds.grps)))
+    """The pools at the bounds' sizes, built once per sizes and shared:
+    ``Pools`` is immutable."""
+    return _pools(bounds.apps, bounds.perms, bounds.grps)
+
+
+@lru_cache(maxsize=8)
+def _pools(n_apps: int, n_perms: int, n_grps: int) -> Pools:
+    apps = tuple(canonical_order(f"app{i + 1}" for i in range(n_apps)))
+    perm_ids = tuple(canonical_order(f"perm{i + 1}" for i in range(n_perms)))
+    groups = tuple(canonical_order(f"grp{i + 1}" for i in range(n_grps)))
     # built in canonical order: by id, then group (None first), then level
     all_perms = tuple(Perm(pid, g, lvl)
                       for pid in perm_ids
@@ -183,7 +191,13 @@ class SetSpace:
 class SystemSpace:
     """The full product space of systems at given bounds.  A rank's digits,
     most significant first, are the eight varying components in State then
-    Environment field order."""
+    Environment field order.
+
+    The space also holds the seeded uniform samples that ``state_stream``
+    reads: the first query of a run decodes each sample it reaches, and
+    later queries reuse it, up to CACHE_LIMIT samples for one seed at a
+    time.  Samples past the cap are decoded again by each query.
+    """
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
@@ -216,6 +230,8 @@ class SystemSpace:
         )
         self._digits = [(s, s.size) for _, s in reversed(self.components)]
         self.size = prod(size for _, size in self._digits)
+        # (seed, decoded samples, the generator positioned after them)
+        self._samples: tuple = (None, [], None)
 
     def unrank(self, r: int) -> System:
         v = []
@@ -239,6 +255,29 @@ class SystemSpace:
             for env in envs:
                 yield System(state, env)
 
+    def samples(self, seed: int) -> Iterator[System]:
+        """The endless stream of uniform samples seeded by ``seed``: ranks
+        drawn with replacement from one generator seeded
+        ``f"{seed}:enumerate"``, each decoded by ``unrank``.  The first
+        CACHE_LIMIT samples are decoded once and held for every later
+        stream of the same seed; another seed replaces them."""
+        held_seed, held, rng = self._samples
+        if held_seed != seed:
+            held, rng = [], random.Random(f"{seed}:enumerate")
+            self._samples = (seed, held, rng)
+        i = 0
+        while i < CACHE_LIMIT:
+            if i == len(held):  # the first stream to get here draws the next
+                held.append(self.unrank(rng.randrange(self.size)))
+            yield held[i]
+            i += 1
+        # past the cap: a private copy of the generator, which drew nothing
+        # after the last held sample
+        rest = random.Random()
+        rest.setstate(rng.getstate())
+        while True:
+            yield self.unrank(rest.randrange(self.size))
+
 
 def state_stream(space: SystemSpace, bounds: Bounds,
                  prefix: Sequence[System] = ()) -> Iterator[System]:
@@ -247,14 +286,16 @@ def state_stream(space: SystemSpace, bounds: Bounds,
     budget), then uniform samples up to the budget.  The samples come from
     one generator seeded by ``bounds.seed`` alone, so every query of a run
     reads the same samples in the same order, whichever queries run and in
-    whatever order; a run may be split across workers by sample index."""
+    whatever order; a run may be split across workers by sample index.
+    ``space`` holds the samples it decodes (``SystemSpace.samples``): the
+    first query of a run decodes them, and later queries reuse them, up to
+    CACHE_LIMIT samples."""
     if space.size <= bounds.budget:
         yield from space
         return
     yield from prefix[:bounds.budget]
-    rng = random.Random(f"{bounds.seed}:enumerate")
-    for _ in range(bounds.budget - min(len(prefix), bounds.budget)):
-        yield space.unrank(rng.randrange(space.size))
+    yield from islice(space.samples(bounds.seed),
+                      bounds.budget - min(len(prefix), bounds.budget))
 
 
 def enumerate_states(bounds: Bounds) -> Iterator[System]:

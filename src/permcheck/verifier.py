@@ -33,8 +33,9 @@ counterexample or witness is re-evaluated from its concrete values before
 being returned; an unsound hit raises instead of reporting.
 
 Queries are independent and deterministic for a fixed seed.  Every query
-of a run reads the same seeded samples, so the first query warms the
-decode caches for the others and no verdict depends on which other
+of a run reads the same seeded samples: the first query decodes them, and
+later queries of the run reuse them from the shared space, up to
+``statespace.CACHE_LIMIT`` samples.  No verdict depends on which other
 queries run; work splits by sample index, since the i-th sample is the
 same state for every query.
 """
@@ -229,8 +230,11 @@ def check_query(q: Query, bounds: Bounds,
     the first states ``enumerate_states(bounds)`` yields.  A sampled sweep
     that could not fit the whole targeted family is inconclusive.
 
-    ``space`` may carry a prebuilt (cache-warm) space for the same bounds;
-    it never changes the verdict, only the decoding cost.
+    ``space`` may carry a prebuilt space for the same pool sizes and
+    ``max_card``; it never changes the verdict, only the decoding cost.  A
+    space holds the samples a query decodes, so a later query given the
+    same space and seed reuses them (up to ``statespace.CACHE_LIMIT``); a
+    space last read at another seed decodes this seed's samples afresh.
     """
     if space is None:
         space = SystemSpace(bounds)
@@ -315,7 +319,7 @@ def run_suite(suite: str, bounds: Bounds,
     if suite in ("security", "all"):
         groups.append((SECURITY_ROW, gen_security_queries(operations, clauses)))
 
-    space = SystemSpace(bounds)  # shared decode caches across queries
+    space = SystemSpace(bounds)  # decodes each sample once for every query
     rows, verdicts = [], []
     for name, queries in groups:
         start = time.perf_counter()

@@ -14,6 +14,7 @@ from permcheck.kernel import (
     foplus,
     is_pfun,
     not_in_dom,
+    order_by_key,
     rel_apply,
     value_key,
 )
@@ -131,6 +132,40 @@ class TestCanonicalOrder:
             assert canonical_order(values) == expected
 
 
+class TestOrderByKey:
+    def test_equals_canonical_order_on_sampled_relations(self):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        rng = random.Random(0)
+        multi = 0
+        for _ in range(5000):
+            sys = space.unrank(rng.randrange(space.size))
+            st, env = sys.state, sys.environment
+            for r in (st.grantedPermGroups, st.perms, env.manifest, env.cert,
+                      env.defPerms):
+                multi += len(r) >= 2
+                assert order_by_key(r) == canonical_order(r)
+        assert multi > 1000  # the key sort decides the order, not the sizes
+
+    def test_multiply_keyed_relations_fall_back(self):
+        # int pairs hash alike in every process, so the order a frozenset
+        # iterates them in is fixed; over eight images of one key it is
+        # not the canonical order
+        ints = frozenset((1, v) for v in range(8)) | {(0, 5), (2, 0)}
+        assert list(ints) != canonical_order(ints)
+        read, net = Perm("read", "g", "dangerous"), Perm("net", None, "normal")
+        hand = [
+            ints,
+            rel((A1, P), (A1, Q)),
+            rel((A2, P), (A1, Q), (A1, P | Q), (A1, EMPTY)),
+            rel((A1, frozenset((read,))), (A1, frozenset((net,))),
+                (A2, frozenset((read, net)))),
+            rel((A1, Manifest(frozenset((read,)))), (A1, Manifest(EMPTY))),
+        ]
+        for r in hand:
+            assert not is_pfun(r)
+            assert order_by_key(r) == canonical_order(r)
+
+
 # field-tuple order oracles that do not go through value_key: None sorts
 # before every group, a set by its sorted members
 
@@ -193,6 +228,11 @@ def test_foplus_laws(r, x, y):
     if is_pfun(r):
         assert is_pfun(out)
     assert out == brute.o_foplus(r, x, y)
+
+
+@given(rels)
+def test_order_by_key_is_canonical_order(r):
+    assert order_by_key(r) == canonical_order(r)
 
 
 @given(rels, rels)

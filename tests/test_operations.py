@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import NET, READ, WRITE, make_system, random_grant_auto_state
-from permcheck.kernel import EMPTY
+from permcheck.kernel import EMPTY, canonical_order
 from permcheck.model import (
     DANGEROUS,
     Manifest,
@@ -20,6 +20,7 @@ from permcheck.operations import (
     action_to_doc,
     default_operations,
     grant,
+    grant_auto_operation,
     grant_auto,
     has_permission,
     pre_grant_auto,
@@ -307,3 +308,56 @@ def test_candidates_cover_enabled_actions(f1):
     ops = default_operations()
     acts = list(ops["grantAuto"].candidates(f1["sys"]))
     assert Action("grantAuto", perm=READ, app="a1") in acts
+
+
+def reference_candidates(op, sys, dangerous_only=True):
+    """The candidate actions with every relation walked in canonical order."""
+    st, env = sys.state, sys.environment
+    if op in ("grantAuto", "grant"):
+        return [Action(op, perm=p, app=a)
+                for a, m in canonical_order(env.manifest) if isinstance(m, Manifest)
+                for p in canonical_order(m.use)
+                if not dangerous_only or p.level == DANGEROUS]
+    if op == "revoke":
+        return [Action(op, perm=p, app=a)
+                for a, granted in canonical_order(st.perms)
+                for p in canonical_order(granted) if p.group is None]
+    return [Action(op, group=g, app=a)
+            for a, groups in canonical_order(st.grantedPermGroups)
+            for g in canonical_order(groups)]
+
+
+def multiply_keyed_systems():
+    """Hand-built systems whose relations give one app several images."""
+    ungrouped = [Perm(f"u{i}", None, "normal") for i in range(5)]
+    grouped = [Perm(f"d{i}", f"g{i % 2}", DANGEROUS) for i in range(5)]
+    one_each = lambda a, items: frozenset((a, frozenset((x,))) for x in items)
+    return [
+        make_system(perms=one_each("a1", ungrouped) | one_each("a2", ungrouped[:2])),
+        make_system(mg=one_each("a1", [f"g{i}" for i in range(5)])
+                    | frozenset((("a0", frozenset(("g1", "g0"))),))),
+        make_system(manifest=frozenset(("a1", Manifest(frozenset((p, q))))
+                                       for p, q in zip(grouped, ungrouped))
+                    | frozenset((("a0", Manifest(frozenset(grouped))),))),
+    ]
+
+
+@pytest.mark.parametrize("source", ["sampled-2222", "all-1111", "multiply-keyed"])
+def test_candidates_follow_canonical_order(source):
+    if source == "sampled-2222":
+        space, rng = SystemSpace(Bounds(2, 2, 2, 2)), random.Random(3)
+        systems = (space.unrank(rng.randrange(space.size)) for _ in range(5000))
+    elif source == "all-1111":
+        systems = iter(SystemSpace(Bounds(1, 1, 1, 1)))
+    else:
+        systems = iter(multiply_keyed_systems())
+    ops = [(op.id, op, True) for op in default_operations().values()]
+    ops.append(("grantAuto", grant_auto_operation(skip=(4,)), False))
+    longest = 0
+    for sys in systems:
+        for op_id, op, dangerous_only in ops:
+            acts = list(op.candidates(sys))
+            assert acts == reference_candidates(op_id, sys, dangerous_only)
+            longest = max(longest, len(acts))
+    # at max_card 1 a state offers each operation at most one action
+    assert longest >= (1 if source == "all-1111" else 2)

@@ -9,6 +9,7 @@ from conftest import random_grant_auto_state
 from permcheck.invariants import valid_state
 from permcheck.model import DANGEROUS, System, emit_state
 from permcheck.operations import default_operations, pre_grant_auto
+import permcheck.statespace as statespace
 from permcheck.statespace import (
     MAX_CARD,
     Bounds,
@@ -16,9 +17,10 @@ from permcheck.statespace import (
     _unrank_combination,
     enumerate_states,
     make_pools,
+    state_stream,
     targeted_states,
 )
-from permcheck.verifier import _sp_variants
+from permcheck.verifier import _sp_variants, run_suite
 
 
 def subsets_upto(n, k):
@@ -83,6 +85,17 @@ class TestPools:
         assert pools.perm_ids[:3] == ("perm1", "perm10", "perm11")
         assert list(pools.groups) == sorted(pools.groups)
         assert list(pools.all_perms) == sorted(pools.all_perms, key=value_key)
+
+
+    def test_pools_are_built_once_per_run(self, monkeypatch):
+        # every SystemSpace and targeted family of a run shares one Pools
+        builds, real = [], statespace.Pools
+        statespace._pools.cache_clear()
+        statespace._cut_family.cache_clear()
+        monkeypatch.setattr(statespace, "Pools",
+                            lambda *fields: builds.append(fields) or real(*fields))
+        run_suite("all", Bounds(2, 2, 2, 2, budget=30, seed=0))
+        assert len(builds) == 1
 
 
 class TestSpace:
@@ -196,6 +209,52 @@ class TestEnumerateStates:
     def test_sampled_stream_has_budget_length(self):
         b = Bounds(2, 2, 2, 2, budget=40, seed=4)
         assert len(list(enumerate_states(b))) == 40
+
+
+def reference_samples(space, seed, n):
+    rng = random.Random(f"{seed}:enumerate")
+    return [space.unrank(rng.randrange(space.size)) for _ in range(n)]
+
+
+class TestSamples:
+    def test_a_space_decodes_each_sample_once(self, monkeypatch):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        expected = reference_samples(space, 3, 40)
+        other = reference_samples(space, 4, 10)
+        decoded = []
+        real = space.unrank
+        monkeypatch.setattr(space, "unrank",
+                            lambda r: decoded.append(r) or real(r))
+        assert list(itertools.islice(space.samples(3), 25)) == expected[:25]
+        assert list(itertools.islice(space.samples(3), 40)) == expected
+        assert len(decoded) == 40
+        # another seed replaces the held samples; coming back decodes again
+        assert list(itertools.islice(space.samples(4), 10)) == other
+        assert list(itertools.islice(space.samples(3), 40)) == expected
+        assert len(decoded) == 40 + 10 + 40
+
+    def test_interleaved_streams_read_the_same_samples(self):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        a, b = space.samples(5), space.samples(5)
+        got_a = [next(a) for _ in range(3)]
+        got_b = [next(b) for _ in range(6)]
+        got_a += [next(a) for _ in range(5)]
+        assert got_a == reference_samples(space, 5, 8)
+        assert got_b == got_a[:6]
+
+    def test_samples_past_the_cap_continue_the_stream(self, monkeypatch):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        expected = reference_samples(space, 1, 12)
+        monkeypatch.setattr(statespace, "CACHE_LIMIT", 5)
+        for _ in range(2):
+            assert list(itertools.islice(space.samples(1), 12)) == expected
+        assert len(space._samples[1]) == 5
+
+    def test_stream_of_a_reused_space_is_the_enumerated_stream(self):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        for seed in (0, 1, 0):
+            b = Bounds(2, 2, 2, 2, budget=30, seed=seed)
+            assert list(state_stream(space, b)) == list(enumerate_states(b))
 
 
 TAGS = ("grantAuto", "grant", "revoke", "revokeGroup",

@@ -29,11 +29,16 @@ TINY = Bounds(1, 1, 1, 1)           # exhaustive at default budget (98304 states
 SAMPLED = Bounds(1, 1, 1, 1, budget=3000, seed=5)
 
 
+def grant_auto_skip(skip):
+    """The registry with grantAuto's conjuncts ``skip`` disabled."""
+    ops = default_operations()
+    ops["grantAuto"] = grant_auto_operation(skip=skip)
+    return ops
+
+
 def mutated_operations():
     """grantAuto without the group-membership conjunct."""
-    ops = default_operations()
-    ops["grantAuto"] = grant_auto_operation(skip=(5,))
-    return ops
+    return grant_auto_skip((5,))
 
 
 def stale_revoke(sp, sys, action):
@@ -253,6 +258,45 @@ class TestSharedStream:
                    if v["verdict"] in ("counterexample", "witness"))
 
 
+class TestSharedSamples:
+    def test_a_run_decodes_each_sample_once(self, monkeypatch):
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
+        decoded = []
+
+        def counting_space(b):
+            space = SystemSpace(b)
+            real = space.unrank
+            space.unrank = lambda r: decoded.append(r) or real(r)
+            return space
+
+        monkeypatch.setattr(verifier, "SystemSpace", counting_space)
+        run_suite("all", bounds)
+        # a query reads the samples left over after its targeted family
+        read = max(bounds.budget - len(targeted_states(bounds, q.tag))
+                   for q in all_queries())
+        assert 0 < len(decoded) <= read
+
+    @pytest.mark.parametrize("operations", [
+        mutated_operations, lambda: revoke_operations(stale_revoke)],
+        ids=["grantAuto-skip-group", "revoke-stale-perms"])
+    def test_a_space_reused_at_another_seed_reads_that_seeds_samples(
+            self, monkeypatch, operations):
+        monkeypatch.setattr(verifier, "targeted_states", lambda bounds, tag: ())
+        at = lambda seed: Bounds(2, 2, 2, 2, budget=100, seed=seed)
+        queries = all_queries(operations())
+        space = SystemSpace(at(0))
+        docs = {}
+        for seed in (0, 1, 0):
+            reused = [verdict_to_doc(check_query(q, at(seed), space))
+                      for q in queries]
+            fresh = [verdict_to_doc(check_query(q, at(seed))) for q in queries]
+            assert reused == fresh
+            docs[seed] = fresh
+        hits = [(a, b) for a, b in zip(docs[0], docs[1])
+                if "state" in a or "state" in b]
+        assert hits and any(a != b for a, b in hits)
+
+
 class TestRecheck:
     def test_rejects_conclusive_verdicts(self):
         q = gen_invariance_queries()[0]
@@ -342,6 +386,20 @@ RECORDED_VERDICTS = {
     "revoke-stale-perms": (
         "all", SAMPLED, lambda: revoke_operations(stale_revoke),
         "e7bc9d847ac7960d9b23d714c9ff2db5b99de664a3b933d50273dbb209fb449e"),
+    # every query holds here, so these three share the digest of all-2222:
+    # they pin that other seeds' samples give no spurious hit
+    "all-2222-seed1": ("all", Bounds(2, 2, 2, 2, budget=1000, seed=1), None,
+                       "90234e6179c3640a32e36ae2c752a3ebc0e36471079b0f717e3e015414fd674a"),
+    "all-2222-seed2": ("all", Bounds(2, 2, 2, 2, budget=1000, seed=2), None,
+                       "90234e6179c3640a32e36ae2c752a3ebc0e36471079b0f717e3e015414fd674a"),
+    "all-1111-sampled": ("all", SAMPLED, None,
+                         "9b06bfcd520fa94a8a0775ce0cd87754ca054b92fc19ead669291ffd9c426f24"),
+    "grantAuto-skip-level": (
+        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), lambda: grant_auto_skip((4,)),
+        "665a030c77fe7ac19a5336c0c4e2b285194fbd93b07891fe4e2aabe02f4a65c3"),
+    "grantAuto-skip-defined": (
+        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), lambda: grant_auto_skip((2,)),
+        "e816d1652c0da32cb54c1d87d21902c4a16ea8981ea0fb395044cf91c307f46f"),
 }
 
 
