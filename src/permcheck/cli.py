@@ -122,9 +122,9 @@ def cmd_witness(args) -> int:
     if args.format == "json":
         _write(args, json.dumps(doc, indent=2) + "\n")
     else:
-        mode = "exhaustive" if verdict.exhaustive else "sampled"
         lines = [f"property: {name}",
-                 f"verdict: {verdict.kind} ({verdict.states_examined} states, {mode})"]
+                 f"verdict: {verdict.kind} ({verdict.states_examined} states, "
+                 f"{verdict.mode})"]
         if verdict.kind == "witness":
             lines.append("bindings: " + json.dumps(doc["bindings"]))
             lines.append("state:")

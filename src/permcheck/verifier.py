@@ -32,19 +32,24 @@ family the verdict is ``budget-exhausted`` (inconclusive).  Every emitted
 counterexample or witness is re-evaluated from its concrete values before
 being returned; an unsound hit raises instead of reporting.
 
-Queries are independent and deterministic for a fixed seed.  Every query
-of a run reads the same seeded samples: the first query decodes them, and
-later queries of the run reuse them from the shared space, up to
-``statespace.CACHE_LIMIT`` samples.  No verdict depends on which other
-queries run; work splits by sample index, since the i-th sample is the
-same state for every query.
+Queries are independent and deterministic for a fixed seed.  Queries that
+read the same stream -- those sharing a tag (the same targeted family, then
+the run's seeded samples), or any queries when the space fits the budget
+and each reads all of it -- are checked in one pass over it: each state is decoded
+once, each distinct hypothesis is evaluated once on it, and each
+operation's candidates are enumerated and each covered step is taken once
+for all of them.  A query leaves the pass at its first hit, so its verdict,
+down to ``statesExamined`` and the hit, is the one it gets alone: no
+verdict depends on which other queries run.  The seeded samples are held
+by the shared space, up to ``statespace.CACHE_LIMIT``, and the i-th sample
+is the same state for every query, so work splits by sample index.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
@@ -78,17 +83,31 @@ class Query:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of one query.  ``enumerated`` is the stream mode: the
+    whole space in rank order, rather than a targeted family and samples."""
+
     query_id: str
     kind: str  # holds-at-bounds | counterexample | witness |
                # no-witness-at-bounds | budget-exhausted
     states_examined: int
-    exhaustive: bool = False
+    enumerated: bool = False
     system: Optional[System] = None
     system_perms: Optional[frozenset] = None
     action: Optional[Action] = None
     next_system: Optional[System] = None
     bindings: Optional[dict] = None
     query: Optional[Query] = field(default=None, compare=False, repr=False)
+
+    @property
+    def exhaustive(self) -> bool:
+        """Every state of the space was examined: an enumerated stream that
+        no hit cut short."""
+        return self.enumerated and self.system is None
+
+    @property
+    def mode(self) -> str:
+        """The stream mode, as the text reports label it."""
+        return "exhaustive" if self.enumerated else "sampled"
 
 
 def verdict_to_doc(v: Verdict) -> dict:
@@ -184,20 +203,46 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
 
-def _search_state(q: Query, sys: System) -> Optional[tuple]:
-    """The first hit of q in one state, as (system perms, action, successor)."""
-    if not q.hypothesis(sys):
-        return None
-    for action in q.op.candidates(sys):
-        if not q.covers(sys, action):
+def _first_hits(plan: list, hypotheses: tuple, sys: System) -> Iterator[tuple]:
+    """The first hit in one state of each query of ``plan``, as (query,
+    system perms, action, successor).
+
+    ``plan`` pairs each operation with its queries, and ``hypotheses`` holds
+    each distinct hypothesis of those queries once.  An operation's
+    candidates are enumerated once, and a step is taken only when some
+    query still searching the state covers it; each of those tests its
+    conclusion on that one successor and stops searching at its first hit,
+    so it finds the hit it would find alone.
+    """
+    held = {h: h(sys) for h in hypotheses}
+    for op, queries in plan:
+        live = [q for q in queries if held[q.hypothesis]]
+        if not live:
             continue
-        for sp in _sp_variants(action):
-            out = q.op.apply(sp, sys, action)
-            if out.ok:
+        for action in op.candidates(sys):
+            covered = [q for q in live if q.covers(sys, action)]
+            if not covered:
+                continue
+            for sp in _sp_variants(action):
+                out = op.apply(sp, sys, action)
+                if out.ok:  # every other variant reaches the same successor
+                    break
+            else:
+                continue
+            for q in covered:
                 if q.concludes(sys, out.system):
-                    return sp, action, out.system
-                break  # every other variant reaches the same successor
-    return None
+                    live.remove(q)
+                    yield q, sp, action, out.system
+            if not live:
+                break
+
+
+def _plan(queries: Sequence[Query]) -> tuple[list, tuple]:
+    """The queries grouped by operation, and their distinct hypotheses."""
+    by_op: dict[Operation, list] = {}
+    for q in queries:
+        by_op.setdefault(q.op, []).append(q)
+    return list(by_op.items()), tuple(dict.fromkeys(q.hypothesis for q in queries))
 
 
 def recheck(v: Verdict) -> bool:
@@ -220,7 +265,8 @@ def recheck(v: Verdict) -> bool:
 
 
 def check_query(q: Query, bounds: Bounds,
-                space: Optional[SystemSpace] = None) -> Verdict:
+                space: Optional[SystemSpace] = None,
+                peers: Optional[dict] = None) -> Verdict:
     """Discharge one query at the given bounds.
 
     The examined stream is: the full space in rank order when it fits the
@@ -235,29 +281,46 @@ def check_query(q: Query, bounds: Bounds,
     space holds the samples a query decodes, so a later query given the
     same space and seed reuses them (up to ``statespace.CACHE_LIMIT``); a
     space last read at another seed decodes this seed's samples afresh.
+
+    ``peers`` may map other queries at the same bounds to their verdicts,
+    ``None`` while undecided.  The undecided peers that read the same
+    stream as ``q`` -- the same tag, or any tag when the space fits the
+    budget -- are checked in the same pass, and their verdicts are written
+    back into ``peers``.  Each verdict is the one its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)
-    targeted = targeted_states(bounds, q.tag)
-    exhaustive = space.size <= bounds.budget
-    conclusive = exhaustive or bounds.budget >= len(targeted)
+    enumerated = space.size <= bounds.budget
+    queries = [q] + [p for p, v in (peers or {}).items()
+                     if v is None and p is not q and (enumerated or p.tag == q.tag)]
+    targeted = () if enumerated else targeted_states(bounds, q.tag)
+    conclusive = enumerated or bounds.budget >= len(targeted)
 
+    verdicts = {}
+    plan, hypotheses = _plan(queries)
     examined = 0
     for sys in state_stream(space, bounds, targeted):
         examined += 1
-        hit = _search_state(q, sys)
-        if hit is None:
-            continue
-        sp, action, nxt = hit
-        v = Verdict(q.id, VERDICT_KINDS[q.kind][0], examined, system=sys,
-                    system_perms=sp, action=action, query=q,
-                    **_hit_fields(q, action, nxt))
-        if not recheck(v):
-            raise VerifierError(f"unsound {v.kind} emitted for {q.id}")
-        return v
+        hits = list(_first_hits(plan, hypotheses, sys))
+        for p, sp, action, nxt in hits:
+            v = Verdict(p.id, VERDICT_KINDS[p.kind][0], examined, enumerated,
+                        system=sys, system_perms=sp, action=action, query=p,
+                        **_hit_fields(p, action, nxt))
+            if not recheck(v):
+                raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
+            verdicts[p] = v
+        if hits:
+            if len(verdicts) == len(queries):
+                break
+            plan, hypotheses = _plan([p for p in queries if p not in verdicts])
 
-    kind = VERDICT_KINDS[q.kind][1] if conclusive else "budget-exhausted"
-    return Verdict(q.id, kind, examined, exhaustive, query=q)
+    for p in queries:
+        if p not in verdicts:
+            kind = VERDICT_KINDS[p.kind][1] if conclusive else "budget-exhausted"
+            verdicts[p] = Verdict(p.id, kind, examined, enumerated, query=p)
+    if peers is not None:
+        peers.update(verdicts)
+    return verdicts[q]
 
 
 # -- suites and reports -----------------------------------------------------------
@@ -301,16 +364,19 @@ class Report:
                          f"{row['counterexamples']:>6}{row['seconds']:>10.2f}")
         lines.append("")
         for v in self.verdicts:
-            mode = "exhaustive" if v.exhaustive else "sampled"
             lines.append(f"{v.query_id}: {v.kind} "
-                         f"({v.states_examined} states, {mode})")
+                         f"({v.states_examined} states, {v.mode})")
         return "\n".join(lines) + "\n"
 
 
 def run_suite(suite: str, bounds: Bounds,
               operations: Optional[dict] = None,
               clauses: Optional[Sequence[InvariantClause]] = None) -> Report:
-    """Run a verification suite and aggregate per-row counts and wall time."""
+    """Run a verification suite and aggregate per-row counts and wall time.
+
+    The queries of a row that read the same stream are checked in one pass
+    (see ``check_query``), so a row's time is spent on its first query of
+    each stream; every verdict is still the one its query gets alone."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     groups = []
@@ -323,7 +389,8 @@ def run_suite(suite: str, bounds: Bounds,
     rows, verdicts = [], []
     for name, queries in groups:
         start = time.perf_counter()
-        vs = [check_query(q, bounds, space) for q in queries]
+        peers = dict.fromkeys(queries)
+        vs = [peers[q] or check_query(q, bounds, space, peers) for q in queries]
         elapsed = time.perf_counter() - start
         lemmas = len({q.lemma for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),

@@ -193,6 +193,17 @@ class TestVerify:
     def test_bad_flag_is_usage_error(self):
         assert run_cli("verify", "--suite", "nope").returncode == 2
 
+    def test_text_labels_each_verdict_with_its_stream_mode(self):
+        # the whole space fits the budget: the witness is a hit of the
+        # exhaustive enumeration, not of a sample
+        r = run_cli("verify", "--suite", "security", *SMALL, "--budget", "100000")
+        assert r.returncode == 0, r.stderr
+        assert ("sec/execAutoGrantWithoutIndividualPerms: witness "
+                "(18049 states, exhaustive)") in r.stdout.splitlines()
+        r = run_cli("verify", "--suite", "security", *SMALL, "--budget", "1000")
+        assert ("sec/execAutoGrantWithoutIndividualPerms: witness "
+                "(1 states, sampled)") in r.stdout.splitlines()
+
 
 class TestWitness:
     def test_witness_found_at_tiny_bounds(self):
@@ -204,6 +215,15 @@ class TestWitness:
         assert doc["property"] == "execAutoGrantWithoutIndividualPerms"
         assert doc["bindings"]["perm"]["level"] == "dangerous"
         assert doc["state"]["state"]["grantedPermGroups"]
+
+    def test_text_labels_the_witness_with_its_stream_mode(self):
+        r = run_cli("witness", "execAutoGrantWithoutIndividualPerms", *SMALL)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[1] == "verdict: witness (18049 states, exhaustive)"
+        # the JSON field still says the sweep stopped short of the space
+        r = run_cli("witness", "execAutoGrantWithoutIndividualPerms", *SMALL,
+                    "--format", "json")
+        assert json.loads(r.stdout)["exhaustive"] is False
 
     def test_witness_found_at_default_max_card(self):
         # sampled space; the targeted family supplies the witness

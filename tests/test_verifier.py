@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -7,7 +8,7 @@ import pytest
 import permcheck.verifier as verifier
 from permcheck.invariants import valid_state
 from permcheck.kernel import EMPTY, foplus
-from permcheck.model import DANGEROUS, Perm, with_component
+from permcheck.model import DANGEROUS, Perm, get_component, with_component
 from permcheck.operations import (
     Outcome,
     default_operations,
@@ -58,10 +59,32 @@ def stale_revoke_of_system_perm(sp, sys, action):
     return stale_revoke(sp, sys, action)
 
 
-def revoke_operations(apply):
+def stale_revoke_group(sp, sys, action):
+    """revokeGroup whose successor keeps the app's old grantedPermGroups pair
+    when the app is authorized for several groups, and its old perms pair
+    otherwise.  Two queries of revokeGroup hit, at different states: the
+    perms one within the targeted family, whose states authorize one group,
+    and the grantedPermGroups one only among the samples, at a state where
+    every group of the app gives a hitting step."""
+    out = default_operations()["revokeGroup"].apply(sp, sys, action)
+    if not out.ok:
+        return out
+    groups = [g for k, gs in sys.state.grantedPermGroups if k == action.app
+              for g in gs]
+    component = "grantedPermGroups" if len(groups) > 1 else "perms"
+    stale = get_component(sys, component) | get_component(out.system, component)
+    return dataclasses.replace(
+        out, system=with_component(out.system, component, stale))
+
+
+def replaced_operations(op_id, apply):
     ops = default_operations()
-    ops["revoke"] = dataclasses.replace(ops["revoke"], apply=apply)
+    ops[op_id] = dataclasses.replace(ops[op_id], apply=apply)
     return ops
+
+
+def revoke_operations(apply):
+    return replaced_operations("revoke", apply)
 
 
 def revoke_query(apply):
@@ -224,20 +247,42 @@ class TestBudget:
         assert v.kind == "holds-at-bounds"
 
 
+def recording(q, seen):
+    """q with a hypothesis that appends each state to ``seen[q.id]`` and
+    never holds, so no step is tried and q reads its whole stream."""
+    return dataclasses.replace(
+        q, hypothesis=lambda sys: seen.setdefault(q.id, []).append(sys))
+
+
+def assert_family_then_samples(seen, bounds):
+    samples = list(enumerate_states(bounds))
+    for q in all_queries():
+        family = list(targeted_states(bounds, q.tag))
+        assert seen[q.id] == family + samples[:bounds.budget - len(family)]
+
+
+STREAM_BOUNDS = [Bounds(2, 2, 2, 2, budget=200, seed=3), SAMPLED]
+
+
 class TestSharedStream:
-    @pytest.mark.parametrize("bounds", [Bounds(2, 2, 2, 2, budget=200, seed=3),
-                                        SAMPLED])
+    @pytest.mark.parametrize("bounds", STREAM_BOUNDS)
     def test_queries_examine_their_family_then_the_enumerated_states(
-            self, monkeypatch, bounds):
-        seen = []
-        monkeypatch.setattr(verifier, "_search_state",
-                            lambda q, sys: seen.append(sys))
-        samples = list(enumerate_states(bounds))
+            self, bounds):
+        seen = {}
         for q in all_queries():
-            seen.clear()
-            check_query(q, bounds)
-            family = list(targeted_states(bounds, q.tag))
-            assert seen == family + samples[:bounds.budget - len(family)]
+            check_query(recording(q, seen), bounds)
+        assert_family_then_samples(seen, bounds)
+
+    @pytest.mark.parametrize("bounds", STREAM_BOUNDS)
+    def test_queries_in_a_suite_examine_their_family_then_the_enumerated_states(
+            self, monkeypatch, bounds):
+        seen = {}
+        for name in ("gen_invariance_queries", "gen_security_queries"):
+            real = getattr(verifier, name)
+            monkeypatch.setattr(verifier, name, lambda *args, real=real: [
+                recording(q, seen) for q in real(*args)])
+        run_suite("all", bounds)
+        assert_family_then_samples(seen, bounds)
 
     @pytest.mark.parametrize("operations", [
         default_operations, mutated_operations,
@@ -257,8 +302,48 @@ class TestSharedStream:
         assert any(v["statesExamined"] > 1 for v in in_suite
                    if v["verdict"] in ("counterexample", "witness"))
 
+    def test_stream_mates_hit_at_their_own_states(self):
+        # with targeted families: the two hitting queries read one stream
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
+        ops = replaced_operations("revokeGroup", stale_revoke_group)
+        in_suite = [verdict_to_doc(v)
+                    for v in run_suite("all", bounds, ops).verdicts]
+        alone = [verdict_to_doc(check_query(q, bounds)) for q in all_queries(ops)]
+        assert in_suite == alone
+        mates = {v["query"]: v for v in in_suite
+                 if v["query"].endswith("/revokeGroup")}
+        groups_hit = mates.pop("inv/allMapsCorrect.grantedPermGroups/revokeGroup")
+        perms_hit = mates.pop("inv/allMapsCorrect.perms/revokeGroup")
+        assert {v["verdict"] for v in mates.values()} == {"holds-at-bounds"}
+        family = targeted_states(bounds, "revokeGroup")
+        assert perms_hit["statesExamined"] <= len(family)
+        assert groups_hit["statesExamined"] > len(family)
+        app = groups_hit["action"]["app"]
+        (groups,) = [gs for k, gs in groups_hit["state"]["state"]["grantedPermGroups"]
+                     if k == app]
+        assert len(groups) > 1  # a later step of the state hits too
+
 
 class TestSharedSamples:
+    def test_a_run_enumerates_candidates_once_per_state_of_each_stream(self):
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
+        calls = collections.Counter()
+
+        def counting(op):
+            def candidates(sys):
+                calls[op.id] += 1
+                return op.candidates(sys)
+            return dataclasses.replace(op, candidates=candidates)
+
+        ops = {k: counting(op) for k, op in default_operations().items()}
+        run_suite("all", bounds, ops)
+        # one stream per tag, each at most the budget long
+        streams = collections.Counter(
+            q.op.id for q in {q.tag: q for q in all_queries()}.values())
+        assert set(calls) == set(streams)
+        for op_id, n in calls.items():
+            assert n <= bounds.budget * streams[op_id], op_id
+
     def test_a_run_decodes_each_sample_once(self, monkeypatch):
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
         decoded = []
@@ -403,9 +488,41 @@ RECORDED_VERDICTS = {
 }
 
 
+# Runs with the targeted families left out, so that every hit comes from the
+# seeded samples, at a different state for each seed: a change that read
+# another seed's samples, or the same sample over and over, moves these.
+RECORDED_SAMPLED_HITS = {
+    "grantAuto-skip-group-nofamily-seed0": (
+        Bounds(2, 2, 2, 2, budget=100, seed=0), mutated_operations,
+        "faf92c5190cccebb2ffb61522dd057238b01356c81ae8f4fb402de9fff5f4aef"),
+    "grantAuto-skip-group-nofamily-seed1": (
+        Bounds(2, 2, 2, 2, budget=100, seed=1), mutated_operations,
+        "2d0d32d7e8398e063fd65a9215fab9fa24c6c0d6a4d77fd46cf8eaf3bbc1f313"),
+    "revoke-stale-perms-nofamily-seed0": (
+        Bounds(2, 2, 2, 2, budget=100, seed=0),
+        lambda: revoke_operations(stale_revoke),
+        "ddcbb49d116f4ff123d23e3abbeef0435a7c527fd8ce985f00a70f5d1d974f53"),
+    "revoke-stale-perms-nofamily-seed1": (
+        Bounds(2, 2, 2, 2, budget=100, seed=1),
+        lambda: revoke_operations(stale_revoke),
+        "68f798afc62f059fc879e7b55cbcb628092d1c9c20cb674512f84b6e4ee88c20"),
+}
+
+
+def verdicts_digest(suite, bounds, operations) -> str:
+    report = run_suite(suite, bounds, operations)
+    text = json.dumps([verdict_to_doc(v) for v in report.verdicts], indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", RECORDED_VERDICTS)
 def test_verdict_sections_match_recorded_digests(name):
     suite, bounds, operations, digest = RECORDED_VERDICTS[name]
-    report = run_suite(suite, bounds, operations and operations())
-    text = json.dumps([verdict_to_doc(v) for v in report.verdicts], indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert verdicts_digest(suite, bounds, operations and operations()) == digest
+
+
+@pytest.mark.parametrize("name", RECORDED_SAMPLED_HITS)
+def test_sampled_hit_sections_match_recorded_digests(monkeypatch, name):
+    monkeypatch.setattr(verifier, "targeted_states", lambda bounds, tag: ())
+    bounds, operations, digest = RECORDED_SAMPLED_HITS[name]
+    assert verdicts_digest("all", bounds, operations()) == digest
