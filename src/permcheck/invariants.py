@@ -12,23 +12,69 @@ around.  The shipped registry carries two families:
   permission defined by the same app.  Split by defining source: both from
   the defPerms mapping (1), both from the system image (2), one from each (3).
 
+Each clause declares the components it ``reads``.  The shipped clauses
+are built by ``clause``, which passes the body only those components, so
+the declaration cannot be wrong, and reuses the last result while each of
+them is the same object.  A verified operation keeps the environment, so an
+environment-only clause's conclusion on a successor is the result it gave
+on the pre-state, without running the body again.
+
 The registry is open: callers may check any sequence of clauses, so models
-extending this one can register more without touching this module.
+extending this one can register more without touching this module.  A
+clause given only ``eval`` may read any component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Optional, Sequence
 
 from .kernel import forall_in, is_pfun
-from .model import System, get_component
+from .model import System, component_reader
 
 
 @dataclass(frozen=True)
 class InvariantClause:
+    """A named validity clause.  ``reads`` names the components ``eval``
+    reads; ``None`` means it may read any."""
+
     id: str
     eval: Callable[[System], bool]
+    reads: Optional[tuple[str, ...]] = None
+
+
+def clause(id: str, reads: tuple[str, ...], body: Callable[..., bool]
+           ) -> InvariantClause:
+    """The clause whose ``eval`` passes ``body`` the components named in
+    ``reads``, in that order, and nothing else, so its read set is right by
+    construction.  ``eval`` keeps its last result in one slot and returns it
+    while every component it reads is the same object as last time; a
+    successor that keeps those components, as every verified operation keeps
+    the environment, gets the pre-state's result without running ``body``.
+    """
+    read = component_reader(*reads)
+    last = (None, None)  # (the component, or the tuple of them; result)
+
+    if len(reads) == 1:
+        def eval(sys: System) -> bool:
+            nonlocal last
+            value = read(sys)
+            seen, held = last
+            if seen is not value:
+                held = body(value)
+                last = (value, held)
+            return held
+    else:
+        def eval(sys: System) -> bool:
+            nonlocal last
+            values = read(sys)
+            seen, held = last
+            if seen is None or not all(map(is_, seen, values)):
+                held = body(*values)
+                last = (values, held)
+            return held
+    return InvariantClause(id, eval, tuple(reads))
 
 
 MAPPING_COMPONENTS = ("manifest", "cert", "defPerms", "grantedPermGroups", "perms")
@@ -36,12 +82,8 @@ MAPPING_COMPONENTS = ("manifest", "cert", "defPerms", "grantedPermGroups", "perm
 
 def all_maps_correct_clauses() -> tuple[InvariantClause, ...]:
     """One partial-function clause per mapping component."""
-    def make(name: str) -> InvariantClause:
-        return InvariantClause(
-            id=f"allMapsCorrect.{name}",
-            eval=lambda sys, _n=name: is_pfun(get_component(sys, _n)),
-        )
-    return tuple(make(n) for n in MAPPING_COMPONENTS)
+    return tuple(clause(f"allMapsCorrect.{n}", (n,), is_pfun)
+                 for n in MAPPING_COMPONENTS)
 
 
 # The notDupPerm clauses are written with the kernel's restricted
@@ -49,24 +91,20 @@ def all_maps_correct_clauses() -> tuple[InvariantClause, ...]:
 # (app, perm-set) pairs over each source, then the permissions over the
 # bound sets; the innermost body compares ids and defining apps.
 
-def _not_dup_perm_1(sys: System) -> bool:
-    dp = sys.environment.defPerms
+def _not_dup_perm_1(dp) -> bool:
     return forall_in(dp, lambda e1: forall_in(dp, lambda e2: forall_in(
         e1[1], lambda p1: forall_in(
             e2[1], lambda p2: p1.id != p2.id or (p1 == p2 and e1[0] == e2[0])))))
 
 
-def _not_dup_perm_2(sys: System) -> bool:
-    si = sys.environment.systemImage
+def _not_dup_perm_2(si) -> bool:
     return forall_in(si, lambda s1: forall_in(si, lambda s2: forall_in(
         s1.defPermsSI, lambda p1: forall_in(
             s2.defPermsSI,
             lambda p2: p1.id != p2.id or (p1 == p2 and s1.idSI == s2.idSI)))))
 
 
-def _not_dup_perm_3(sys: System) -> bool:
-    dp = sys.environment.defPerms
-    si = sys.environment.systemImage
+def _not_dup_perm_3(dp, si) -> bool:
     return forall_in(dp, lambda e1: forall_in(si, lambda s2: forall_in(
         e1[1], lambda p1: forall_in(
             s2.defPermsSI,
@@ -75,9 +113,9 @@ def _not_dup_perm_3(sys: System) -> bool:
 
 def not_dup_perm_clauses() -> tuple[InvariantClause, ...]:
     return (
-        InvariantClause("notDupPerm.1", _not_dup_perm_1),
-        InvariantClause("notDupPerm.2", _not_dup_perm_2),
-        InvariantClause("notDupPerm.3", _not_dup_perm_3),
+        clause("notDupPerm.1", ("defPerms",), _not_dup_perm_1),
+        clause("notDupPerm.2", ("systemImage",), _not_dup_perm_2),
+        clause("notDupPerm.3", ("defPerms", "systemImage"), _not_dup_perm_3),
     )
 
 

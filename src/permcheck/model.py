@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .kernel import EMPTY, Rel, canonical_order, order_by_key
@@ -113,8 +114,8 @@ def empty_system() -> System:
 # -- accessors / updaters ----------------------------------------------------
 #
 # Components are reachable as plain attributes (sys.state.perms, ...); the
-# generic pair below addresses them by name, which is what frame checks and
-# the enumerator want.
+# functions below address them by name, which is what frame checks, the
+# enumerator and the declared read sets of clauses and candidates want.
 
 def get_component(sys: System, name: str):
     if name in STATE_FIELDS:
@@ -127,8 +128,7 @@ def get_component(sys: System, name: str):
 def with_component(sys: System, name: str, value) -> System:
     """System equal to sys except for the one named component."""
     if name in STATE_FIELDS:
-        # every successful operation step passes here; a positional rebuild
-        # is measurably cheaper than dataclasses.replace
+        # a positional rebuild is measurably cheaper than dataclasses.replace
         st = sys.state
         return System(State(*[value if f == name else getattr(st, f)
                               for f in STATE_FIELDS]), sys.environment)
@@ -136,6 +136,16 @@ def with_component(sys: System, name: str, value) -> System:
         return System(sys.state,
                       dataclasses.replace(sys.environment, **{name: value}))
     raise KeyError(name)
+
+
+def component_reader(*names: str) -> Callable[[System], object]:
+    """A function giving a system's named components: the one value for one
+    name, a tuple in the order given for several."""
+    for n in names:
+        if n not in COMPONENTS:
+            raise KeyError(n)
+    return attrgetter(*(("state." if n in STATE_FIELDS else "environment.") + n
+                        for n in names))
 
 
 def differing_components(a: System, b: System) -> list[str]:

@@ -31,6 +31,17 @@ each docstring so they can be re-aligned later:
 * ``hasPermission`` is a read-only membership check: a scenario action
   served by ``step``, not a verified operation.
 
+Each of the four operations that change state is a *guard* and an
+*effect*.  ``guard(sp, sys, action)`` returns the first failed conjunct,
+numbered as above, or None.  ``effect(State, action) -> State`` reads and
+writes only the dynamic ``State``, in one constructor call; the successor
+pairs it with the pre-state's ``Environment`` object.  ``grant_auto``,
+``grant``, ``revoke``, ``revoke_group`` and ``step`` run guard and effect
+directly, with nothing reused, and are the reference.  The registry's
+entries run the same guard on every call and reuse their last effect while
+the pre-state's ``State`` object and the action are the same (see
+``default_operations``).
+
 Operations are total: preconditions that fail yield an error outcome
 carrying the conjunct id, never an exception.  On relations that are not
 partial functions at the relevant key, lookups read the union of images
@@ -41,7 +52,8 @@ no functional override).  Valid states never hit these cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import EMPTY, canonical_order, foplus, order_by_key
 from .model import (
@@ -53,15 +65,16 @@ from .model import (
     Manifest,
     ParseError,
     Perm,
+    State,
     System,
     _list,
     _loads,
     _need,
+    component_reader,
     group_authorized,
     record,
     state_from_doc,
     usr_def_perm,
-    with_component,
 )
 
 OP_NAMES = ("grantAuto", "grant", "revoke", "revokeGroup", "hasPermission")
@@ -102,6 +115,21 @@ def _image_union(rel, key) -> frozenset:
     return u
 
 
+def _state(st: State, mg, perms) -> State:
+    """``st`` with its grantedPermGroups and perms replaced: the one State
+    constructor call of an effect."""
+    return State(st.apps, st.alreadyVerified, mg, perms, st.opaque5,
+                 st.opaque6, st.opaque7, st.opaque8, st.opaque9)
+
+
+def _transition(guard: Callable, effect: Callable, sp: frozenset, sys: System,
+                action: Action) -> Outcome:
+    failed = guard(sp, sys, action)
+    if failed is not None:
+        return _blocked(failed)
+    return Outcome(ok=True, system=System(effect(sys.state, action), sys.environment))
+
+
 # -- grantAuto ----------------------------------------------------------------
 
 def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
@@ -136,20 +164,36 @@ def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
     return None
 
 
-def _grant_perm(sys: System, p: Perm, a: str) -> System:
-    new_image = _image_union(sys.state.perms, a) | {p}
-    return with_component(sys, "perms", foplus(sys.state.perms, a, new_image))
+def _grant_auto_guard(sp: frozenset, sys: System, action: Action,
+                      skip: tuple = ()) -> Optional[int]:
+    return pre_grant_auto(sp, sys, action.perm, action.app, skip)
+
+
+def _grant_auto_effect(st: State, action: Action) -> State:
+    p, a = action.perm, action.app
+    return _state(st, st.grantedPermGroups,
+                  foplus(st.perms, a, _image_union(st.perms, a) | {p}))
 
 
 def grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
                skip: tuple = ()) -> Outcome:
-    failed = pre_grant_auto(sp, sys, p, a, skip)
-    if failed is not None:
-        return _blocked(failed)
-    return Outcome(ok=True, system=_grant_perm(sys, p, a))
+    return _transition(partial(_grant_auto_guard, skip=skip), _grant_auto_effect,
+                       sp, sys, Action("grantAuto", perm=p, app=a))
 
 
 # -- grant --------------------------------------------------------------------
+
+def _grant_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
+    return pre_grant_auto(sp, sys, action.perm, action.app, skip=(5,))
+
+
+def _grant_effect(st: State, action: Action) -> State:
+    p, a = action.perm, action.app
+    mg = st.grantedPermGroups
+    if p.group is not None:
+        mg = foplus(mg, a, _image_union(mg, a) | {p.group})
+    return _state(st, mg, foplus(st.perms, a, _image_union(st.perms, a) | {p}))
+
 
 def grant(sp: frozenset, sys: System, p: Perm, a: str) -> Outcome:
     """Grant with explicit user consent.
@@ -159,18 +203,25 @@ def grant(sp: frozenset, sys: System, p: Perm, a: str) -> Outcome:
     grouped, the group is recorded as authorized so later requests from the
     same group auto-grant.
     """
-    failed = pre_grant_auto(sp, sys, p, a, skip=(5,))
-    if failed is not None:
-        return _blocked(failed)
-    nxt = _grant_perm(sys, p, a)
-    if p.group is not None:
-        mg = nxt.state.grantedPermGroups
-        groups = _image_union(mg, a) | {p.group}
-        nxt = with_component(nxt, "grantedPermGroups", foplus(mg, a, groups))
-    return Outcome(ok=True, system=nxt)
+    return _transition(_grant_guard, _grant_effect, sp, sys,
+                       Action("grant", perm=p, app=a))
 
 
 # -- revoke -------------------------------------------------------------------
+
+def _revoke_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
+    if action.perm.group is not None:
+        return 1
+    if action.perm not in _image_union(sys.state.perms, action.app):
+        return 2
+    return None
+
+
+def _revoke_effect(st: State, action: Action) -> State:
+    p, a = action.perm, action.app
+    return _state(st, st.grantedPermGroups,
+                  foplus(st.perms, a, _image_union(st.perms, a) - {p}))
+
 
 def revoke(sys: System, p: Perm, a: str) -> Outcome:
     """Remove one ungrouped granted permission.
@@ -179,16 +230,25 @@ def revoke(sys: System, p: Perm, a: str) -> Outcome:
     it is currently granted to the app.  Grouped permissions can only be
     withdrawn through revokeGroup.
     """
-    if p.group is not None:
-        return _blocked(1)
-    granted = _image_union(sys.state.perms, a)
-    if p not in granted:
-        return _blocked(2)
-    nxt = with_component(sys, "perms", foplus(sys.state.perms, a, granted - {p}))
-    return Outcome(ok=True, system=nxt)
+    return _transition(_revoke_guard, _revoke_effect, EMPTY, sys,
+                       Action("revoke", perm=p, app=a))
 
 
 # -- revokeGroup --------------------------------------------------------------
+
+def _revoke_group_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
+    return None if group_authorized(sys, action.app, action.group) else 1
+
+
+def _revoke_group_effect(st: State, action: Action) -> State:
+    g, a = action.group, action.app
+    mg = st.grantedPermGroups
+    perms = st.perms
+    if _images(perms, a):
+        kept = frozenset(q for q in _image_union(perms, a) if q.group != g)
+        perms = foplus(perms, a, kept)
+    return _state(st, foplus(mg, a, _image_union(mg, a) - {g}), perms)
+
 
 def revoke_group(sys: System, g: str, a: str) -> Outcome:
     """Withdraw a group authorization and all granted permissions of the group.
@@ -197,16 +257,8 @@ def revoke_group(sys: System, g: str, a: str) -> Outcome:
     app.  The app's granted set is rewritten only when it exists; revoking
     a group an app holds no permissions of leaves the mapping's keys alone.
     """
-    if not group_authorized(sys, a, g):
-        return _blocked(1)
-    mg = sys.state.grantedPermGroups
-    groups = _image_union(mg, a) - {g}
-    nxt = with_component(sys, "grantedPermGroups", foplus(mg, a, groups))
-    granted = _images(sys.state.perms, a)
-    if granted:
-        kept = frozenset(q for q in _image_union(sys.state.perms, a) if q.group != g)
-        nxt = with_component(nxt, "perms", foplus(nxt.state.perms, a, kept))
-    return Outcome(ok=True, system=nxt)
+    return _transition(_revoke_group_guard, _revoke_group_effect, EMPTY, sys,
+                       Action("revokeGroup", group=g, app=a))
 
 
 # -- hasPermission ------------------------------------------------------------
@@ -218,20 +270,23 @@ def has_permission(sys: System, p: Perm, a: str) -> bool:
 
 # -- dispatch -----------------------------------------------------------------
 
+# op id -> (guard, effect) of each operation that changes state
+_TRANSITIONS = {
+    "grantAuto": (_grant_auto_guard, _grant_auto_effect),
+    "grant": (_grant_guard, _grant_effect),
+    "revoke": (_revoke_guard, _revoke_effect),
+    "revokeGroup": (_revoke_group_guard, _revoke_group_effect),
+}
+
+
 def step(sp: frozenset, sys: System, action: Action) -> Outcome:
     """Run one action against a system."""
-    if action.op == "grantAuto":
-        return grant_auto(sp, sys, action.perm, action.app)
-    if action.op == "grant":
-        return grant(sp, sys, action.perm, action.app)
-    if action.op == "revoke":
-        return revoke(sys, action.perm, action.app)
-    if action.op == "revokeGroup":
-        return revoke_group(sys, action.group, action.app)
     if action.op == "hasPermission":
         return Outcome(ok=True, system=sys,
                        result=has_permission(sys, action.perm, action.app))
-    raise ValueError(f"unknown operation: {action.op!r}")
+    if action.op not in _TRANSITIONS:
+        raise ValueError(f"unknown operation: {action.op!r}")
+    return _transition(*_TRANSITIONS[action.op], sp, sys, action)
 
 
 # -- operation registry --------------------------------------------------------
@@ -241,22 +296,62 @@ def step(sp: frozenset, sys: System, action: Action) -> Outcome:
 # can be checked with the same machinery.  The registry holds the four
 # operations that change state.  ``apply`` reads the system-permission set
 # only through membership of the action's permission; ``candidates``
-# enumerates, from a concrete system, every action parameterization that
-# could possibly succeed; anything it omits is provably blocked.
+# gives, for a concrete system, every action parameterization that could
+# possibly succeed; anything it omits is provably blocked.
+#
+# Each registry entry reuses work while what it reads is unchanged.  Its
+# ``apply`` runs the guard on every call and reuses the last effect while the
+# pre-state's State object and the action are the same; its ``candidates``
+# reads one component and reuses the last tuple while that component is the
+# same object.  A state stream in rank order changes the low components
+# first, so consecutive states share their State and most components.  Each
+# memo is one slot holding an immutable tuple, read once into locals.
 
 @dataclass(frozen=True)
 class Operation:
     id: str
     apply: Callable[[frozenset, System, Action], Outcome]
-    candidates: Callable[[System], Iterator[Action]]
+    candidates: Callable[[System], Iterable[Action]]
 
 
-def _manifest_candidates(op: str, sys: System,
-                         dangerous_only: bool = True) -> Iterator[Action]:
+def _reusing_apply(guard: Callable, effect: Callable) -> Callable:
+    last = (None, None, None)  # (State, action, successor State)
+
+    def apply(sp: frozenset, sys: System, action: Action) -> Outcome:
+        nonlocal last
+        failed = guard(sp, sys, action)
+        if failed is not None:
+            return _blocked(failed)
+        st = sys.state
+        pre, act, post = last
+        if pre is not st or (act is not action and act != action):
+            post = effect(st, action)
+            last = (st, action, post)
+        return Outcome(ok=True, system=System(post, sys.environment))
+    return apply
+
+
+def _reusing_candidates(component: str, actions: Callable) -> Callable:
+    read = component_reader(component)
+    last = (None, ())  # (component, actions)
+
+    def candidates(sys: System) -> tuple[Action, ...]:
+        nonlocal last
+        value = read(sys)
+        seen, acts = last
+        if seen is not value:
+            acts = tuple(actions(value))
+            last = (value, acts)
+        return acts
+    return candidates
+
+
+def _manifest_actions(op: str, manifest, dangerous_only: bool = True
+                      ) -> Iterator[Action]:
     # conjunct 1 restricts (p, a) to manifest-listed pairs; conjunct 4
     # additionally blocks everything non-dangerous, so those pairs can be
     # pruned whenever conjunct 4 is active
-    for a, m in order_by_key(sys.environment.manifest):
+    for a, m in order_by_key(manifest):
         if isinstance(m, Manifest):
             for p in canonical_order(m.use):
                 if dangerous_only and p.level != DANGEROUS:
@@ -264,36 +359,41 @@ def _manifest_candidates(op: str, sys: System,
                 yield Action(op, perm=p, app=a)
 
 
-def _revoke_candidates(sys: System) -> Iterator[Action]:
-    for a, granted in order_by_key(sys.state.perms):
+def _revoke_actions(perms) -> Iterator[Action]:
+    for a, granted in order_by_key(perms):
         for p in canonical_order(granted):
             if p.group is None:
                 yield Action("revoke", perm=p, app=a)
 
 
-def _revoke_group_candidates(sys: System) -> Iterator[Action]:
-    for a, groups in order_by_key(sys.state.grantedPermGroups):
+def _revoke_group_actions(mg) -> Iterator[Action]:
+    for a, groups in order_by_key(mg):
         for g in canonical_order(groups):
             yield Action("revokeGroup", group=g, app=a)
 
 
 def grant_auto_operation(skip: tuple = ()) -> Operation:
     """The grantAuto registry entry; ``skip`` builds broken variants."""
-    dangerous_only = 4 not in skip
     return Operation(
-        id="grantAuto",
-        apply=lambda sp, sys, act: grant_auto(sp, sys, act.perm, act.app, skip),
-        candidates=lambda sys: _manifest_candidates("grantAuto", sys, dangerous_only),
-    )
+        "grantAuto",
+        _reusing_apply(partial(_grant_auto_guard, skip=skip), _grant_auto_effect),
+        _reusing_candidates("manifest", partial(
+            _manifest_actions, "grantAuto", dangerous_only=4 not in skip)))
 
 
 def default_operations() -> dict[str, Operation]:
+    """A fresh registry: its entries' memos are its own."""
     return {
         "grantAuto": grant_auto_operation(),
         "grant": Operation(
-            "grant", step, lambda sys: _manifest_candidates("grant", sys)),
-        "revoke": Operation("revoke", step, _revoke_candidates),
-        "revokeGroup": Operation("revokeGroup", step, _revoke_group_candidates),
+            "grant", _reusing_apply(*_TRANSITIONS["grant"]),
+            _reusing_candidates("manifest", partial(_manifest_actions, "grant"))),
+        "revoke": Operation(
+            "revoke", _reusing_apply(*_TRANSITIONS["revoke"]),
+            _reusing_candidates("perms", _revoke_actions)),
+        "revokeGroup": Operation(
+            "revokeGroup", _reusing_apply(*_TRANSITIONS["revokeGroup"]),
+            _reusing_candidates("grantedPermGroups", _revoke_group_actions)),
     }
 
 

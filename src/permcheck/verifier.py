@@ -29,8 +29,9 @@ deliberately weaker claim than "proved".  When the space exceeds the
 budget, the stream is the targeted pre-satisfying family followed by
 seeded uniform samples; if the budget cannot even cover the targeted
 family the verdict is ``budget-exhausted`` (inconclusive).  Every emitted
-counterexample or witness is re-evaluated from its concrete values before
-being returned; an unsound hit raises instead of reporting.
+counterexample or witness is re-evaluated, on copies of its concrete
+values rebuilt from its document, before being returned; an unsound hit
+raises instead of reporting.
 
 Queries are independent and deterministic for a fixed seed.  Queries that
 read the same stream -- those sharing a tag (the same targeted family, then
@@ -54,8 +55,9 @@ from typing import Callable, Iterator, Optional, Sequence
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
 from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to_doc,
-                    state_to_doc)
-from .operations import Action, Operation, action_to_doc, default_operations
+                    state_from_doc, state_to_doc)
+from .operations import (Action, Operation, action_from_doc, action_to_doc,
+                         default_operations)
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
 
 
@@ -250,15 +252,21 @@ def recheck(v: Verdict) -> bool:
 
     Independent of the search that produced the verdict: the path the
     search took -- hypothesis, filter, step and conclusion -- is replayed on
-    the stored values.  The step must reach the stored successor, and the
-    bindings must name the perm, app and group of the stored action.
+    copies of the state, system permissions and action rebuilt from the
+    verdict's own document.  No memo keyed by object identity can therefore
+    answer both for the search and for the replay.  The step must reach the
+    stored successor, and the bindings must name the perm, app and group of
+    the stored action.
     """
     if v.kind not in ("counterexample", "witness"):
         raise ValueError("recheck applies to counterexample/witness verdicts only")
-    q, sys, action = v.query, v.system, v.action
+    doc = verdict_to_doc(v)
+    q, sys = v.query, state_from_doc(doc["state"])
+    sp = PERM_SET.parse(doc["systemPerms"], "systemPerms")
+    action = action_from_doc(doc["action"])
     if not (q.hypothesis(sys) and q.covers(sys, action)):
         return False
-    out = q.op.apply(v.system_perms, sys, action)
+    out = q.op.apply(sp, sys, action)
     return (out.ok and q.concludes(sys, out.system)
             and _hit_fields(q, action, out.system)
             == {"next_system": v.next_system, "bindings": v.bindings})

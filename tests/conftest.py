@@ -1,4 +1,5 @@
 import os
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from permcheck.model import (
     State,
     System,
 )
+from permcheck.statespace import Bounds, SystemSpace, enumerate_states
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +83,14 @@ def random_grant_auto_state(space, rng):
     return (System(State(st.apps | {a}, st.alreadyVerified, mg, perms),
                    Environment(manifest, env.cert, def_perms, env.systemImage)),
             p, a, sp)
+
+
+def rank_order_states(tiny=None):
+    """The first ``tiny`` states of (1,1,1,1) in rank order (all 98,304 by
+    default), then 2,000 seeded samples of (2,2,2,2).  Consecutive states
+    share component objects: in rank order a State for 1,024 states and a
+    manifest for 128; among the samples, the component values a space holds
+    once decoded.  So a registry or clause tuple kept across the stream
+    reuses its last results here, as in a sweep."""
+    return chain(islice(SystemSpace(Bounds(1, 1, 1, 1)), tiny),
+                 enumerate_states(Bounds(2, 2, 2, 2, budget=2000, seed=0)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
-from conftest import NET, READ, WRITE, make_system
+from conftest import NET, READ, WRITE, make_system, rank_order_states
 from permcheck.model import Manifest, Perm, SysImgApp, empty_system
 from permcheck.invariants import (
     check_clauses,
@@ -12,7 +12,9 @@ from permcheck.invariants import (
     standard_clauses,
     valid_state,
 )
+from permcheck.operations import default_operations
 from permcheck.statespace import Bounds, SystemSpace
+from permcheck.verifier import _sp_variants
 
 CLAUSES = {c.id: c for c in standard_clauses()}
 SPACE = SystemSpace(Bounds(2, 2, 2, 2))
@@ -152,3 +154,29 @@ def test_clauses_agree_with_brute_force_on_adversarial_states(sys):
     # states outside the generator's space: non-functional maps, clashing ids
     for c in standard_clauses():
         assert c.eval(sys) == brute.o_valid_clause(sys, c.id), c.id
+
+
+def test_one_clause_tuple_agrees_with_brute_force_in_rank_order():
+    # one clause tuple for the whole stream, each state followed by its
+    # successors, as a sweep evaluates them: each clause reuses its last
+    # result while the components it reads are the same objects.  The first
+    # 24 States of (1,1,1,1) take every value of the components any clause
+    # or operation reads, each State with all 1,024 environments.
+    clauses = standard_clauses()
+    ops = default_operations()
+    outcomes = {c.id: set() for c in clauses}
+    for sys in rank_order_states(24 * 1024):
+        successors = []
+        for op in ops.values():
+            for action in op.candidates(sys):
+                for sp in _sp_variants(action):
+                    out = op.apply(sp, sys, action)
+                    if out.ok:
+                        successors.append(out.system)
+                        break
+        for s in [sys] + successors:
+            for c in clauses:
+                held = c.eval(s)
+                assert held == brute.o_valid_clause(s, c.id), c.id
+                outcomes[c.id].add(held)
+    assert all(outcomes[f"notDupPerm.{i}"] == {False, True} for i in (1, 2, 3))

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import NET, READ, WRITE, make_system, random_grant_auto_state
+from conftest import (NET, READ, WRITE, make_system, random_grant_auto_state,
+                      rank_order_states)
 from permcheck.kernel import EMPTY, canonical_order
 from permcheck.model import (
     DANGEROUS,
@@ -30,6 +31,7 @@ from permcheck.operations import (
     step,
 )
 from permcheck.statespace import Bounds, SystemSpace
+from permcheck.verifier import _sp_variants
 
 
 def granted(sys, app):
@@ -361,3 +363,24 @@ def test_candidates_follow_canonical_order(source):
             longest = max(longest, len(acts))
     # at max_card 1 a state offers each operation at most one action
     assert longest >= (1 if source == "all-1111" else 2)
+
+
+def test_registry_apply_equals_the_plain_transition_in_rank_order():
+    # one registry for the whole stream, so each entry reuses its effects
+    # from state to state as in a sweep; both system-permission variants of
+    # every candidate, enabled or not
+    ops = default_operations()
+    last = {}  # op id -> the last successor State it gave
+    enabled = reused = 0
+    for sys in rank_order_states():
+        for op in ops.values():
+            for action in op.candidates(sys):
+                for sp in _sp_variants(action):
+                    out = op.apply(sp, sys, action)
+                    assert out == step(sp, sys, action), (op.id, action)
+                    if out.ok:
+                        enabled += 1
+                        reused += out.system.state is last.get(op.id)
+                        last[op.id] = out.system.state
+    # a reused effect gives the very State object it gave last time
+    assert enabled > 100_000 and reused > enabled * 9 // 10

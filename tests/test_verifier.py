@@ -5,15 +5,17 @@ import json
 
 import pytest
 
+import permcheck.invariants as invariants
 import permcheck.verifier as verifier
-from permcheck.invariants import valid_state
+from permcheck.invariants import standard_clauses, valid_state
 from permcheck.kernel import EMPTY, foplus
-from permcheck.model import DANGEROUS, Perm, get_component, with_component
+from permcheck.model import DANGEROUS, ENV_FIELDS, Perm, get_component, with_component
 from permcheck.operations import (
     Outcome,
     default_operations,
     grant_auto_operation,
     pre_grant_auto,
+    step,
 )
 from permcheck.statespace import Bounds, SystemSpace, enumerate_states, targeted_states
 from permcheck.verifier import (
@@ -401,6 +403,68 @@ class TestRecheck:
         with pytest.raises(VerifierError):
             check_query(revoke_query(first_call_only), SAMPLED)
         assert len(calls) == 2  # the search's step, then the recheck's replay
+
+    def test_replay_does_not_reuse_the_searched_objects(self):
+        # a revoke that is right the first time it sees a State object and
+        # keeps the stale perms pair on every later call with it, as a memo
+        # keyed by identity that went stale would: the replay must run on
+        # copies, which it has never seen, so the hit fails to recheck
+        seen = {}
+
+        def stale_on_seen_states(sp, sys, action):
+            st = sys.state
+            if seen.get(id(st)) is st:
+                return stale_revoke(sp, sys, action)
+            seen[id(st)] = st
+            return step(sp, sys, action)
+
+        with pytest.raises(VerifierError):
+            check_query(revoke_query(stale_on_seen_states), TINY)
+
+
+class TestReuse:
+    def test_env_only_clauses_are_not_rerun_on_successors(self, monkeypatch):
+        # every verified operation keeps the environment, so a clause that
+        # reads only environment components gets its conclusion on a
+        # successor from the result it gave on the pre-state
+        runs, on_successor, last = collections.Counter(), [False], {}
+        real_clause = invariants.clause
+
+        def counting_clause(id, reads, body):
+            def counted(*values):
+                runs[id, on_successor[0]] += 1
+                return body(*values)
+            return real_clause(id, reads, counted)
+
+        def tracking(op):
+            def apply(sp, sys, action):
+                out = op.apply(sp, sys, action)
+                if out.ok:
+                    last.update(pre=sys, post=out.system)
+                return out
+            return dataclasses.replace(op, apply=apply)
+
+        def flagging(c):
+            def eval(sys):
+                on_successor[0] = (sys is last.get("post")
+                                   and sys.environment is last["pre"].environment)
+                try:
+                    return c.eval(sys)
+                finally:
+                    on_successor[0] = False
+            return dataclasses.replace(c, eval=eval)
+
+        monkeypatch.setattr(invariants, "clause", counting_clause)
+        clauses = standard_clauses()
+        ops = {k: tracking(op) for k, op in default_operations().items()}
+        run_suite("all", Bounds(2, 2, 2, 2, budget=1000),
+                  ops, [flagging(c) for c in clauses])
+        env_only = [c.id for c in clauses if set(c.reads) <= set(ENV_FIELDS)]
+        assert len(env_only) == 6
+        assert [runs[cid, True] for cid in env_only] == [0] * 6
+        assert all(runs[cid, False] > 0 for cid in env_only)
+        # the clauses on the state's mappings do run on successors
+        assert runs["allMapsCorrect.perms", True] > 1000
 
 
 class TestRunSuite:
