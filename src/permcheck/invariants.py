@@ -14,10 +14,12 @@ around.  The shipped registry carries two families:
 
 Each clause declares the components it ``reads``.  The shipped clauses
 are built by ``clause``, which passes the body only those components, so
-the declaration cannot be wrong, and reuses the last result while each of
-them is the same object.  A verified operation keeps the environment, so an
-environment-only clause's conclusion on a successor is the result it gave
-on the pre-state, without running the body again.
+the declaration cannot be wrong.  Its ``eval`` comes from ``model.reusing``,
+the one helper that keeps a result while the components it was computed
+from are the same objects; the operation registry's candidates use it too.
+A verified operation keeps the environment, so an environment-only
+clause's conclusion on a successor is the result it gave on the pre-state,
+without running the body again.
 
 The registry is open: callers may check any sequence of clauses, so models
 extending this one can register more without touching this module.  A
@@ -27,11 +29,10 @@ clause given only ``eval`` may read any component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import Callable, Optional, Sequence
 
 from .kernel import forall_in, is_pfun
-from .model import System, component_reader
+from .model import System, reusing
 
 
 @dataclass(frozen=True)
@@ -48,33 +49,11 @@ def clause(id: str, reads: tuple[str, ...], body: Callable[..., bool]
            ) -> InvariantClause:
     """The clause whose ``eval`` passes ``body`` the components named in
     ``reads``, in that order, and nothing else, so its read set is right by
-    construction.  ``eval`` keeps its last result in one slot and returns it
-    while every component it reads is the same object as last time; a
-    successor that keeps those components, as every verified operation keeps
-    the environment, gets the pre-state's result without running ``body``.
+    construction.  ``eval`` is ``model.reusing(reads, body)``: a successor
+    that keeps those components, as every verified operation keeps the
+    environment, gets the pre-state's result without running ``body``.
     """
-    read = component_reader(*reads)
-    last = (None, None)  # (the component, or the tuple of them; result)
-
-    if len(reads) == 1:
-        def eval(sys: System) -> bool:
-            nonlocal last
-            value = read(sys)
-            seen, held = last
-            if seen is not value:
-                held = body(value)
-                last = (value, held)
-            return held
-    else:
-        def eval(sys: System) -> bool:
-            nonlocal last
-            values = read(sys)
-            seen, held = last
-            if seen is None or not all(map(is_, seen, values)):
-                held = body(*values)
-                last = (values, held)
-            return held
-    return InvariantClause(id, eval, tuple(reads))
+    return InvariantClause(id, reusing(reads, body), tuple(reads))
 
 
 MAPPING_COMPONENTS = ("manifest", "cert", "defPerms", "grantedPermGroups", "perms")

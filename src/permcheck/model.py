@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Optional
 
 from .kernel import EMPTY, Rel, canonical_order, order_by_key
@@ -146,6 +146,34 @@ def component_reader(*names: str) -> Callable[[System], object]:
             raise KeyError(n)
     return attrgetter(*(("state." if n in STATE_FIELDS else "environment.") + n
                         for n in names))
+
+
+def reusing(names: tuple[str, ...], fn: Callable) -> Callable[[System], object]:
+    """``System -> fn(*components)`` for the components named in ``names``.
+    It keeps its last result in one slot and returns it while each of those
+    components is the same object as last time, without calling ``fn``."""
+    read = component_reader(*names)
+    last = (None, None)  # (the component, or the tuple of them; result)
+
+    if len(names) == 1:
+        def reused(sys: System):
+            nonlocal last
+            value = read(sys)
+            seen, result = last
+            if seen is not value:
+                result = fn(value)
+                last = (value, result)
+            return result
+    else:
+        def reused(sys: System):
+            nonlocal last
+            values = read(sys)
+            seen, result = last
+            if seen is None or not all(map(is_, seen, values)):
+                result = fn(*values)
+                last = (values, result)
+            return result
+    return reused
 
 
 def differing_components(a: System, b: System) -> list[str]:

@@ -35,12 +35,13 @@ Each of the four operations that change state is a *guard* and an
 *effect*.  ``guard(sp, sys, action)`` returns the first failed conjunct,
 numbered as above, or None.  ``effect(State, action) -> State`` reads and
 writes only the dynamic ``State``, in one constructor call; the successor
-pairs it with the pre-state's ``Environment`` object.  ``grant_auto``,
-``grant``, ``revoke``, ``revoke_group`` and ``step`` run guard and effect
-directly, with nothing reused, and are the reference.  The registry's
-entries run the same guard on every call and reuse their last effect while
-the pre-state's ``State`` object and the action are the same (see
-``default_operations``).
+pairs it with the pre-state's ``Environment`` object.  Each is declared
+once, in the table ``_OPERATIONS``, with the one component its candidate
+actions come from; ``OP_NAMES``, ``step`` and the registry of
+``default_operations`` all derive from that table, and every one of them
+runs the guard and effect through ``_transition``.  ``grant_auto``,
+``grant``, ``revoke``, ``revoke_group`` and ``step`` reuse nothing and are
+the reference.
 
 Operations are total: preconditions that fail yield an error outcome
 carrying the conjunct id, never an exception.  On relations that are not
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .kernel import EMPTY, canonical_order, foplus, order_by_key
 from .model import (
@@ -70,15 +71,12 @@ from .model import (
     _list,
     _loads,
     _need,
-    component_reader,
     group_authorized,
     record,
+    reusing,
     state_from_doc,
     usr_def_perm,
 )
-
-OP_NAMES = ("grantAuto", "grant", "revoke", "revokeGroup", "hasPermission")
-
 
 @dataclass(frozen=True, slots=True)
 class Action:
@@ -175,6 +173,17 @@ def _grant_auto_effect(st: State, action: Action) -> State:
                   foplus(st.perms, a, _image_union(st.perms, a) | {p}))
 
 
+def _manifest_actions(op: str, manifest, dangerous_only: bool = True
+                      ) -> tuple[Action, ...]:
+    # conjunct 1 restricts (p, a) to manifest-listed pairs; conjunct 4
+    # additionally blocks everything non-dangerous, so those pairs can be
+    # pruned whenever conjunct 4 is active
+    return tuple(Action(op, perm=p, app=a)
+                 for a, m in order_by_key(manifest) if isinstance(m, Manifest)
+                 for p in canonical_order(m.use)
+                 if not dangerous_only or p.level == DANGEROUS)
+
+
 def grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
                skip: tuple = ()) -> Outcome:
     return _transition(partial(_grant_auto_guard, skip=skip), _grant_auto_effect,
@@ -223,6 +232,12 @@ def _revoke_effect(st: State, action: Action) -> State:
                   foplus(st.perms, a, _image_union(st.perms, a) - {p}))
 
 
+def _revoke_actions(perms) -> tuple[Action, ...]:
+    return tuple(Action("revoke", perm=p, app=a)
+                 for a, granted in order_by_key(perms)
+                 for p in canonical_order(granted) if p.group is None)
+
+
 def revoke(sys: System, p: Perm, a: str) -> Outcome:
     """Remove one ungrouped granted permission.
 
@@ -250,6 +265,11 @@ def _revoke_group_effect(st: State, action: Action) -> State:
     return _state(st, foplus(mg, a, _image_union(mg, a) - {g}), perms)
 
 
+def _revoke_group_actions(mg) -> tuple[Action, ...]:
+    return tuple(Action("revokeGroup", group=g, app=a)
+                 for a, groups in order_by_key(mg) for g in canonical_order(groups))
+
+
 def revoke_group(sys: System, g: str, a: str) -> Outcome:
     """Withdraw a group authorization and all granted permissions of the group.
 
@@ -268,28 +288,7 @@ def has_permission(sys: System, p: Perm, a: str) -> bool:
     return p in _image_union(sys.state.perms, a)
 
 
-# -- dispatch -----------------------------------------------------------------
-
-# op id -> (guard, effect) of each operation that changes state
-_TRANSITIONS = {
-    "grantAuto": (_grant_auto_guard, _grant_auto_effect),
-    "grant": (_grant_guard, _grant_effect),
-    "revoke": (_revoke_guard, _revoke_effect),
-    "revokeGroup": (_revoke_group_guard, _revoke_group_effect),
-}
-
-
-def step(sp: frozenset, sys: System, action: Action) -> Outcome:
-    """Run one action against a system."""
-    if action.op == "hasPermission":
-        return Outcome(ok=True, system=sys,
-                       result=has_permission(sys, action.perm, action.app))
-    if action.op not in _TRANSITIONS:
-        raise ValueError(f"unknown operation: {action.op!r}")
-    return _transition(*_TRANSITIONS[action.op], sp, sys, action)
-
-
-# -- operation registry --------------------------------------------------------
+# -- the operations -------------------------------------------------------------
 #
 # The verifier works against Operation records rather than the functions
 # above so externally defined operations (or deliberately broken variants)
@@ -298,14 +297,32 @@ def step(sp: frozenset, sys: System, action: Action) -> Outcome:
 # only through membership of the action's permission; ``candidates``
 # gives, for a concrete system, every action parameterization that could
 # possibly succeed; anything it omits is provably blocked.
-#
-# Each registry entry reuses work while what it reads is unchanged.  Its
-# ``apply`` runs the guard on every call and reuses the last effect while the
-# pre-state's State object and the action are the same; its ``candidates``
-# reads one component and reuses the last tuple while that component is the
-# same object.  A state stream in rank order changes the low components
-# first, so consecutive states share their State and most components.  Each
-# memo is one slot holding an immutable tuple, read once into locals.
+
+# op id -> (guard, effect, the component its candidates read, its candidate
+# actions given that component), for each operation that changes state
+_OPERATIONS = {
+    "grantAuto": (_grant_auto_guard, _grant_auto_effect, "manifest",
+                  partial(_manifest_actions, "grantAuto")),
+    "grant": (_grant_guard, _grant_effect, "manifest",
+              partial(_manifest_actions, "grant")),
+    "revoke": (_revoke_guard, _revoke_effect, "perms", _revoke_actions),
+    "revokeGroup": (_revoke_group_guard, _revoke_group_effect,
+                    "grantedPermGroups", _revoke_group_actions),
+}
+
+OP_NAMES = (*_OPERATIONS, "hasPermission")
+
+
+def step(sp: frozenset, sys: System, action: Action) -> Outcome:
+    """Run one action against a system."""
+    if action.op == "hasPermission":
+        return Outcome(ok=True, system=sys,
+                       result=has_permission(sys, action.perm, action.app))
+    if action.op not in _OPERATIONS:
+        raise ValueError(f"unknown operation: {action.op!r}")
+    guard, effect, _, _ = _OPERATIONS[action.op]
+    return _transition(guard, effect, sp, sys, action)
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -314,87 +331,42 @@ class Operation:
     candidates: Callable[[System], Iterable[Action]]
 
 
-def _reusing_apply(guard: Callable, effect: Callable) -> Callable:
+# Each registry entry reuses work while what it reads is unchanged.  Its
+# ``apply`` runs the guard on every call and reuses the last effect while
+# the pre-state's State object and the action are the same; its
+# ``candidates`` is ``model.reusing`` on the one component it reads.  A
+# state stream in rank order changes the low components first, so
+# consecutive states share their State and most components.
+
+def _reused(effect: Callable) -> Callable:
     last = (None, None, None)  # (State, action, successor State)
 
-    def apply(sp: frozenset, sys: System, action: Action) -> Outcome:
+    def reused(st: State, action: Action) -> State:
         nonlocal last
-        failed = guard(sp, sys, action)
-        if failed is not None:
-            return _blocked(failed)
-        st = sys.state
         pre, act, post = last
         if pre is not st or (act is not action and act != action):
             post = effect(st, action)
             last = (st, action, post)
-        return Outcome(ok=True, system=System(post, sys.environment))
-    return apply
+        return post
+    return reused
 
 
-def _reusing_candidates(component: str, actions: Callable) -> Callable:
-    read = component_reader(component)
-    last = (None, ())  # (component, actions)
-
-    def candidates(sys: System) -> tuple[Action, ...]:
-        nonlocal last
-        value = read(sys)
-        seen, acts = last
-        if seen is not value:
-            acts = tuple(actions(value))
-            last = (value, acts)
-        return acts
-    return candidates
-
-
-def _manifest_actions(op: str, manifest, dangerous_only: bool = True
-                      ) -> Iterator[Action]:
-    # conjunct 1 restricts (p, a) to manifest-listed pairs; conjunct 4
-    # additionally blocks everything non-dangerous, so those pairs can be
-    # pruned whenever conjunct 4 is active
-    for a, m in order_by_key(manifest):
-        if isinstance(m, Manifest):
-            for p in canonical_order(m.use):
-                if dangerous_only and p.level != DANGEROUS:
-                    continue
-                yield Action(op, perm=p, app=a)
-
-
-def _revoke_actions(perms) -> Iterator[Action]:
-    for a, granted in order_by_key(perms):
-        for p in canonical_order(granted):
-            if p.group is None:
-                yield Action("revoke", perm=p, app=a)
-
-
-def _revoke_group_actions(mg) -> Iterator[Action]:
-    for a, groups in order_by_key(mg):
-        for g in canonical_order(groups):
-            yield Action("revokeGroup", group=g, app=a)
+def _operation(id: str, guard: Callable, effect: Callable, reads: str,
+               actions: Callable) -> Operation:
+    return Operation(id, partial(_transition, guard, _reused(effect)),
+                     reusing((reads,), actions))
 
 
 def grant_auto_operation(skip: tuple = ()) -> Operation:
     """The grantAuto registry entry; ``skip`` builds broken variants."""
-    return Operation(
-        "grantAuto",
-        _reusing_apply(partial(_grant_auto_guard, skip=skip), _grant_auto_effect),
-        _reusing_candidates("manifest", partial(
-            _manifest_actions, "grantAuto", dangerous_only=4 not in skip)))
+    guard, effect, reads, actions = _OPERATIONS["grantAuto"]
+    return _operation("grantAuto", partial(guard, skip=skip), effect, reads,
+                      partial(actions, dangerous_only=4 not in skip))
 
 
 def default_operations() -> dict[str, Operation]:
     """A fresh registry: its entries' memos are its own."""
-    return {
-        "grantAuto": grant_auto_operation(),
-        "grant": Operation(
-            "grant", _reusing_apply(*_TRANSITIONS["grant"]),
-            _reusing_candidates("manifest", partial(_manifest_actions, "grant"))),
-        "revoke": Operation(
-            "revoke", _reusing_apply(*_TRANSITIONS["revoke"]),
-            _reusing_candidates("perms", _revoke_actions)),
-        "revokeGroup": Operation(
-            "revokeGroup", _reusing_apply(*_TRANSITIONS["revokeGroup"]),
-            _reusing_candidates("grantedPermGroups", _revoke_group_actions)),
-    }
+    return {id: _operation(id, *entry) for id, entry in _OPERATIONS.items()}
 
 
 # -- scenario documents ---------------------------------------------------------

@@ -267,18 +267,6 @@ def test_mutation_demo_reports_rechecked_counterexample():
     assert "recheck: True" in r.stdout.splitlines()
 
 
-def test_run_experiments_writes_one_report_per_maxcard(tmp_path):
-    r = run_script("run_experiments.py", "--apps", "1", "--perms", "1",
-                   "--grps", "1", "--maxcard", "0", "1", "--budget", "200",
-                   "--out-dir", str(tmp_path))
-    assert r.returncode == 0, r.stderr
-    assert sum(line.startswith("== state space:")
-               for line in r.stdout.splitlines()) == 2
-    for mc in (0, 1):
-        doc = json.loads((tmp_path / f"report_mc{mc}.json").read_text())
-        assert set(doc) == {"suite", "bounds", "rows", "verdicts"}
-
-
 def test_benchmark_self_check_passes():
     # the benchmark times each query by wrapping verifier.check_query and
     # reaches SystemSpace, targeted_states and recheck as verifier

@@ -1,4 +1,5 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from permcheck.model import (
     empty_system,
     get_component,
     parse_state,
+    reusing,
     system_perms_from_doc,
     usr_def_perm,
     with_component,
@@ -52,6 +54,31 @@ class TestAccessors:
     def test_unknown_component(self):
         with pytest.raises(KeyError):
             get_component(empty_system(), "nope")
+
+    @pytest.mark.parametrize("reads", [("perms",), ("defPerms", "perms")])
+    def test_reusing_keeps_its_result_while_each_read_is_the_same_object(self, reads):
+        calls = []
+
+        def body(*values):
+            calls.append(values)
+            return object()  # a new object per call, so reuse shows as `is`
+
+        reused = reusing(reads, body)
+        sys = make_system(perms=frozenset((("a1", frozenset((READ,))),)),
+                          def_perms=frozenset((("a1", frozenset((WRITE,))),)))
+        result = reused(sys)
+        # a component it does not read changes: the same result, no call
+        sys = with_component(sys, "cert", frozenset((("a1", "c1"),)))
+        assert reused(sys) is result and len(calls) == 1
+        for name in reads:
+            # an equal value that is another object: the body runs again
+            sys = with_component(sys, name, frozenset(list(get_component(sys, name))))
+            fresh = reused(sys)
+            assert fresh is not result and reused(sys) is fresh
+            assert all(map(operator.is_, calls[-1],
+                           (get_component(sys, n) for n in reads)))
+            result = fresh
+        assert len(calls) == 1 + len(reads)
 
 
 class TestUsrDefPerm:

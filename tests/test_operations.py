@@ -12,9 +12,11 @@ from permcheck.model import (
     ParseError,
     Perm,
     differing_components,
+    get_component,
     state_to_doc,
 )
 from permcheck.operations import (
+    OP_NAMES,
     Action,
     Operation,
     action_from_doc,
@@ -297,13 +299,19 @@ class TestActionDocs:
             scenario_from_doc(doc)
 
 
-def test_default_registry_shape():
+def test_default_registry_shape(f1):
     ops = default_operations()
     # hasPermission changes no state, so it is a scenario action only
     assert list(ops) == ["grantAuto", "grant", "revoke", "revokeGroup"]
     assert [o.id for o in ops.values()] == list(ops)
     assert [f.name for f in dataclasses.fields(Operation)] == \
         ["id", "apply", "candidates"]
+    # the scenario parser's "op must be one of" text lists OP_NAMES in order
+    assert OP_NAMES == (*ops, "hasPermission")
+    # step runs every registry id (revoke refuses the grouped READ)
+    assert [step(f1["sp"], f1["sys"],
+                 Action(op_id, perm=READ, app="a1", group="contacts")).ok
+            for op_id in ops] == [True, True, False, True]
 
 
 def test_candidates_cover_enabled_actions(f1):
@@ -365,22 +373,63 @@ def test_candidates_follow_canonical_order(source):
     assert longest >= (1 if source == "all-1111" else 2)
 
 
-def test_registry_apply_equals_the_plain_transition_in_rank_order():
+@pytest.mark.parametrize("skip", [None, (2,), (3,), (4,), (5,)],
+                         ids=["default", "skip2", "skip3", "skip4", "skip5"])
+def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
     # one registry for the whole stream, so each entry reuses its effects
     # from state to state as in a sweep; both system-permission variants of
-    # every candidate, enabled or not
-    ops = default_operations()
+    # every candidate, enabled or not.  A grantAuto entry built with ``skip``
+    # is checked against grant_auto(..., skip) on the first 24 States of
+    # (1,1,1,1), each with all 1,024 environments, and the samples.
+    if skip is None:
+        ops, reference, states = default_operations(), step, rank_order_states()
+    else:
+        ops = {"grantAuto": grant_auto_operation(skip=skip)}
+        states = rank_order_states(24 * 1024)
+
+        def reference(sp, sys, action):
+            return grant_auto(sp, sys, action.perm, action.app, skip=skip)
     last = {}  # op id -> the last successor State it gave
     enabled = reused = 0
-    for sys in rank_order_states():
+    for sys in states:
         for op in ops.values():
             for action in op.candidates(sys):
                 for sp in _sp_variants(action):
                     out = op.apply(sp, sys, action)
-                    assert out == step(sp, sys, action), (op.id, action)
+                    assert out == reference(sp, sys, action), (op.id, action)
                     if out.ok:
                         enabled += 1
                         reused += out.system.state is last.get(op.id)
                         last[op.id] = out.system.state
     # a reused effect gives the very State object it gave last time
-    assert enabled > 100_000 and reused > enabled * 9 // 10
+    if skip is None:
+        assert enabled > 100_000 and reused > enabled * 9 // 10
+    else:
+        # fewer steps in rank order, so the samples, which share no State,
+        # weigh more
+        assert enabled > 2_000 and reused > enabled * 6 // 10
+
+
+# the one component each registry entry's candidates come from
+CANDIDATES_READ = {"grantAuto": "manifest", "grant": "manifest",
+                   "revoke": "perms", "revokeGroup": "grantedPermGroups"}
+
+
+def test_registry_reuses_candidates_while_their_component_is_unchanged():
+    # one registry for the whole stream: an entry whose component is the
+    # very object it read at its last call gives the very tuple it gave then
+    ops = default_operations()
+    last = {}  # op id -> (component, candidates) at its last call
+    calls = reused = 0
+    for sys in rank_order_states():
+        for op in ops.values():
+            value = get_component(sys, CANDIDATES_READ[op.id])
+            acts = op.candidates(sys)
+            seen, given = last.get(op.id, (None, None))
+            if seen is value:
+                assert acts is given, op.id
+                reused += 1
+            calls += 1
+            last[op.id] = (value, acts)
+    # in rank order the read component changes far less often than the state
+    assert reused > calls * 95 // 100
