@@ -5,8 +5,9 @@ clauses, ``verify`` a query suite at bounds, ``witness`` search for an
 existential property.  Exit codes: 0 success / all hold / witness found;
 1 action blocked, clause failed, counterexample found or no witness;
 2 usage or parse error (bounds too large included); 3 budget exhausted
-(inconclusive); 4 internal error (a failed soundness guard, out of memory,
-...).
+(inconclusive); 4 internal error (any exception raised by the search or
+its recheck, such as a failed soundness guard or running out of memory).
+Bounds and inputs are checked before the search starts.
 """
 
 from __future__ import annotations
@@ -94,8 +95,23 @@ def cmd_check(args) -> int:
     return 1 if failing else 0
 
 
+class _SearchFailed(Exception):
+    """An exception raised inside the search or its recheck; ``main``
+    reports its cause as an internal error, never as a usage error."""
+
+
+def _search(fn, *args):
+    """``fn(*args)``, with any exception it raises wrapped in
+    ``_SearchFailed``.  Callers build their bounds and parse their inputs
+    first, so those errors keep their own exit code."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        raise _SearchFailed from e
+
+
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, _bounds(args))
+    report = _search(run_suite, args.suite, _bounds(args))
     if args.format == "json":
         _write(args, json.dumps(report.to_doc(), indent=2) + "\n")
     else:
@@ -116,8 +132,9 @@ def cmd_witness(args) -> int:
         print(f"unknown existential property: {args.property!r} "
               f"(expected one of {sorted(queries)})", file=_sys.stderr)
         return 2
-    verdict = check_query(queries[name], _bounds(args))
-    doc = {"property": name, "bounds": _bounds(args).to_doc(),
+    bounds = _bounds(args)
+    verdict = _search(check_query, queries[name], bounds)
+    doc = {"property": name, "bounds": bounds.to_doc(),
            **verdict_to_doc(verdict)}
     if args.format == "json":
         _write(args, json.dumps(doc, indent=2) + "\n")
@@ -175,6 +192,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:
+        if isinstance(e, _SearchFailed):
+            e = e.__cause__
         print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
         return 4
 

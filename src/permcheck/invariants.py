@@ -11,6 +11,8 @@ around.  The shipped registry carries two families:
   identified: two defined permissions with the same id are the same
   permission defined by the same app.  Split by defining source: both from
   the defPerms mapping (1), both from the system image (2), one from each (3).
+  They are evaluated through an index from each permission id to its
+  definitions; the quantifier forms stay beside them as the index's oracle.
 
 Each clause declares the components it ``reads``.  The shipped clauses
 are built by ``clause``, which passes the body only those components, so
@@ -65,10 +67,11 @@ def all_maps_correct_clauses() -> tuple[InvariantClause, ...]:
                  for n in MAPPING_COMPONENTS)
 
 
-# The notDupPerm clauses are written with the kernel's restricted
-# quantifiers, nesting exactly as the per-source split reads: quantify the
-# (app, perm-set) pairs over each source, then the permissions over the
-# bound sets; the innermost body compares ids and defining apps.
+# The quantifier forms of the notDupPerm clauses, nesting exactly as the
+# per-source split reads: quantify the (app, perm-set) pairs over each
+# source, then the permissions over the bound sets; the innermost body
+# compares ids and defining apps.  The shipped clauses evaluate the same
+# formulas through an id index (below); these stay as its oracle.
 
 def _not_dup_perm_1(dp) -> bool:
     return forall_in(dp, lambda e1: forall_in(dp, lambda e2: forall_in(
@@ -90,11 +93,42 @@ def _not_dup_perm_3(dp, si) -> bool:
             lambda p2: p1.id != p2.id or (p1 == p2 and e1[0] == s2.idSI)))))
 
 
+# By an index from each permission id to its definitions, each a
+# (permission, defining app) pair: two definitions with one id must be
+# equal, so a source has unique ids when each id keeps one definition
+# (clauses 1 and 2), and clause 3 holds when every system-image definition
+# equals each defPerms definition of its id.  Keyed by id alone, no
+# permission is hashed.
+
+def _unique_ids(pairs) -> bool:
+    index = {}
+    for app, perms in pairs:
+        for p in perms:
+            if index.setdefault(p.id, (p, app)) != (p, app):
+                return False
+    return True
+
+
+def _unique_system_image_ids(si) -> bool:
+    return not si or _unique_ids((s.idSI, s.defPermsSI) for s in si)
+
+
+def _ids_agree_across_sources(dp, si) -> bool:
+    if not (dp and si):
+        return True
+    index = {}
+    for app, perms in dp:
+        for p in perms:
+            index.setdefault(p.id, []).append((p, app))
+    return all(d == (p, s.idSI) for s in si for p in s.defPermsSI
+               for d in index.get(p.id, ()))
+
+
 def not_dup_perm_clauses() -> tuple[InvariantClause, ...]:
     return (
-        clause("notDupPerm.1", ("defPerms",), _not_dup_perm_1),
-        clause("notDupPerm.2", ("systemImage",), _not_dup_perm_2),
-        clause("notDupPerm.3", ("defPerms", "systemImage"), _not_dup_perm_3),
+        clause("notDupPerm.1", ("defPerms",), _unique_ids),
+        clause("notDupPerm.2", ("systemImage",), _unique_system_image_ids),
+        clause("notDupPerm.3", ("defPerms", "systemImage"), _ids_agree_across_sources),
     )
 
 

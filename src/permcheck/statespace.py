@@ -12,12 +12,13 @@ is one kind of indexed space, a ``SetSpace``: a set of pool indices, each
 carrying a value rank, unranked straight from binomial coefficients with no
 table.  The whole space is the product of the eight component spaces, so
 it can be enumerated exhaustively in a fixed order or sampled uniformly by
-drawing integer ranks.  One stream, ``state_stream``, feeds every search:
-the whole space in rank order when it fits the budget, otherwise seeded
-uniform samples (with replacement), and the run counts as non-exhaustive.
-The samples are a pure function of the bounds: every query of a run, and
-``enumerate_states``, reads the same ones, and a space decodes each of its
-first CACHE_LIMIT samples once for all of them.
+drawing integer ranks.  A search reads the whole space in rank order when
+it fits the budget, otherwise seeded uniform samples (with replacement)
+after its targeted family, and the run counts as non-exhaustive;
+``state_stream`` is that stream with no family.  The samples are a pure
+function of the bounds: every query of a run, and ``enumerate_states``,
+reads the same ones, and a space decodes each of its first CACHE_LIMIT
+samples once for all of them.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 from math import comb, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .kernel import EMPTY, canonical_order
 from .model import (
@@ -193,10 +194,10 @@ class SystemSpace:
     most significant first, are the eight varying components in State then
     Environment field order.
 
-    The space also holds the seeded uniform samples that ``state_stream``
-    reads: the first query of a run decodes each sample it reaches, and
-    later queries reuse it, up to CACHE_LIMIT samples for one seed at a
-    time.  Samples past the cap are decoded again by each query.
+    The space also holds the seeded uniform samples that searches read:
+    the first pass of a run decodes each sample it reaches, and later
+    passes reuse it, up to CACHE_LIMIT samples for one seed at a time.
+    Samples past the cap are decoded again by each pass.
     """
 
     def __init__(self, bounds: Bounds):
@@ -279,29 +280,26 @@ class SystemSpace:
             yield self.unrank(rest.randrange(self.size))
 
 
-def state_stream(space: SystemSpace, bounds: Bounds,
-                 prefix: Sequence[System] = ()) -> Iterator[System]:
-    """The states a bounded search at ``bounds`` examines: the whole space
-    in rank order when it fits the budget; otherwise ``prefix`` (cut to the
-    budget), then uniform samples up to the budget.  The samples come from
-    one generator seeded by ``bounds.seed`` alone, so every query of a run
-    reads the same samples in the same order, whichever queries run and in
-    whatever order; a run may be split across workers by sample index.
-    ``space`` holds the samples it decodes (``SystemSpace.samples``): the
-    first query of a run decodes them, and later queries reuse them, up to
-    CACHE_LIMIT samples."""
+def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
+    """The states a bounded search at ``bounds`` examines when its targeted
+    family is empty: the whole space in rank order when it fits the budget;
+    otherwise ``bounds.budget`` uniform samples.  The samples come from one
+    generator seeded by ``bounds.seed`` alone, so every query of a run reads
+    the same samples in the same order, after its family, whichever queries
+    run and in whatever order; a run may be split across workers by sample
+    index.  ``space`` holds the samples it decodes
+    (``SystemSpace.samples``), up to CACHE_LIMIT of them, for every later
+    stream of the same seed."""
     if space.size <= bounds.budget:
         yield from space
-        return
-    yield from prefix[:bounds.budget]
-    yield from islice(space.samples(bounds.seed),
-                      bounds.budget - min(len(prefix), bounds.budget))
+    else:
+        yield from islice(space.samples(bounds.seed), bounds.budget)
 
 
 def enumerate_states(bounds: Bounds) -> Iterator[System]:
-    """The state stream at the given bounds with no targeted prefix: the
-    states a query with an empty targeted family examines.  The same bounds
-    always produce the same stream."""
+    """The state stream at the given bounds in a fresh space: the states a
+    query with an empty targeted family examines.  The same bounds always
+    produce the same stream."""
     yield from state_stream(SystemSpace(bounds), bounds)
 
 

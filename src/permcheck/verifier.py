@@ -33,24 +33,28 @@ counterexample or witness is re-evaluated, on copies of its concrete
 values rebuilt from its document, before being returned; an unsound hit
 raises instead of reporting.
 
-Queries are independent and deterministic for a fixed seed.  Queries that
-read the same stream -- those sharing a tag (the same targeted family, then
-the run's seeded samples), or any queries when the space fits the budget
-and each reads all of it -- are checked in one pass over it: each state is decoded
-once, each distinct hypothesis is evaluated once on it, and each
-operation's candidates are enumerated and each covered step is taken once
-for all of them.  A query leaves the pass at its first hit, so its verdict,
-down to ``statesExamined`` and the hit, is the one it gets alone: no
-verdict depends on which other queries run.  The seeded samples are held
-by the shared space, up to ``statespace.CACHE_LIMIT``, and the i-th sample
-is the same state for every query, so work splits by sample index.
+Queries are independent and deterministic for a fixed seed.  The queries
+of a suite row are checked together.  When the space fits the budget, one
+pass over it checks them all.  Otherwise each tag's family is swept with
+that tag's queries, and then one pass over the run's seeded samples checks
+every query, each on the samples its budget leaves after its family.  The
+i-th sample is the same state for every query, so the pass runs in
+segments between the points where a query's share ends, each with a fixed
+set of queries.  In every pass each state is decoded once, each distinct
+hypothesis is evaluated once on it, and each operation's candidates are
+enumerated and each covered step is taken once for all of its queries.  A
+query leaves the pass at its first hit, so its verdict, down to
+``statesExamined`` and the hit, is the one it gets alone: no verdict
+depends on which other queries run.  The samples are held by the shared
+space, up to ``statespace.CACHE_LIMIT``, so work splits by sample index.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
@@ -58,7 +62,7 @@ from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to
                     state_from_doc, state_to_doc)
 from .operations import (Action, Operation, action_from_doc, action_to_doc,
                          default_operations)
-from .statespace import Bounds, SystemSpace, state_stream, targeted_states
+from .statespace import Bounds, SystemSpace, targeted_states
 
 
 class VerifierError(Exception):
@@ -272,6 +276,31 @@ def recheck(v: Verdict) -> bool:
             == {"next_system": v.next_system, "bindings": v.bindings})
 
 
+def _sweep(queries: Sequence[Query], states: Iterable[System], before: dict,
+           enumerated: bool, verdicts: dict) -> None:
+    """Check ``queries`` in one pass over ``states``, writing each query's
+    first hit, rechecked, into ``verdicts``.  A hit at the i-th state (from
+    1) examined ``before[p] + i`` states.  The pass ends when every query
+    has hit."""
+    live = list(queries)
+    plan, hypotheses = _plan(live)
+    for i, sys in enumerate(states, 1):
+        hits = list(_first_hits(plan, hypotheses, sys))
+        if not hits:
+            continue
+        for p, sp, action, nxt in hits:
+            v = Verdict(p.id, VERDICT_KINDS[p.kind][0], before[p] + i, enumerated,
+                        system=sys, system_perms=sp, action=action, query=p,
+                        **_hit_fields(p, action, nxt))
+            if not recheck(v):
+                raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
+            verdicts[p] = v
+            live.remove(p)
+        if not live:
+            return
+        plan, hypotheses = _plan(live)
+
+
 def check_query(q: Query, bounds: Bounds,
                 space: Optional[SystemSpace] = None,
                 peers: Optional[dict] = None) -> Verdict:
@@ -291,40 +320,48 @@ def check_query(q: Query, bounds: Bounds,
     space last read at another seed decodes this seed's samples afresh.
 
     ``peers`` may map other queries at the same bounds to their verdicts,
-    ``None`` while undecided.  The undecided peers that read the same
-    stream as ``q`` -- the same tag, or any tag when the space fits the
-    budget -- are checked in the same pass, and their verdicts are written
-    back into ``peers``.  Each verdict is the one its query gets alone.
+    ``None`` while undecided.  Every undecided peer, whatever its tag, is
+    checked with ``q``, and the verdicts are written back into ``peers``.
+    When the space fits the budget, all of them share one pass over it.
+    Otherwise each tag's family is swept, cut to the budget, with that
+    tag's queries; then one pass over the samples checks every query on
+    the samples left in its budget after its family.  Each verdict is the
+    one its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)
-    enumerated = space.size <= bounds.budget
-    queries = [q] + [p for p, v in (peers or {}).items()
-                     if v is None and p is not q and (enumerated or p.tag == q.tag)]
-    targeted = () if enumerated else targeted_states(bounds, q.tag)
-    conclusive = enumerated or bounds.budget >= len(targeted)
-
-    verdicts = {}
-    plan, hypotheses = _plan(queries)
-    examined = 0
-    for sys in state_stream(space, bounds, targeted):
-        examined += 1
-        hits = list(_first_hits(plan, hypotheses, sys))
-        for p, sp, action, nxt in hits:
-            v = Verdict(p.id, VERDICT_KINDS[p.kind][0], examined, enumerated,
-                        system=sys, system_perms=sp, action=action, query=p,
-                        **_hit_fields(p, action, nxt))
-            if not recheck(v):
-                raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
-            verdicts[p] = v
-        if hits:
-            if len(verdicts) == len(queries):
+    queries = [q] + [p for p, v in (peers or {}).items() if v is None and p is not q]
+    budget, verdicts = bounds.budget, {}
+    enumerated = space.size <= budget
+    if enumerated:
+        _sweep(queries, space, dict.fromkeys(queries, 0), True, verdicts)
+        examined, conclusive = space.size, set(queries)
+    else:
+        by_tag: dict[str, list] = {}
+        for p in queries:
+            by_tag.setdefault(p.tag, []).append(p)
+        before, conclusive = {}, set()
+        for tag, tagged in by_tag.items():
+            family = targeted_states(bounds, tag)
+            _sweep(tagged, family[:budget], dict.fromkeys(tagged, 0), False, verdicts)
+            before.update(dict.fromkeys(tagged, min(len(family), budget)))
+            if len(family) <= budget:
+                conclusive.update(tagged)
+        # query p reads the first budget - before[p] samples: cut the pass
+        # where a quota ends, so each segment has a fixed set of queries
+        samples, start = space.samples(bounds.seed), 0
+        for end in sorted({budget - n for n in before.values()}):
+            live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
+            if not live:
                 break
-            plan, hypotheses = _plan([p for p in queries if p not in verdicts])
+            segment = islice(samples, end - start)
+            _sweep(live, segment, {p: before[p] + start for p in live}, False, verdicts)
+            start = end
+        examined = budget
 
     for p in queries:
         if p not in verdicts:
-            kind = VERDICT_KINDS[p.kind][1] if conclusive else "budget-exhausted"
+            kind = VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted"
             verdicts[p] = Verdict(p.id, kind, examined, enumerated, query=p)
     if peers is not None:
         peers.update(verdicts)
@@ -382,9 +419,9 @@ def run_suite(suite: str, bounds: Bounds,
               clauses: Optional[Sequence[InvariantClause]] = None) -> Report:
     """Run a verification suite and aggregate per-row counts and wall time.
 
-    The queries of a row that read the same stream are checked in one pass
-    (see ``check_query``), so a row's time is spent on its first query of
-    each stream; every verdict is still the one its query gets alone."""
+    The first query of a row is checked with the whole row as its peers
+    (see ``check_query``), so one call decides the row and its time is the
+    row's; every verdict is still the one its query gets alone."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     groups = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permcheck.cli
+import permcheck.verifier
 from conftest import NET, READ, ROOT, WRITE, make_system, src_env
 from permcheck.kernel import EMPTY
 from permcheck.model import Manifest, SysImgApp, emit_state, parse_state, state_to_doc
@@ -182,6 +183,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "internal error" in err and "unsound" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--suite", "security"),
+        ("witness", "execAutoGrantWithoutIndividualPerms")])
+    @pytest.mark.parametrize("target", ["_first_hits", "recheck"])
+    def test_value_error_in_the_search_exits_4(self, monkeypatch, capsys,
+                                                command, target):
+        # a ValueError is a usage error only while bounds and inputs are
+        # parsed; raised by the search or its recheck it is a crash
+        def broken(*args):
+            raise ValueError("too many values to unpack")
+
+        monkeypatch.setattr(permcheck.verifier, target, broken)
+        assert permcheck.cli.main([*command, *SMALL, "--budget", "1000"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: too many values to unpack\n"
+
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("witness", "execAutoGrantWithoutIndividualPerms")])
+    def test_bounds_error_exits_2_before_the_search(self, monkeypatch, capsys,
+                                                    command):
+        monkeypatch.setattr(permcheck.verifier, "_first_hits", None)
+        assert permcheck.cli.main([*command, *SMALL, "--budget", "0"]) == 2
+        assert capsys.readouterr().err == "error: budget must be >= 1\n"
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,9 +1,11 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
+import permcheck.invariants as invariants
 from conftest import NET, READ, WRITE, make_system, rank_order_states
 from permcheck.model import Manifest, Perm, SysImgApp, empty_system
 from permcheck.invariants import (
@@ -13,7 +15,7 @@ from permcheck.invariants import (
     valid_state,
 )
 from permcheck.operations import default_operations
-from permcheck.statespace import Bounds, SystemSpace
+from permcheck.statespace import Bounds, SystemSpace, enumerate_states
 from permcheck.verifier import _sp_variants
 
 CLAUSES = {c.id: c for c in standard_clauses()}
@@ -112,6 +114,34 @@ class TestValidState:
         sys = make_system(perms=frozenset((("a1", frozenset((READ,))),
                                            ("a1", frozenset((WRITE,))))))
         assert valid_state(sys, sub)  # perms clause not registered
+
+
+# the quantifier forms that the shipped notDupPerm clauses evaluate through
+# an id index, kept as the index's oracle
+QUANTIFIER_FORMS = {
+    "notDupPerm.1": lambda env: invariants._not_dup_perm_1(env.defPerms),
+    "notDupPerm.2": lambda env: invariants._not_dup_perm_2(env.systemImage),
+    "notDupPerm.3": lambda env: invariants._not_dup_perm_3(env.defPerms,
+                                                           env.systemImage),
+}
+
+
+@pytest.mark.parametrize("states, held", [
+    # the first 1,024 states in rank order: one State, every environment.
+    # At maxcard 1 a source defines one permission, so only clause 3 fails
+    (lambda: islice(SystemSpace(Bounds(1, 1, 1, 1)), 1024), [1024, 1024, 544]),
+    (lambda: enumerate_states(Bounds(2, 2, 2, 2, budget=10_000, seed=0)),
+     [190, 199, 107]),
+], ids=["1111-environments", "2222-samples"])
+def test_not_dup_perm_index_equals_quantifier_form_and_brute_force(states, held):
+    counts = {cid: 0 for cid in QUANTIFIER_FORMS}
+    for sys in states():
+        for c in not_dup_perm_clauses():
+            index = c.eval(sys)
+            assert index == QUANTIFIER_FORMS[c.id](sys.environment), c.id
+            assert index == brute.o_valid_clause(sys, c.id), c.id
+            counts[c.id] += index
+    assert list(counts.values()) == held
 
 
 @given(st.integers(0, SPACE.size - 1))

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -77,6 +78,23 @@ def stale_revoke_group(sp, sys, action):
     stale = get_component(sys, component) | get_component(out.system, component)
     return dataclasses.replace(
         out, system=with_component(out.system, component, stale))
+
+
+def stale_perms_from(states, apply):
+    """``apply``, whose successor keeps the app's old perms pair beside the
+    new one when the pre-state is in ``states``."""
+    def run(sp, sys, action):
+        out = apply(sp, sys, action)
+        if not out.ok or sys not in states:
+            return out
+        stale = sys.state.perms | out.system.state.perms
+        return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
+    return run
+
+
+def stale_perms_operations(states):
+    return {k: dataclasses.replace(op, apply=stale_perms_from(states, op.apply))
+            for k, op in default_operations().items()}
 
 
 def replaced_operations(op_id, apply):
@@ -325,6 +343,62 @@ class TestSharedStream:
                      if k == app]
         assert len(groups) > 1  # a later step of the state hits too
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hits_among_the_samples_after_families_of_each_length(self, seed):
+        # no targeted state has a system image, so each operation's perms
+        # query hits among the samples, after a family of its own length
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=seed)
+        samples = list(enumerate_states(bounds))
+        ops = stale_perms_operations({s for s in samples if s.environment.systemImage})
+        in_suite = run_suite("all", bounds, ops).verdicts
+        alone = [check_query(q, bounds) for q in all_queries(ops)]
+        assert ([verdict_to_doc(v) for v in in_suite]
+                == [verdict_to_doc(v) for v in alone])
+        offsets = set()
+        for op_id in ops:
+            (v,) = [v for v in in_suite
+                    if v.query_id == f"inv/allMapsCorrect.perms/{op_id}"]
+            family = len(targeted_states(bounds, op_id))
+            assert v.kind == "counterexample"
+            assert v.states_examined == family + samples.index(v.system) + 1
+            offsets.add(family)
+        assert len(offsets) == 4
+
+    def test_a_hit_past_a_cut_point_is_seen_only_by_queries_reading_it(self):
+        # the invariance row's quotas of samples: grant 104, grantAuto 152,
+        # revoke 176, revokeGroup 184.  Steps break the perms map only from
+        # samples 152 on, which only revoke and revokeGroup read
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
+        samples = list(enumerate_states(bounds))
+        ops = stale_perms_operations(set(samples[152:]))
+        in_suite = run_suite("invariance", bounds, ops).verdicts
+        alone = [check_query(q, bounds) for q in gen_invariance_queries(ops)]
+        assert ([verdict_to_doc(v) for v in in_suite]
+                == [verdict_to_doc(v) for v in alone])
+        hits = {v.query_id.rsplit("/", 1)[1]: v for v in in_suite
+                if v.kind == "counterexample"}
+        assert set(hits) == {"revoke", "revokeGroup"}
+        for op_id, v in hits.items():
+            family = len(targeted_states(bounds, op_id))
+            assert 152 <= samples.index(v.system) < bounds.budget - family
+            assert v.states_examined == family + samples.index(v.system) + 1
+
+    def test_a_family_over_the_budget_exhausts_only_its_own_queries(self):
+        # grant's family of 96 states does not fit 90: its queries read no
+        # sample, and every other query reads its own share of them
+        bounds = Bounds(2, 2, 2, 2, budget=90, seed=0)
+        assert len(targeted_states(bounds, "grant")) > 90
+        in_suite = run_suite("all", bounds).verdicts
+        alone = [check_query(q, bounds) for q in all_queries()]
+        assert ([verdict_to_doc(v) for v in in_suite]
+                == [verdict_to_doc(v) for v in alone])
+        for v in in_suite:
+            assert v.states_examined == 90 or v.kind == "witness"
+            if v.query_id.endswith("/grant"):
+                assert v.kind == "budget-exhausted"
+            elif v.query_id.startswith("inv/"):
+                assert v.kind == "holds-at-bounds"
+
 
 class TestSharedSamples:
     def test_a_run_enumerates_candidates_once_per_state_of_each_stream(self):
@@ -339,12 +413,45 @@ class TestSharedSamples:
 
         ops = {k: counting(op) for k, op in default_operations().items()}
         run_suite("all", bounds, ops)
-        # one stream per tag, each at most the budget long
-        streams = collections.Counter(
-            q.op.id for q in {q.tag: q for q in all_queries()}.values())
-        assert set(calls) == set(streams)
+        # each row sweeps each of its tags' families, then the samples once:
+        # as many as the query with the shortest family reads
+        bound = collections.Counter()
+        for queries in (gen_invariance_queries(ops), gen_security_queries(ops)):
+            families = collections.defaultdict(dict)
+            for q in queries:
+                families[q.op.id][q.tag] = len(targeted_states(bounds, q.tag))
+            for op_id, lengths in families.items():
+                bound[op_id] += (sum(lengths.values())
+                                 + bounds.budget - min(lengths.values()))
+        assert set(calls) == set(bound)
         for op_id, n in calls.items():
-            assert n <= bounds.budget * streams[op_id], op_id
+            assert n <= bound[op_id], op_id
+
+    def test_a_row_evaluates_each_clause_once_per_sample(self, monkeypatch):
+        bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
+        spaces, seen = [], collections.defaultdict(list)
+
+        def keeping_space(b):
+            spaces.append(SystemSpace(b))
+            return spaces[-1]
+
+        def recording(c):
+            def eval(sys):
+                seen[c.id].append(sys)
+                return c.eval(sys)
+            return dataclasses.replace(c, eval=eval)
+
+        monkeypatch.setattr(verifier, "SystemSpace", keeping_space)
+        clauses = standard_clauses()
+        run_suite("invariance", bounds, None, [recording(c) for c in clauses])
+        (space,) = spaces
+        samples = list(itertools.islice(space.samples(bounds.seed), bounds.budget))
+        read = bounds.budget - min(len(targeted_states(bounds, op_id))
+                                   for op_id in default_operations())
+        for c in clauses:
+            evals = collections.Counter(map(id, seen[c.id]))
+            assert [evals[id(s)] for s in samples] == (
+                [1] * read + [0] * (bounds.budget - read)), c.id
 
     def test_a_run_decodes_each_sample_once(self, monkeypatch):
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
