@@ -63,7 +63,6 @@ from .model import (
     PERM,
     PERM_SET,
     Codec,
-    Manifest,
     ParseError,
     Perm,
     State,
@@ -179,7 +178,7 @@ def _manifest_actions(op: str, manifest, dangerous_only: bool = True
     # additionally blocks everything non-dangerous, so those pairs can be
     # pruned whenever conjunct 4 is active
     return tuple(Action(op, perm=p, app=a)
-                 for a, m in order_by_key(manifest) if isinstance(m, Manifest)
+                 for a, m in order_by_key(manifest)
                  for p in canonical_order(m.use)
                  if not dangerous_only or p.level == DANGEROUS)
 

@@ -12,13 +12,13 @@ is one kind of indexed space, a ``SetSpace``: a set of pool indices, each
 carrying a value rank, unranked straight from binomial coefficients with no
 table.  The whole space is the product of the eight component spaces, so
 it can be enumerated exhaustively in a fixed order or sampled uniformly by
-drawing integer ranks.  A search reads the whole space in rank order when
-it fits the budget, otherwise seeded uniform samples (with replacement)
-after its targeted family, and the run counts as non-exhaustive;
-``state_stream`` is that stream with no family.  The samples are a pure
-function of the bounds: every query of a run, and ``enumerate_states``,
-reads the same ones, and a space decodes each of its first CACHE_LIMIT
-samples once for all of them.
+drawing integer ranks.  ``state_stream`` is the one definition of what a
+search reads after its targeted family: the whole space in rank order
+when it fits the budget (the family is then empty), otherwise seeded
+uniform samples (with replacement), and the run counts as
+non-exhaustive.  The samples are a pure function of the bounds: every
+query of a run, and ``enumerate_states``, reads the same ones, and a
+space decodes each of its first CACHE_LIMIT samples once for all of them.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -281,23 +281,22 @@ class SystemSpace:
 
 
 def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
-    """The states a bounded search at ``bounds`` examines when its targeted
-    family is empty: the whole space in rank order when it fits the budget;
-    otherwise ``bounds.budget`` uniform samples.  The samples come from one
-    generator seeded by ``bounds.seed`` alone, so every query of a run reads
-    the same samples in the same order, after its family, whichever queries
-    run and in whatever order; a run may be split across workers by sample
-    index.  ``space`` holds the samples it decodes
-    (``SystemSpace.samples``), up to CACHE_LIMIT of them, for every later
-    stream of the same seed."""
+    """The tail of every bounded search at ``bounds``: the states
+    ``verifier.check_query`` reads after a query's targeted family.  It is
+    the whole space in rank order when it fits the budget, and the family
+    is then empty; otherwise ``bounds.budget`` uniform samples.  The
+    samples come from one generator seeded by ``bounds.seed`` alone, so the
+    i-th sample is the same state for every query of a run, whichever
+    queries run and in whatever order.  ``space`` holds the samples it
+    decodes (``SystemSpace.samples``), up to CACHE_LIMIT of them, for every
+    later stream of the same seed."""
     if space.size <= bounds.budget:
-        yield from space
-    else:
-        yield from islice(space.samples(bounds.seed), bounds.budget)
+        return iter(space)
+    return islice(space.samples(bounds.seed), bounds.budget)
 
 
 def enumerate_states(bounds: Bounds) -> Iterator[System]:
-    """The state stream at the given bounds in a fresh space: the states a
+    """``state_stream`` at the given bounds in a fresh space: the states a
     query with an empty targeted family examines.  The same bounds always
     produce the same stream."""
     yield from state_stream(SystemSpace(bounds), bounds)

@@ -25,28 +25,29 @@ no conclusion reads the set except through the step being enabled.
 
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
-deliberately weaker claim than "proved".  When the space exceeds the
-budget, the stream is the targeted pre-satisfying family followed by
-seeded uniform samples; if the budget cannot even cover the targeted
-family the verdict is ``budget-exhausted`` (inconclusive).  Every emitted
-counterexample or witness is re-evaluated, on copies of its concrete
-values rebuilt from its document, before being returned; an unsound hit
-raises instead of reporting.
+deliberately weaker claim than "proved".  Every query reads one stream:
+its tag's targeted pre-satisfying family, then
+``statespace.state_stream``, up to the budget.  When the space fits the
+budget the family is empty and the stream is the whole space in rank
+order; otherwise the tail is seeded uniform samples, and if the budget
+cannot even cover the targeted family the verdict is ``budget-exhausted``
+(inconclusive).  Every emitted counterexample or witness is re-evaluated,
+on copies of its concrete values rebuilt from its document, before being
+returned; an unsound hit raises instead of reporting.
 
 Queries are independent and deterministic for a fixed seed.  The queries
-of a suite row are checked together.  When the space fits the budget, one
-pass over it checks them all.  Otherwise each tag's family is swept with
-that tag's queries, and then one pass over the run's seeded samples checks
-every query, each on the samples its budget leaves after its family.  The
-i-th sample is the same state for every query, so the pass runs in
-segments between the points where a query's share ends, each with a fixed
-set of queries.  In every pass each state is decoded once, each distinct
+of a suite row are checked together: each tag's family is swept with that
+tag's queries, and then one pass over the shared tail checks every query,
+each on the states its budget leaves after its family.  The i-th state of
+the tail is the same for every query, so the pass runs in segments
+between the points where a query's share ends, each with a fixed set of
+queries.  In every pass each state is decoded once, each distinct
 hypothesis is evaluated once on it, and each operation's candidates are
 enumerated and each covered step is taken once for all of its queries.  A
 query leaves the pass at its first hit, so its verdict, down to
 ``statesExamined`` and the hit, is the one it gets alone: no verdict
 depends on which other queries run.  The samples are held by the shared
-space, up to ``statespace.CACHE_LIMIT``, so work splits by sample index.
+space, up to ``statespace.CACHE_LIMIT``, and decoded once for every query.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to
                     state_from_doc, state_to_doc)
 from .operations import (Action, Operation, action_from_doc, action_to_doc,
                          default_operations)
-from .statespace import Bounds, SystemSpace, targeted_states
+from .statespace import Bounds, SystemSpace, state_stream, targeted_states
 
 
 class VerifierError(Exception):
@@ -306,12 +307,14 @@ def check_query(q: Query, bounds: Bounds,
                 peers: Optional[dict] = None) -> Verdict:
     """Discharge one query at the given bounds.
 
-    The examined stream is: the full space in rank order when it fits the
-    budget; otherwise the targeted family for the query's tag followed by
-    the run's seeded uniform samples up to the budget.  The samples depend
-    on the bounds alone, not on the query: every query reads the same ones,
-    the first states ``enumerate_states(bounds)`` yields.  A sampled sweep
-    that could not fit the whole targeted family is inconclusive.
+    The examined stream is the targeted family for the query's tag, then
+    ``state_stream(space, bounds)``, up to the budget.  When the space fits
+    the budget the family is empty and the tail is the whole space in rank
+    order; otherwise the tail is the run's seeded uniform samples.  The
+    tail depends on the bounds alone, not on the query: every query reads
+    the same one, the states ``enumerate_states(bounds)`` yields.  A
+    sampled sweep that could not fit the whole targeted family is
+    inconclusive.
 
     ``space`` may carry a prebuilt space for the same pool sizes and
     ``max_card``; it never changes the verdict, only the decoding cost.  A
@@ -322,47 +325,41 @@ def check_query(q: Query, bounds: Bounds,
     ``peers`` may map other queries at the same bounds to their verdicts,
     ``None`` while undecided.  Every undecided peer, whatever its tag, is
     checked with ``q``, and the verdicts are written back into ``peers``.
-    When the space fits the budget, all of them share one pass over it.
-    Otherwise each tag's family is swept, cut to the budget, with that
-    tag's queries; then one pass over the samples checks every query on
-    the samples left in its budget after its family.  Each verdict is the
-    one its query gets alone.
+    Each tag's family is swept, cut to the budget, with that tag's queries;
+    then one pass over the tail checks every query on the states left in
+    its budget after its family.  Each verdict is the one its query gets
+    alone.
     """
     if space is None:
         space = SystemSpace(bounds)
     queries = [q] + [p for p, v in (peers or {}).items() if v is None and p is not q]
     budget, verdicts = bounds.budget, {}
     enumerated = space.size <= budget
-    if enumerated:
-        _sweep(queries, space, dict.fromkeys(queries, 0), True, verdicts)
-        examined, conclusive = space.size, set(queries)
-    else:
-        by_tag: dict[str, list] = {}
-        for p in queries:
-            by_tag.setdefault(p.tag, []).append(p)
-        before, conclusive = {}, set()
-        for tag, tagged in by_tag.items():
-            family = targeted_states(bounds, tag)
-            _sweep(tagged, family[:budget], dict.fromkeys(tagged, 0), False, verdicts)
-            before.update(dict.fromkeys(tagged, min(len(family), budget)))
-            if len(family) <= budget:
-                conclusive.update(tagged)
-        # query p reads the first budget - before[p] samples: cut the pass
-        # where a quota ends, so each segment has a fixed set of queries
-        samples, start = space.samples(bounds.seed), 0
-        for end in sorted({budget - n for n in before.values()}):
-            live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
-            if not live:
-                break
-            segment = islice(samples, end - start)
-            _sweep(live, segment, {p: before[p] + start for p in live}, False, verdicts)
-            start = end
-        examined = budget
+    by_tag: dict[str, list] = {}
+    for p in queries:
+        by_tag.setdefault(p.tag, []).append(p)
+    before, conclusive = {}, set()
+    for tag, tagged in by_tag.items():
+        family = () if enumerated else targeted_states(bounds, tag)
+        _sweep(tagged, family[:budget], dict.fromkeys(tagged, 0), enumerated, verdicts)
+        before.update(dict.fromkeys(tagged, min(len(family), budget)))
+        if len(family) <= budget:
+            conclusive.update(tagged)
+    # query p reads the first budget - before[p] states of the tail: cut the
+    # pass where a quota ends, so each segment has a fixed set of queries
+    tail, start = state_stream(space, bounds), 0
+    for end in sorted({budget - n for n in before.values()}):
+        live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
+        if not live:
+            break
+        segment = islice(tail, end - start)
+        _sweep(live, segment, {p: before[p] + start for p in live}, enumerated, verdicts)
+        start = end
 
     for p in queries:
         if p not in verdicts:
             kind = VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted"
-            verdicts[p] = Verdict(p.id, kind, examined, enumerated, query=p)
+            verdicts[p] = Verdict(p.id, kind, min(budget, space.size), enumerated, query=p)
     if peers is not None:
         peers.update(verdicts)
     return verdicts[q]

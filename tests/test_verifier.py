@@ -304,6 +304,27 @@ class TestSharedStream:
         run_suite("all", bounds)
         assert_family_then_samples(seen, bounds)
 
+    def test_queries_of_an_enumerated_suite_read_the_space_in_rank_order(
+            self, monkeypatch):
+        # the space fits the budget: no family is built, and each query
+        # reads every state once, in rank order
+        def no_family(bounds, tag):
+            raise AssertionError(f"family {tag} built for an enumerated run")
+
+        seen = {}
+        real = verifier.gen_security_queries
+        monkeypatch.setattr(verifier, "gen_security_queries", lambda *args: [
+            recording(q, seen) for q in real(*args)])
+        monkeypatch.setattr(verifier, "targeted_states", no_family)
+        report = run_suite("security", TINY)
+        space = list(SystemSpace(TINY))
+        assert len(space) == 98_304
+        assert set(seen) == {q.id for q in gen_security_queries()}
+        for states in seen.values():
+            assert states == space
+        assert {v.states_examined for v in report.verdicts} == {98_304}
+        assert all(v.exhaustive for v in report.verdicts)
+
     @pytest.mark.parametrize("operations", [
         default_operations, mutated_operations,
         lambda: revoke_operations(stale_revoke)],
@@ -636,6 +657,11 @@ RECORDED_VERDICTS = {
                  "90234e6179c3640a32e36ae2c752a3ebc0e36471079b0f717e3e015414fd674a"),
     "security-1111": ("security", TINY, None,
                       "2773eaae977708ac20d8b6b9274461cfca0c5e6f8cbbfe88c0ecb31458a3aaed"),
+    # an enumerated run with hits: a counterexample at state 641 and a
+    # witness at state 1,665 of the rank order
+    "grantAuto-skip-group-1111": (
+        "security", TINY, mutated_operations,
+        "28e5dd082b948859519f31c8682196565438e42452e4b692294ef995a2947fb8"),
     "grantAuto-skip-group": (
         "all", Bounds(2, 2, 2, 2, budget=200, seed=0), mutated_operations,
         "a2fd950e01c9222db387d06f113de8c78ac42b3ae20986d291692b191ae34cf9"),
