@@ -14,9 +14,10 @@ around.  The shipped registry carries two families:
   They are evaluated through an index from each permission id to its
   definitions; the quantifier forms stay beside them as the index's oracle.
 
-Each clause declares the components it ``reads``.  The shipped clauses
-are built by ``clause``, which passes the body only those components, so
-the declaration cannot be wrong.  Its ``eval`` comes from ``model.reusing``,
+Each clause's ``eval`` declares the components it ``reads``, and the
+clause's ``reads`` is that declaration.  The shipped clauses are built by
+``clause``, which passes the body only those components, so the
+declaration cannot be wrong.  Its ``eval`` comes from ``model.reusing``,
 the one helper that keeps a result while the components it was computed
 from are the same objects; the operation registry's candidates use it too.
 A verified operation keeps the environment, so an environment-only
@@ -25,7 +26,7 @@ without running the body again.
 
 The registry is open: callers may check any sequence of clauses, so models
 extending this one can register more without touching this module.  A
-clause given only ``eval`` may read any component.
+clause whose ``eval`` declares no ``reads`` may read any component.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ from .model import System, reusing
 
 @dataclass(frozen=True)
 class InvariantClause:
-    """A named validity clause.  ``reads`` names the components ``eval``
-    reads; ``None`` means it may read any."""
+    """A named validity clause."""
 
     id: str
     eval: Callable[[System], bool]
-    reads: Optional[tuple[str, ...]] = None
+
+    @property
+    def reads(self) -> Optional[tuple[str, ...]]:
+        """The components ``eval`` declares it reads, as its own ``reads``
+        attribute; ``None`` means it may read any.  An ``eval`` replaced
+        through ``dataclasses.replace`` carries its own declaration, or
+        none."""
+        return getattr(self.eval, "reads", None)
 
 
 def clause(id: str, reads: tuple[str, ...], body: Callable[..., bool]
@@ -55,7 +62,7 @@ def clause(id: str, reads: tuple[str, ...], body: Callable[..., bool]
     that keeps those components, as every verified operation keeps the
     environment, gets the pre-state's result without running ``body``.
     """
-    return InvariantClause(id, reusing(reads, body), tuple(reads))
+    return InvariantClause(id, reusing(reads, body))
 
 
 MAPPING_COMPONENTS = ("manifest", "cert", "defPerms", "grantedPermGroups", "perms")

@@ -148,10 +148,18 @@ def component_reader(*names: str) -> Callable[[System], object]:
                         for n in names))
 
 
+def reading(names: tuple[str, ...], fn: Callable) -> Callable:
+    """``fn``, tagged with the components it reads as its ``reads``
+    attribute.  A callable without ``reads`` may read any component."""
+    fn.reads = tuple(names)
+    return fn
+
+
 def reusing(names: tuple[str, ...], fn: Callable) -> Callable[[System], object]:
-    """``System -> fn(*components)`` for the components named in ``names``.
-    It keeps its last result in one slot and returns it while each of those
-    components is the same object as last time, without calling ``fn``."""
+    """``System -> fn(*components)`` for the components named in ``names``,
+    tagged with them by ``reading``.  It keeps its last result in one slot
+    and returns it while each of those components is the same object as
+    last time, without calling ``fn``."""
     read = component_reader(*names)
     last = (None, None)  # (the component, or the tuple of them; result)
 
@@ -173,7 +181,7 @@ def reusing(names: tuple[str, ...], fn: Callable) -> Callable[[System], object]:
                 result = fn(*values)
                 last = (values, result)
             return result
-    return reused
+    return reading(names, reused)
 
 
 def differing_components(a: System, b: System) -> list[str]:

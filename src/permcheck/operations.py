@@ -36,8 +36,9 @@ Each of the four operations that change state is a *guard* and an
 numbered as above, or None.  ``effect(State, action) -> State`` reads and
 writes only the dynamic ``State``, in one constructor call; the successor
 pairs it with the pre-state's ``Environment`` object.  Each is declared
-once, in the table ``_OPERATIONS``, with the one component its candidate
-actions come from; ``OP_NAMES``, ``step`` and the registry of
+once, in the table ``_OPERATIONS``, with the components its guard and
+effect read and the one component its candidate actions come from;
+``OP_NAMES``, ``step`` and the registry of
 ``default_operations`` all derive from that table, and every one of them
 runs the guard and effect through ``_transition``.  ``grant_auto``,
 ``grant``, ``revoke``, ``revoke_group`` and ``step`` reuse nothing and are
@@ -71,6 +72,7 @@ from .model import (
     _loads,
     _need,
     group_authorized,
+    reading,
     record,
     reusing,
     state_from_doc,
@@ -297,16 +299,23 @@ def has_permission(sys: System, p: Perm, a: str) -> bool:
 # gives, for a concrete system, every action parameterization that could
 # possibly succeed; anything it omits is provably blocked.
 
-# op id -> (guard, effect, the component its candidates read, its candidate
-# actions given that component), for each operation that changes state
+# op id -> (guard, effect, the components the guard and the effect read,
+# the component its candidates read, its candidate actions given that
+# component), for each operation that changes state.  An effect writes only
+# grantedPermGroups and perms, and keeps every other component as the same
+# object.
 _OPERATIONS = {
-    "grantAuto": (_grant_auto_guard, _grant_auto_effect, "manifest",
-                  partial(_manifest_actions, "grantAuto")),
-    "grant": (_grant_guard, _grant_effect, "manifest",
-              partial(_manifest_actions, "grant")),
-    "revoke": (_revoke_guard, _revoke_effect, "perms", _revoke_actions),
+    "grantAuto": (_grant_auto_guard, _grant_auto_effect,
+                  ("grantedPermGroups", "perms", "manifest", "defPerms",
+                   "systemImage"),
+                  "manifest", partial(_manifest_actions, "grantAuto")),
+    "grant": (_grant_guard, _grant_effect,
+              ("grantedPermGroups", "perms", "manifest", "defPerms", "systemImage"),
+              "manifest", partial(_manifest_actions, "grant")),
+    "revoke": (_revoke_guard, _revoke_effect, ("perms",), "perms", _revoke_actions),
     "revokeGroup": (_revoke_group_guard, _revoke_group_effect,
-                    "grantedPermGroups", _revoke_group_actions),
+                    ("grantedPermGroups", "perms"), "grantedPermGroups",
+                    _revoke_group_actions),
 }
 
 OP_NAMES = (*_OPERATIONS, "hasPermission")
@@ -319,7 +328,7 @@ def step(sp: frozenset, sys: System, action: Action) -> Outcome:
                        result=has_permission(sys, action.perm, action.app))
     if action.op not in _OPERATIONS:
         raise ValueError(f"unknown operation: {action.op!r}")
-    guard, effect, _, _ = _OPERATIONS[action.op]
+    guard, effect, *_ = _OPERATIONS[action.op]
     return _transition(guard, effect, sp, sys, action)
 
 
@@ -335,7 +344,9 @@ class Operation:
 # the pre-state's State object and the action are the same; its
 # ``candidates`` is ``model.reusing`` on the one component it reads.  A
 # state stream in rank order changes the low components first, so
-# consecutive states share their State and most components.
+# consecutive states share their State and most components.  Both carry
+# the components they read as ``reads`` (``model.reading``), which the
+# verifier uses to skip states it has already searched.
 
 def _reused(effect: Callable) -> Callable:
     last = (None, None, None)  # (State, action, successor State)
@@ -350,17 +361,18 @@ def _reused(effect: Callable) -> Callable:
     return reused
 
 
-def _operation(id: str, guard: Callable, effect: Callable, reads: str,
-               actions: Callable) -> Operation:
-    return Operation(id, partial(_transition, guard, _reused(effect)),
-                     reusing((reads,), actions))
+def _operation(id: str, guard: Callable, effect: Callable, reads: tuple,
+               candidates_read: str, actions: Callable) -> Operation:
+    return Operation(id, reading(reads, partial(_transition, guard, _reused(effect))),
+                     reusing((candidates_read,), actions))
 
 
 def grant_auto_operation(skip: tuple = ()) -> Operation:
-    """The grantAuto registry entry; ``skip`` builds broken variants."""
-    guard, effect, reads, actions = _OPERATIONS["grantAuto"]
+    """The grantAuto registry entry; ``skip`` builds broken variants, which
+    read no more than the entry does."""
+    guard, effect, reads, candidates_read, actions = _OPERATIONS["grantAuto"]
     return _operation("grantAuto", partial(guard, skip=skip), effect, reads,
-                      partial(actions, dangerous_only=4 not in skip))
+                      candidates_read, partial(actions, dangerous_only=4 not in skip))
 
 
 def default_operations() -> dict[str, Operation]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 from math import comb, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from .kernel import EMPTY, canonical_order
 from .model import (
@@ -173,6 +173,13 @@ class SetSpace:
         if value is None:
             value = cache[r] = self._decode(r)
         return value
+
+    def decoded(self) -> Optional[list]:
+        """Every value in rank order, each the very object ``unrank`` gives
+        for its rank, or None when the space keeps no decoded values."""
+        if self._cache is None:
+            return None
+        return [self.unrank(r) for r in range(self.size)]
 
     def _decode(self, r: int):
         for k, size, width in self.blocks:

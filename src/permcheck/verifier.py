@@ -42,12 +42,37 @@ each on the states its budget leaves after its family.  The i-th state of
 the tail is the same for every query, so the pass runs in segments
 between the points where a query's share ends, each with a fixed set of
 queries.  In every pass each state is decoded once, each distinct
-hypothesis is evaluated once on it, and each operation's candidates are
-enumerated and each covered step is taken once for all of its queries.  A
-query leaves the pass at its first hit, so its verdict, down to
-``statesExamined`` and the hit, is the one it gets alone: no verdict
-depends on which other queries run.  The samples are held by the shared
-space, up to ``statespace.CACHE_LIMIT``, and decoded once for every query.
+hypothesis is evaluated at most once on it, and each operation's
+candidates are enumerated and each covered step is taken once for all of
+its queries.  A query leaves the pass at its first hit, so its verdict,
+down to ``statesExamined`` and the hit, is the one it gets alone: no
+verdict depends on which other queries run.  The samples are held by the
+shared space, up to ``statespace.CACHE_LIMIT``, and decoded once for every
+query.
+
+A pass over the tail skips work it has done already.  Each callable of a
+query or an operation may declare the components it reads as its
+``reads`` (``model.reading``); the registry's, the shipped clauses' and
+this module's all do.  The *footprint* of an operation's group of queries
+is what its ``apply`` and ``candidates`` read, with every hypothesis,
+filter and conclusion of its queries.  The group's result on a state
+depends only on the state's projection on that footprint: a conclusion
+reads the successor, which the operation builds from what it reads and
+from the pre-state's other components, unchanged.  So a group is skipped
+at a state whose projection already came out clean in the pass, with no
+hit for any of its queries; hypotheses are evaluated only for the groups
+that are not skipped.  A hit rebuilds the plan of the pass, and the
+record of clean projections with it, so a projection counts as clean only
+under the same live queries.  Verdicts, ``statesExamined`` and hits are
+the ones the unskipped pass gives.  The skip is on only where it pays and
+is exact: every footprint component's values are kept by the
+``SystemSpace``, so a value's identity gives its rank, and the footprint
+has no more values than the pass has states.  At (1,1,1,1) both hold;
+at (2,2,2,2) the standard suites' footprints have more than 10^18 values,
+so their sampled passes are not skipped, and targeted families never are.  A
+callable that declares no ``reads``, as a ``dataclasses.replace``d
+``apply``, ``eval`` or ``candidates`` does, turns the skip off for its
+group.
 """
 
 from __future__ import annotations
@@ -55,12 +80,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import prod
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
-from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to_doc,
-                    state_from_doc, state_to_doc)
+from .model import (DANGEROUS, PERM_SET, STATE_FIELDS, Perm, System, group_authorized,
+                    perm_to_doc, reading, state_from_doc, state_to_doc)
 from .operations import (Action, Operation, action_from_doc, action_to_doc,
                          default_operations)
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
@@ -135,18 +162,42 @@ def verdict_to_doc(v: Verdict) -> dict:
     return doc
 
 
+def _reads(fns: Iterable[Callable]) -> Optional[frozenset]:
+    """The components ``fns`` read, from what each declares as its
+    ``reads``; None when one of them declares nothing, and so may read
+    any component."""
+    out = set()
+    for fn in fns:
+        reads = getattr(fn, "reads", None)
+        if reads is None:
+            return None
+        out.update(reads)
+    return frozenset(out)
+
+
+def _reading_as(fns: Sequence[Callable], fn: Callable) -> Callable:
+    """``fn``, which reads what ``fns`` read together, tagged with that when
+    each of them declares its reads, and untagged otherwise."""
+    reads = _reads(fns)
+    return fn if reads is None else reading(tuple(sorted(reads)), fn)
+
+
 def _always(*_) -> bool:
     return True
+
+
+_always = reading((), _always)
 
 
 def gen_invariance_queries(operations: Optional[dict] = None,
                            clauses: Optional[Sequence[InvariantClause]] = None
                            ) -> list[Query]:
-    """One query per (validity clause, operation)."""
+    """One query per (validity clause, operation).  The conclusion reads
+    the successor's components that the clause reads."""
     ops = operations if operations is not None else default_operations()
     cls = tuple(clauses) if clauses is not None else standard_clauses()
-    return [Query(f"inv/{c.id}/{op.id}", "invariance", op, c.id, op.id,
-                  c.eval, _always, lambda sys, nxt, ev=c.eval: not ev(nxt))
+    return [Query(f"inv/{c.id}/{op.id}", "invariance", op, c.id, op.id, c.eval,
+                  _always, _reading_as((c.eval,), lambda sys, nxt, ev=c.eval: not ev(nxt)))
             for c in cls for op in ops.values()]
 
 
@@ -159,6 +210,9 @@ def _group_unauthorized(sys: System, action: Action) -> bool:
     return _dangerous_grouped(p) and not group_authorized(sys, action.app, p.group)
 
 
+_group_unauthorized = reading(("grantedPermGroups",), _group_unauthorized)
+
+
 def _holds_none_of_group(sys: System, action: Action) -> bool:
     # the app's granted set (present, single image) holds no permission of
     # the group.  grantAuto can still fire from a valid state, because
@@ -169,6 +223,9 @@ def _holds_none_of_group(sys: System, action: Action) -> bool:
         return False
     images = [v for k, v in sys.state.perms if k == a]
     return len(images) == 1 and not any(q.group == p.group for q in images[0])
+
+
+_holds_none_of_group = reading(("perms",), _holds_none_of_group)
 
 
 def gen_security_queries(operations: Optional[dict] = None,
@@ -186,7 +243,9 @@ def gen_security_queries(operations: Optional[dict] = None,
         query("cannotAutoGrantWithoutGroup", "universal",
               _group_unauthorized, _always),
         query("execAutoGrantWithoutIndividualPerms", "existential",
-              _holds_none_of_group, lambda sys, nxt: valid_state(sys, cls)),
+              _holds_none_of_group,
+              _reading_as([c.eval for c in cls],
+                          lambda sys, nxt: valid_state(sys, cls))),
     ]
 
 
@@ -210,46 +269,130 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
 
-def _first_hits(plan: list, hypotheses: tuple, sys: System) -> Iterator[tuple]:
+class _Projection:
+    """A state's projection on a footprint, as a key, and the record of
+    the keys on which the operation groups reading that footprint came
+    out clean.
+
+    The key is a mixed-radix number whose digits are the ranks of the
+    footprint's components' values.  Each value is found by identity among
+    the values its component's space keeps, so a key costs a few dict
+    lookups and hashes no value.  The part from the dynamic State is kept
+    while the State object is the same, as it is for long runs of a stream
+    in rank order."""
+
+    def __init__(self, components: list):
+        state_parts, env_parts, weight = [], [], 1
+        for name, values in components:
+            ranks = {id(v): r * weight for r, v in enumerate(values)}
+            parts = state_parts if name in STATE_FIELDS else env_parts
+            parts.append((attrgetter(name), ranks))
+            weight *= len(values)
+        self.clean = bytearray(weight)
+        last_state, state_key = None, 0
+
+        def key(sys: System) -> int:
+            nonlocal last_state, state_key
+            st = sys.state
+            if st is not last_state:
+                state_key = sum(ranks[id(get(st))] for get, ranks in state_parts)
+                last_state = st
+            k, env = state_key, sys.environment
+            for get, ranks in env_parts:
+                k += ranks[id(get(env))]
+            return k
+        self.key = key
+
+
+def _projection(space: SystemSpace, footprint: Optional[frozenset],
+                length: int) -> Optional[_Projection]:
+    """The projection on ``footprint`` for a pass over ``length`` states of
+    ``space``, or None where the skip would not pay or not be exact: when
+    the footprint is unknown, when it has more values than the pass has
+    states, or when a component's space keeps no decoded values, so that a
+    value's identity does not give its rank."""
+    if footprint is None:
+        return None
+    spaces = dict(space.components)
+    if (not footprint.issubset(spaces)
+            or prod(spaces[n].size for n in footprint) > length):
+        return None
+    components = [(n, s.decoded()) for n, s in space.components if n in footprint]
+    if any(values is None for _, values in components):
+        return None
+    return _Projection(components)
+
+
+def _first_hits(plan: list, sys: System) -> list:
     """The first hit in one state of each query of ``plan``, as (query,
     system perms, action, successor).
 
-    ``plan`` pairs each operation with its queries, and ``hypotheses`` holds
-    each distinct hypothesis of those queries once.  An operation's
-    candidates are enumerated once, and a step is taken only when some
-    query still searching the state covers it; each of those tests its
-    conclusion on that one successor and stops searching at its first hit,
-    so it finds the hit it would find alone.
+    ``plan`` holds sections, each a projection (or None) with the operation
+    groups reading its footprint, and each group is an operation with its
+    queries and their distinct hypotheses.  A section whose state's
+    projection already came out clean is skipped; otherwise each group's
+    hypotheses are evaluated, each distinct one once per state, and only
+    then are the operation's candidates enumerated, once.  A step is taken
+    only when some query still searching the state covers it; each of
+    those tests its conclusion on that one successor and stops searching
+    at its first hit, so it finds the hit it would find alone.
     """
-    held = {h: h(sys) for h in hypotheses}
-    for op, queries in plan:
-        live = [q for q in queries if held[q.hypothesis]]
-        if not live:
-            continue
-        for action in op.candidates(sys):
-            covered = [q for q in live if q.covers(sys, action)]
-            if not covered:
+    hits, held = [], {}
+    for projection, groups in plan:
+        if projection is not None:
+            key = projection.key(sys)
+            if projection.clean[key]:
                 continue
-            for sp in _sp_variants(action):
-                out = op.apply(sp, sys, action)
-                if out.ok:  # every other variant reaches the same successor
-                    break
-            else:
-                continue
-            for q in covered:
-                if q.concludes(sys, out.system):
-                    live.remove(q)
-                    yield q, sp, action, out.system
+        found = len(hits)
+        for op, queries, hypotheses in groups:
+            for h in hypotheses:
+                if h not in held:
+                    held[h] = h(sys)
+            live = [q for q in queries if held[q.hypothesis]]
             if not live:
-                break
+                continue
+            for action in op.candidates(sys):
+                covered = [q for q in live if q.covers(sys, action)]
+                if not covered:
+                    continue
+                for sp in _sp_variants(action):
+                    out = op.apply(sp, sys, action)
+                    if out.ok:  # every other variant reaches the same successor
+                        break
+                else:
+                    continue
+                for q in covered:
+                    if q.concludes(sys, out.system):
+                        live.remove(q)
+                        hits.append((q, sp, action, out.system))
+                if not live:
+                    break
+        if projection is not None and len(hits) == found:
+            projection.clean[key] = 1
+    return hits
 
 
-def _plan(queries: Sequence[Query]) -> tuple[list, tuple]:
-    """The queries grouped by operation, and their distinct hypotheses."""
+def _plan(queries: Sequence[Query], space: Optional[SystemSpace] = None,
+          length: int = 0) -> list:
+    """The queries grouped by operation, with their distinct hypotheses,
+    and the groups in sections by the projection of their footprint on
+    ``space`` (see ``_first_hits``).  A group's footprint is every
+    component its operation's ``apply`` and ``candidates`` read, and its
+    queries' hypotheses, filters and conclusions; a group without
+    ``space``, or whose footprint gets no projection, is in the section
+    without one."""
     by_op: dict[Operation, list] = {}
     for q in queries:
         by_op.setdefault(q.op, []).append(q)
-    return list(by_op.items()), tuple(dict.fromkeys(q.hypothesis for q in queries))
+    projections, sections = {}, {}
+    for op, group in by_op.items():
+        footprint = None if space is None else _reads([op.apply, op.candidates] + [
+            f for q in group for f in (q.hypothesis, q.covers, q.concludes)])
+        if footprint not in projections:
+            projections[footprint] = _projection(space, footprint, length)
+        sections.setdefault(projections[footprint], []).append(
+            (op, group, tuple(dict.fromkeys(q.hypothesis for q in group))))
+    return list(sections.items())
 
 
 def recheck(v: Verdict) -> bool:
@@ -278,15 +421,18 @@ def recheck(v: Verdict) -> bool:
 
 
 def _sweep(queries: Sequence[Query], states: Iterable[System], before: dict,
-           enumerated: bool, verdicts: dict) -> None:
+           enumerated: bool, verdicts: dict,
+           space: Optional[SystemSpace] = None, length: int = 0) -> None:
     """Check ``queries`` in one pass over ``states``, writing each query's
     first hit, rechecked, into ``verdicts``.  A hit at the i-th state (from
     1) examined ``before[p] + i`` states.  The pass ends when every query
-    has hit."""
+    has hit.  When ``states`` are ``length`` states of ``space``, groups may
+    skip states by their projections (see ``_first_hits``); a hit rebuilds
+    the plan, and the records of clean projections with it."""
     live = list(queries)
-    plan, hypotheses = _plan(live)
+    plan = _plan(live, space, length)
     for i, sys in enumerate(states, 1):
-        hits = list(_first_hits(plan, hypotheses, sys))
+        hits = _first_hits(plan, sys)
         if not hits:
             continue
         for p, sp, action, nxt in hits:
@@ -299,7 +445,7 @@ def _sweep(queries: Sequence[Query], states: Iterable[System], before: dict,
             live.remove(p)
         if not live:
             return
-        plan, hypotheses = _plan(live)
+        plan = _plan(live, space, length)
 
 
 def check_query(q: Query, bounds: Bounds,
@@ -353,7 +499,8 @@ def check_query(q: Query, bounds: Bounds,
         if not live:
             break
         segment = islice(tail, end - start)
-        _sweep(live, segment, {p: before[p] + start for p in live}, enumerated, verdicts)
+        _sweep(live, segment, {p: before[p] + start for p in live}, enumerated,
+               verdicts, space, min(end - start, space.size))
         start = end
 
     for p in queries:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import islice
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import brute
 import permcheck.invariants as invariants
 from conftest import NET, READ, WRITE, make_system, rank_order_states
-from permcheck.model import Manifest, Perm, SysImgApp, empty_system
+from permcheck.model import Manifest, Perm, SysImgApp, empty_system, reading
 from permcheck.invariants import (
     check_clauses,
     not_dup_perm_clauses,
@@ -28,6 +29,16 @@ def test_registry_shape():
                    "allMapsCorrect.defPerms", "allMapsCorrect.grantedPermGroups",
                    "allMapsCorrect.perms", "notDupPerm.1", "notDupPerm.2",
                    "notDupPerm.3"]
+
+
+def test_a_clause_reads_what_its_eval_declares():
+    # one source: an eval replaced through dataclasses.replace carries its
+    # own declaration, or none, and then the clause may read anything
+    c = CLAUSES["notDupPerm.3"]
+    assert c.reads == c.eval.reads == ("defPerms", "systemImage")
+    traced = dataclasses.replace(c, eval=lambda sys: c.eval(sys))
+    assert traced.reads is None
+    assert dataclasses.replace(c, eval=reading(("perms",), traced.eval)).reads == ("perms",)
 
 
 class TestMapClauses:

@@ -587,7 +587,7 @@ class TestReuse:
         ops = {k: tracking(op) for k, op in default_operations().items()}
         run_suite("all", Bounds(2, 2, 2, 2, budget=1000),
                   ops, [flagging(c) for c in clauses])
-        env_only = [c.id for c in clauses if set(c.reads) <= set(ENV_FIELDS)]
+        env_only = [c.id for c in clauses if set(c.eval.reads) <= set(ENV_FIELDS)]
         assert len(env_only) == 6
         assert [runs[cid, True] for cid in env_only] == [0] * 6
         assert all(runs[cid, False] > 0 for cid in env_only)
