@@ -16,9 +16,12 @@ drawing integer ranks.  ``state_stream`` is the one definition of what a
 search reads after its targeted family: the whole space in rank order
 when it fits the budget (the family is then empty), otherwise seeded
 uniform samples (with replacement), and the run counts as
-non-exhaustive.  The samples are a pure function of the bounds: every
-query of a run, and ``enumerate_states``, reads the same ones, and a
-space decodes each of its first CACHE_LIMIT samples once for all of them.
+non-exhaustive.  Of the whole space, a search may read only the
+``representatives`` of what it reads: the lowest-rank system of each
+projection on those components.  The samples are a pure function of the
+bounds: every query of a run, and ``enumerate_states``, reads the same
+ones, and a space decodes each of its first CACHE_LIMIT samples once for
+all of them.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 from math import comb, prod
-from typing import Callable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import EMPTY, canonical_order
 from .model import (
@@ -174,13 +178,6 @@ class SetSpace:
             value = cache[r] = self._decode(r)
         return value
 
-    def decoded(self) -> Optional[list]:
-        """Every value in rank order, each the very object ``unrank`` gives
-        for its rank, or None when the space keeps no decoded values."""
-        if self._cache is None:
-            return None
-        return [self.unrank(r) for r in range(self.size)]
-
     def _decode(self, r: int):
         for k, size, width in self.blocks:
             if r < size:
@@ -251,17 +248,34 @@ class SystemSpace:
 
     def __iter__(self) -> Iterator[System]:
         """Every system in rank order, equal to ``unrank(0)``, ``unrank(1)``,
-        ...  Each component value is decoded once, each State built once per
-        state prefix and each Environment once per sweep; the Environments
-        are held for the sweep, so iterate only spaces that are swept whole.
+        ...: the systems of ``representatives(None)``."""
+        return map(itemgetter(1), self.representatives(None))
+
+    def representatives(self, footprint: Optional[Iterable[str]]
+                        ) -> Iterator[tuple[int, System]]:
+        """``(rank, system)`` for every point of the product of the
+        components named in ``footprint``, in rank order, with every other
+        component at its rank-0 value: the lowest-rank system of each
+        projection on the footprint.  Names of fields that do not vary (the
+        opaque slots) select nothing, and a footprint of None names every
+        component, so it yields ``enumerate(self)``.
+
+        Each component value is decoded once, each State built once per
+        state prefix and each Environment once per pass; the Environments
+        are held for the pass, so iterate only footprints swept whole.
         """
-        values = [[space.unrank(d) for d in range(space.size)]
-                  for _, space in self.components]
-        envs = [Environment(*e) for e in product(*values[4:])]
-        for st in product(*values[:4]):
-            state = State(*st)
-            for env in envs:
-                yield System(state, env)
+        axes, weight = [], 1
+        for name, space in reversed(self.components):  # least significant first
+            picked = space.size if footprint is None or name in footprint else 1
+            axes.append([(d * weight, space.unrank(d)) for d in range(picked)])
+            weight *= space.size
+        axes.reverse()
+        envs = [(sum(r for r, _ in e), Environment(*(v for _, v in e)))
+                for e in product(*axes[4:])]
+        for st in product(*axes[:4]):
+            rank, state = sum(r for r, _ in st), State(*(v for _, v in st))
+            for r, env in envs:
+                yield rank + r, System(state, env)
 
     def samples(self, seed: int) -> Iterator[System]:
         """The endless stream of uniform samples seeded by ``seed``: ranks
@@ -291,7 +305,8 @@ def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
     """The tail of every bounded search at ``bounds``: the states
     ``verifier.check_query`` reads after a query's targeted family.  It is
     the whole space in rank order when it fits the budget, and the family
-    is then empty; otherwise ``bounds.budget`` uniform samples.  The
+    is then empty (a search reads the representatives of its footprint
+    among them); otherwise ``bounds.budget`` uniform samples.  The
     samples come from one generator seeded by ``bounds.seed`` alone, so the
     i-th sample is the same state for every query of a run, whichever
     queries run and in whatever order.  ``space`` holds the samples it

@@ -50,29 +50,28 @@ verdict depends on which other queries run.  The samples are held by the
 shared space, up to ``statespace.CACHE_LIMIT``, and decoded once for every
 query.
 
-A pass over the tail skips work it has done already.  Each callable of a
-query or an operation may declare the components it reads as its
-``reads`` (``model.reading``); the registry's, the shipped clauses' and
-this module's all do.  The *footprint* of an operation's group of queries
-is what its ``apply`` and ``candidates`` read, with every hypothesis,
-filter and conclusion of its queries.  The group's result on a state
-depends only on the state's projection on that footprint: a conclusion
-reads the successor, which the operation builds from what it reads and
-from the pre-state's other components, unchanged.  So a group is skipped
-at a state whose projection already came out clean in the pass, with no
-hit for any of its queries; hypotheses are evaluated only for the groups
-that are not skipped.  A hit rebuilds the plan of the pass, and the
-record of clean projections with it, so a projection counts as clean only
-under the same live queries.  Verdicts, ``statesExamined`` and hits are
-the ones the unskipped pass gives.  The skip is on only where it pays and
-is exact: every footprint component's values are kept by the
-``SystemSpace``, so a value's identity gives its rank, and the footprint
-has no more values than the pass has states.  At (1,1,1,1) both hold;
-at (2,2,2,2) the standard suites' footprints have more than 10^18 values,
-so their sampled passes are not skipped, and targeted families never are.  A
-callable that declares no ``reads``, as a ``dataclasses.replace``d
-``apply``, ``eval`` or ``candidates`` does, turns the skip off for its
-group.
+An enumerated run reads only the states that can decide a verdict.  Each
+callable of a query or an operation may declare the components it reads
+as its ``reads`` (``model.reading``); the registry's, the shipped
+clauses' and this module's all do.  The *footprint* of an operation's
+group of queries is what its ``apply`` and ``candidates`` read, with
+every hypothesis, filter and conclusion of its queries.  The group's
+result on a state depends only on the state's projection on that
+footprint: a conclusion reads the successor, which the operation builds
+from what it reads and from the pre-state's other components, unchanged.
+The *representative* of a projection is its lowest-rank state, in which
+every component outside the footprint takes its rank-0 value.  A hit at a
+state is a hit at its representative too, which comes no later in rank
+order, so a query's first hit among the representatives is its first hit
+in the whole space.  So when the space fits the budget, the tail is
+split by footprint: each footprint's queries are checked in one pass over
+its representatives (``SystemSpace.representatives``), and a hit at rank
+r examined r + 1 states.  Verdicts, ``statesExamined`` and hits are the
+ones a pass over every state gives.  Targeted families and sampled tails
+read every state of their stream.  A callable that declares no
+``reads``, as a ``dataclasses.replace``d ``apply``, ``eval`` or
+``candidates`` does, leaves its group without a footprint, and the group
+reads the whole space in rank order.
 """
 
 from __future__ import annotations
@@ -80,14 +79,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import prod
-from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
-from .model import (DANGEROUS, PERM_SET, STATE_FIELDS, Perm, System, group_authorized,
-                    perm_to_doc, reading, state_from_doc, state_to_doc)
+from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to_doc,
+                    reading, state_from_doc, state_to_doc)
 from .operations import (Action, Operation, action_from_doc, action_to_doc,
                          default_operations)
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
@@ -269,130 +266,64 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
 
-class _Projection:
-    """A state's projection on a footprint, as a key, and the record of
-    the keys on which the operation groups reading that footprint came
-    out clean.
-
-    The key is a mixed-radix number whose digits are the ranks of the
-    footprint's components' values.  Each value is found by identity among
-    the values its component's space keeps, so a key costs a few dict
-    lookups and hashes no value.  The part from the dynamic State is kept
-    while the State object is the same, as it is for long runs of a stream
-    in rank order."""
-
-    def __init__(self, components: list):
-        state_parts, env_parts, weight = [], [], 1
-        for name, values in components:
-            ranks = {id(v): r * weight for r, v in enumerate(values)}
-            parts = state_parts if name in STATE_FIELDS else env_parts
-            parts.append((attrgetter(name), ranks))
-            weight *= len(values)
-        self.clean = bytearray(weight)
-        last_state, state_key = None, 0
-
-        def key(sys: System) -> int:
-            nonlocal last_state, state_key
-            st = sys.state
-            if st is not last_state:
-                state_key = sum(ranks[id(get(st))] for get, ranks in state_parts)
-                last_state = st
-            k, env = state_key, sys.environment
-            for get, ranks in env_parts:
-                k += ranks[id(get(env))]
-            return k
-        self.key = key
-
-
-def _projection(space: SystemSpace, footprint: Optional[frozenset],
-                length: int) -> Optional[_Projection]:
-    """The projection on ``footprint`` for a pass over ``length`` states of
-    ``space``, or None where the skip would not pay or not be exact: when
-    the footprint is unknown, when it has more values than the pass has
-    states, or when a component's space keeps no decoded values, so that a
-    value's identity does not give its rank."""
-    if footprint is None:
-        return None
-    spaces = dict(space.components)
-    if (not footprint.issubset(spaces)
-            or prod(spaces[n].size for n in footprint) > length):
-        return None
-    components = [(n, s.decoded()) for n, s in space.components if n in footprint]
-    if any(values is None for _, values in components):
-        return None
-    return _Projection(components)
-
-
 def _first_hits(plan: list, sys: System) -> list:
     """The first hit in one state of each query of ``plan``, as (query,
     system perms, action, successor).
 
-    ``plan`` holds sections, each a projection (or None) with the operation
-    groups reading its footprint, and each group is an operation with its
-    queries and their distinct hypotheses.  A section whose state's
-    projection already came out clean is skipped; otherwise each group's
-    hypotheses are evaluated, each distinct one once per state, and only
-    then are the operation's candidates enumerated, once.  A step is taken
-    only when some query still searching the state covers it; each of
-    those tests its conclusion on that one successor and stops searching
-    at its first hit, so it finds the hit it would find alone.
+    ``plan`` pairs each operation with its queries still searching.  Each
+    distinct hypothesis is evaluated once per state, and each operation's
+    candidates are enumerated once.  A step is taken only when some query
+    still searching the state covers it; each of those tests its
+    conclusion on that one successor and, at its first hit, leaves the
+    state and the plan, so it finds the hit it would find alone.
     """
     hits, held = [], {}
-    for projection, groups in plan:
-        if projection is not None:
-            key = projection.key(sys)
-            if projection.clean[key]:
+    for op, queries in plan:
+        for q in queries:
+            if q.hypothesis not in held:
+                held[q.hypothesis] = q.hypothesis(sys)
+        live = [q for q in queries if held[q.hypothesis]]
+        if not live:
+            continue
+        for action in op.candidates(sys):
+            covered = [q for q in live if q.covers(sys, action)]
+            if not covered:
                 continue
-        found = len(hits)
-        for op, queries, hypotheses in groups:
-            for h in hypotheses:
-                if h not in held:
-                    held[h] = h(sys)
-            live = [q for q in queries if held[q.hypothesis]]
-            if not live:
-                continue
-            for action in op.candidates(sys):
-                covered = [q for q in live if q.covers(sys, action)]
-                if not covered:
-                    continue
-                for sp in _sp_variants(action):
-                    out = op.apply(sp, sys, action)
-                    if out.ok:  # every other variant reaches the same successor
-                        break
-                else:
-                    continue
-                for q in covered:
-                    if q.concludes(sys, out.system):
-                        live.remove(q)
-                        hits.append((q, sp, action, out.system))
-                if not live:
+            for sp in _sp_variants(action):
+                out = op.apply(sp, sys, action)
+                if out.ok:  # every other variant reaches the same successor
                     break
-        if projection is not None and len(hits) == found:
-            projection.clean[key] = 1
+            else:
+                continue
+            for q in covered:
+                if q.concludes(sys, out.system):
+                    live.remove(q)
+                    queries.remove(q)
+                    hits.append((q, sp, action, out.system))
+            if not live:
+                break
     return hits
 
 
-def _plan(queries: Sequence[Query], space: Optional[SystemSpace] = None,
-          length: int = 0) -> list:
-    """The queries grouped by operation, with their distinct hypotheses,
-    and the groups in sections by the projection of their footprint on
-    ``space`` (see ``_first_hits``).  A group's footprint is every
-    component its operation's ``apply`` and ``candidates`` read, and its
-    queries' hypotheses, filters and conclusions; a group without
-    ``space``, or whose footprint gets no projection, is in the section
-    without one."""
+def _plan(queries: Sequence[Query]) -> list:
+    """The queries grouped by operation, each group a fresh list."""
     by_op: dict[Operation, list] = {}
     for q in queries:
         by_op.setdefault(q.op, []).append(q)
-    projections, sections = {}, {}
-    for op, group in by_op.items():
-        footprint = None if space is None else _reads([op.apply, op.candidates] + [
+    return list(by_op.items())
+
+
+def _by_footprint(queries: Sequence[Query]) -> dict:
+    """The queries by the footprint of their operation's group: every
+    component the operation's ``apply`` and ``candidates`` read, and the
+    group's hypotheses, filters and conclusions; None when one of them
+    declares no reads."""
+    out: dict[Optional[frozenset], list] = {}
+    for op, group in _plan(queries):
+        footprint = _reads([op.apply, op.candidates] + [
             f for q in group for f in (q.hypothesis, q.covers, q.concludes)])
-        if footprint not in projections:
-            projections[footprint] = _projection(space, footprint, length)
-        sections.setdefault(projections[footprint], []).append(
-            (op, group, tuple(dict.fromkeys(q.hypothesis for q in group))))
-    return list(sections.items())
+        out.setdefault(footprint, []).extend(group)
+    return out
 
 
 def recheck(v: Verdict) -> bool:
@@ -420,18 +351,14 @@ def recheck(v: Verdict) -> bool:
             == {"next_system": v.next_system, "bindings": v.bindings})
 
 
-def _sweep(queries: Sequence[Query], states: Iterable[System], before: dict,
-           enumerated: bool, verdicts: dict,
-           space: Optional[SystemSpace] = None, length: int = 0) -> None:
-    """Check ``queries`` in one pass over ``states``, writing each query's
-    first hit, rechecked, into ``verdicts``.  A hit at the i-th state (from
-    1) examined ``before[p] + i`` states.  The pass ends when every query
-    has hit.  When ``states`` are ``length`` states of ``space``, groups may
-    skip states by their projections (see ``_first_hits``); a hit rebuilds
-    the plan, and the records of clean projections with it."""
-    live = list(queries)
-    plan = _plan(live, space, length)
-    for i, sys in enumerate(states, 1):
+def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
+           before: dict, enumerated: bool, verdicts: dict) -> None:
+    """Check ``queries`` in one pass over ``states``, (position, state)
+    pairs, writing each query's first hit, rechecked, into ``verdicts``.  A
+    hit at position i examined ``before[p] + i`` states.  The pass ends when
+    every query has hit."""
+    plan, searching = _plan(queries), len(queries)
+    for i, sys in states:
         hits = _first_hits(plan, sys)
         if not hits:
             continue
@@ -442,10 +369,9 @@ def _sweep(queries: Sequence[Query], states: Iterable[System], before: dict,
             if not recheck(v):
                 raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
             verdicts[p] = v
-            live.remove(p)
-        if not live:
+        searching -= len(hits)
+        if not searching:
             return
-        plan = _plan(live, space, length)
 
 
 def check_query(q: Query, bounds: Bounds,
@@ -473,36 +399,44 @@ def check_query(q: Query, bounds: Bounds,
     checked with ``q``, and the verdicts are written back into ``peers``.
     Each tag's family is swept, cut to the budget, with that tag's queries;
     then one pass over the tail checks every query on the states left in
-    its budget after its family.  Each verdict is the one its query gets
-    alone.
+    its budget after its family.  When the space fits the budget, the tail
+    is read as one pass per footprint over its representatives (see the
+    module docstring).  Each verdict is the one its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)
     queries = [q] + [p for p, v in (peers or {}).items() if v is None and p is not q]
     budget, verdicts = bounds.budget, {}
     enumerated = space.size <= budget
-    by_tag: dict[str, list] = {}
-    for p in queries:
-        by_tag.setdefault(p.tag, []).append(p)
-    before, conclusive = {}, set()
-    for tag, tagged in by_tag.items():
-        family = () if enumerated else targeted_states(bounds, tag)
-        _sweep(tagged, family[:budget], dict.fromkeys(tagged, 0), enumerated, verdicts)
-        before.update(dict.fromkeys(tagged, min(len(family), budget)))
-        if len(family) <= budget:
-            conclusive.update(tagged)
-    # query p reads the first budget - before[p] states of the tail: cut the
-    # pass where a quota ends, so each segment has a fixed set of queries
-    tail, start = state_stream(space, bounds), 0
-    for end in sorted({budget - n for n in before.values()}):
-        live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
-        if not live:
-            break
-        segment = islice(tail, end - start)
-        _sweep(live, segment, {p: before[p] + start for p in live}, enumerated,
-               verdicts, space, min(end - start, space.size))
-        start = end
-
+    if enumerated:
+        # no family: each footprint's queries read its representatives, and
+        # a hit at rank r examined r + 1 states (see the module docstring)
+        for footprint, group in _by_footprint(queries).items():
+            _sweep(group, space.representatives(footprint), dict.fromkeys(group, 1),
+                   True, verdicts)
+        conclusive = set(queries)
+    else:
+        by_tag: dict[str, list] = {}
+        for p in queries:
+            by_tag.setdefault(p.tag, []).append(p)
+        before, conclusive = {}, set()
+        for tag, tagged in by_tag.items():
+            family = targeted_states(bounds, tag)
+            _sweep(tagged, enumerate(family[:budget], 1), dict.fromkeys(tagged, 0),
+                   False, verdicts)
+            before.update(dict.fromkeys(tagged, min(len(family), budget)))
+            if len(family) <= budget:
+                conclusive.update(tagged)
+        # query p reads the first budget - before[p] samples: cut the pass
+        # where a quota ends, so each segment has a fixed set of queries
+        tail, start = state_stream(space, bounds), 0
+        for end in sorted({budget - n for n in before.values()}):
+            live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
+            if not live:
+                break
+            _sweep(live, enumerate(islice(tail, end - start), 1),
+                   {p: before[p] + start for p in live}, False, verdicts)
+            start = end
     for p in queries:
         if p not in verdicts:
             kind = VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted"

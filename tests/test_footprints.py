@@ -1,11 +1,11 @@
-"""Declared reads, and the skip of states whose projection came out clean.
+"""Declared reads, and the enumeration of each footprint's representatives.
 
-Every registry callable declares the components it reads.  The verifier
-skips an operation group at a state whose projection on the group's
-footprint (what its operation and its queries read) already came out
-clean.  These tests check the declarations by poisoning every other
+Every registry callable declares the components it reads.  An enumerated
+pass reads, for each footprint (what an operation and its queries read),
+only the lowest-rank state of each projection on it, and skips every
+other state.  These tests check the declarations by poisoning every other
 component, check that the skip leaves every verdict byte-identical, and
-check that it fires where it should and nowhere else.
+check that it reads the representatives where it should and nowhere else.
 """
 
 import collections
@@ -166,7 +166,8 @@ def bare(fn, wrapped):
 
 def without_reads(monkeypatch):
     """Make every query that the suites generate, and its operation, carry
-    callables that declare no reads, so that no group is skipped."""
+    callables that declare no reads, so that every query reads the whole
+    space in rank order."""
     wrapped = {}
 
     def bare_op(op):
@@ -240,8 +241,8 @@ def test_the_skip_leaves_every_verdict_section_unchanged(monkeypatch, case):
 def test_an_apply_reading_undeclared_components_is_never_skipped(monkeypatch):
     # stale_perms_from's apply reads the whole state.  It breaks the perms
     # map only from states with installed and verified apps, the last
-    # quarter of rank order, whose projections on every footprint all came
-    # out clean in the first quarter
+    # quarter of rank order, which no representative of a declared
+    # footprint is: none reads apps or alreadyVerified
     space = list(SystemSpace(TINY))
     late = {s for s in space if s.state.apps and s.state.alreadyVerified}
 
@@ -262,28 +263,26 @@ def test_an_apply_reading_undeclared_components_is_never_skipped(monkeypatch):
     hits = [v for v in replaced.verdicts if v.kind == "counterexample"]
     assert hits and all(v.system in late for v in hits)
     assert all(v.states_examined == space.index(v.system) + 1 for v in hits)
-    # the same mutant declaring the reads of the apply it replaced would be
-    # skipped at every late state: the declaration is what the skip trusts
+    # the same mutant declaring the reads of the apply it replaced reads no
+    # late state: the declaration is what the skip trusts
     wrongly_declared = run_suite("invariance", TINY, stale_ops(True), clauses)
     assert not any(v.kind == "counterexample" for v in wrongly_declared.verdicts)
 
 
-# -- the skip fires ------------------------------------------------------------
+# -- the representatives -------------------------------------------------------
 
-def grant_auto_guard_runs(monkeypatch, row):
-    """The passes of one row of the exhaustive slice, each as the states
-    grantAuto's guard ran for (once per state), in order.  A hit ends a
-    pass and rebuilds the records; the replay of the hit is not counted."""
+def grant_auto_guarded_states(monkeypatch, row):
+    """The states grantAuto's guard ran for in one row of the exhaustive
+    slice, once each, in order; the replay of a hit is not counted."""
     guard, *rest = operations._OPERATIONS["grantAuto"]
-    passes, rechecking = [{}], [False]
+    guarded, rechecking = {}, [False]
 
     def counting_guard(sp, sys, action):
         if not rechecking[0]:
-            passes[-1][id(sys)] = sys
+            guarded[id(sys)] = sys
         return guard(sp, sys, action)
 
     def marking_recheck(v, real=verifier.recheck):
-        passes.append({})
         rechecking[0] = True
         try:
             return real(v)
@@ -295,31 +294,33 @@ def grant_auto_guard_runs(monkeypatch, row):
         m.setattr(verifier, "recheck", marking_recheck)
         report = run_suite(row, TINY, None, slice_clauses())
     assert all(v.kind in ("holds-at-bounds", "witness") for v in report.verdicts)
-    return [list(p.values()) for p in passes]
+    return list(guarded.values())
 
 
 @pytest.mark.parametrize("row", ["invariance", "security"])
 def test_grant_auto_runs_once_per_new_projection_on_the_slice(monkeypatch, row):
     # the grantAuto group's footprint in both rows: what the operation reads
     # and the slice's clauses; the security filters read nothing else.  It
-    # has 3 x 8 x 8 x 8 x 8 = 12,288 values among the 98,304 states
+    # has 3 x 8 x 8 x 8 x 8 = 12,288 values among the 98,304 states, and
+    # the pass reads one representative of each, whose other components
+    # take their rank-0 values
     reads = operations._OPERATIONS["grantAuto"][2]
     footprint = sorted(set(reads) | {"perms", "defPerms", "systemImage"})
-    passes = grant_auto_guard_runs(monkeypatch, row)
-    assert len(passes) == {"invariance": 1, "security": 2}[row]  # the witness
-    for states in passes:
-        projections = {tuple(get_component(s, n) for n in footprint) for s in states}
-        assert len(projections) == len(states) <= 12_288
-    # without the skip, each of these projections would be guarded again
-    # for each value of apps, alreadyVerified and cert (8 in all): in the
-    # invariance row 24,576 states instead of 3,072
-    assert len(passes[0]) > 1000
+    unread = ("apps", "alreadyVerified", "cert")
+    assert not set(footprint) & set(unread)
+    lowest = SystemSpace(TINY).unrank(0)
+    states = grant_auto_guarded_states(monkeypatch, row)
+    projections = {tuple(get_component(s, n) for n in footprint) for s in states}
+    assert 1000 < len(projections) == len(states) <= 12_288
+    for s in states:
+        assert all(get_component(s, n) == get_component(lowest, n) for n in unread)
 
 
 def test_no_projection_is_built_where_it_would_not_pay(monkeypatch):
-    def no_projection(components):
-        raise AssertionError("projection built")
+    # a sampled run reads its families and samples, never representatives
+    def no_representatives(self, footprint):
+        raise AssertionError("representatives read by a sampled run")
 
-    monkeypatch.setattr(verifier, "_Projection", no_projection)
+    monkeypatch.setattr(SystemSpace, "representatives", no_representatives)
     report = run_suite("all", Bounds(2, 2, 2, 2, budget=1000))
     assert {v.kind for v in report.verdicts} == {"holds-at-bounds", "witness"}

@@ -1,13 +1,15 @@
 import hashlib
 import itertools
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 
 from conftest import random_grant_auto_state
 from permcheck.invariants import valid_state
-from permcheck.model import DANGEROUS, System, emit_state
+from permcheck.model import COMPONENTS, DANGEROUS, System, emit_state, get_component
+import permcheck.operations as operations
 from permcheck.operations import default_operations, pre_grant_auto
 import permcheck.statespace as statespace
 from permcheck.statespace import (
@@ -164,6 +166,56 @@ class TestSpace:
             for name in ("grantedPermGroups", "perms"):
                 rel = getattr(sys.state, name)
                 assert len({k for k, _ in rel}) == len(rel)
+
+
+TINY = Bounds(1, 1, 1, 1)
+GRANT_AUTO_SLICE = tuple(sorted(
+    set(operations._OPERATIONS["grantAuto"][2]) | {"perms", "defPerms", "systemImage"}))
+FOOTPRINTS = {
+    "empty": (),
+    "perms": ("perms",),
+    "grantAuto-slice": GRANT_AUTO_SLICE,
+    "every-component": tuple(COMPONENTS),
+    "none": None,
+}
+
+
+@lru_cache(maxsize=1)
+def tiny_space():
+    return list(SystemSpace(TINY))
+
+
+def brute_representatives(footprint):
+    """(rank, system) of the lowest-rank system of each projection on
+    ``footprint`` (every component when None), found by walking the space."""
+    names = COMPONENTS if footprint is None else footprint
+    first = {}
+    for r, sys in enumerate(tiny_space()):
+        first.setdefault(tuple(get_component(sys, n) for n in names), (r, sys))
+    return sorted(first.values(), key=lambda pair: pair[0])
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("name", FOOTPRINTS)
+    def test_the_lowest_rank_system_of_each_projection_in_rank_order(self, name):
+        space = SystemSpace(TINY)
+        got = list(space.representatives(FOOTPRINTS[name]))
+        assert got == brute_representatives(FOOTPRINTS[name])
+        ranks = [r for r, _ in got]
+        assert ranks == sorted(set(ranks))
+        assert all(sys == space.unrank(r) for r, sys in got)
+
+    def test_a_field_that_does_not_vary_selects_nothing(self):
+        space = SystemSpace(TINY)
+        for footprint in ((), ("perms",), GRANT_AUTO_SLICE):
+            assert (list(space.representatives(footprint + ("opaque5",)))
+                    == list(space.representatives(footprint)))
+
+    def test_systems_share_states_and_environments(self):
+        space = SystemSpace(TINY)
+        got = [sys for _, sys in space.representatives(GRANT_AUTO_SLICE)]
+        assert len({id(s.state) for s in got}) == 3 * 8  # grantedPermGroups x perms
+        assert len({id(s.environment) for s in got}) == len(got) // (3 * 8)
 
 
 @pytest.mark.parametrize("m", range(9))

@@ -662,6 +662,10 @@ RECORDED_VERDICTS = {
     "grantAuto-skip-group-1111": (
         "security", TINY, mutated_operations,
         "28e5dd082b948859519f31c8682196565438e42452e4b692294ef995a2947fb8"),
+    # the exhaustive frontier: all 6,834,375 states, with the witness at
+    # state 317,251
+    "security-2111": ("security", Bounds(2, 1, 1, 1, budget=6_834_375), None,
+                      "157a253f2930784be6c2f609f5730340f3a62c90502dd24380714979b33155f4"),
     "grantAuto-skip-group": (
         "all", Bounds(2, 2, 2, 2, budget=200, seed=0), mutated_operations,
         "a2fd950e01c9222db387d06f113de8c78ac42b3ae20986d291692b191ae34cf9"),
