@@ -345,8 +345,8 @@ class Operation:
 # ``candidates`` is ``model.reusing`` on the one component it reads.  A
 # state stream in rank order changes the low components first, so
 # consecutive states share their State and most components.  Both carry
-# the components they read as ``reads`` (``model.reading``), which the
-# verifier uses to skip states it has already searched.
+# the components they read as ``reads`` (``model.reading``), from which
+# the verifier picks each footprint's representatives.
 
 def _reused(effect: Callable) -> Callable:
     last = (None, None, None)  # (State, action, successor State)

@@ -20,8 +20,9 @@ non-exhaustive.  Of the whole space, a search may read only the
 ``representatives`` of what it reads: the lowest-rank system of each
 projection on those components.  The samples are a pure function of the
 bounds: every query of a run, and ``enumerate_states``, reads the same
-ones, and a space decodes each of its first CACHE_LIMIT samples once for
-all of them.
+ones.  A stream decodes each sample when it reaches it and keeps none;
+the component values it is built from come from the ``SetSpace`` decode
+caches.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -121,7 +122,9 @@ def _pools(n_apps: int, n_perms: int, n_grps: int) -> Pools:
 
 # -- indexed spaces ------------------------------------------------------------
 
-CACHE_LIMIT = 120_000  # spaces up to this size keep every decoded value
+# The one decode cache: a SetSpace of at most this many values keeps each
+# value it decodes, so every stream of a space shares its component values.
+CACHE_LIMIT = 120_000
 
 
 def _unrank_combination(m: int, k: int, r: int) -> tuple:
@@ -196,12 +199,8 @@ class SetSpace:
 class SystemSpace:
     """The full product space of systems at given bounds.  A rank's digits,
     most significant first, are the eight varying components in State then
-    Environment field order.
-
-    The space also holds the seeded uniform samples that searches read:
-    the first pass of a run decodes each sample it reaches, and later
-    passes reuse it, up to CACHE_LIMIT samples for one seed at a time.
-    Samples past the cap are decoded again by each pass.
+    Environment field order.  The space holds no systems, only its
+    components' decode caches.
     """
 
     def __init__(self, bounds: Bounds):
@@ -235,8 +234,6 @@ class SystemSpace:
         )
         self._digits = [(s, s.size) for _, s in reversed(self.components)]
         self.size = prod(size for _, size in self._digits)
-        # (seed, decoded samples, the generator positioned after them)
-        self._samples: tuple = (None, [], None)
 
     def unrank(self, r: int) -> System:
         v = []
@@ -277,44 +274,21 @@ class SystemSpace:
             for r, env in envs:
                 yield rank + r, System(state, env)
 
-    def samples(self, seed: int) -> Iterator[System]:
-        """The endless stream of uniform samples seeded by ``seed``: ranks
-        drawn with replacement from one generator seeded
-        ``f"{seed}:enumerate"``, each decoded by ``unrank``.  The first
-        CACHE_LIMIT samples are decoded once and held for every later
-        stream of the same seed; another seed replaces them."""
-        held_seed, held, rng = self._samples
-        if held_seed != seed:
-            held, rng = [], random.Random(f"{seed}:enumerate")
-            self._samples = (seed, held, rng)
-        i = 0
-        while i < CACHE_LIMIT:
-            if i == len(held):  # the first stream to get here draws the next
-                held.append(self.unrank(rng.randrange(self.size)))
-            yield held[i]
-            i += 1
-        # past the cap: a private copy of the generator, which drew nothing
-        # after the last held sample
-        rest = random.Random()
-        rest.setstate(rng.getstate())
-        while True:
-            yield self.unrank(rest.randrange(self.size))
-
 
 def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
     """The tail of every bounded search at ``bounds``: the states
     ``verifier.check_query`` reads after a query's targeted family.  It is
     the whole space in rank order when it fits the budget, and the family
     is then empty (a search reads the representatives of its footprint
-    among them); otherwise ``bounds.budget`` uniform samples.  The
-    samples come from one generator seeded by ``bounds.seed`` alone, so the
-    i-th sample is the same state for every query of a run, whichever
-    queries run and in whatever order.  ``space`` holds the samples it
-    decodes (``SystemSpace.samples``), up to CACHE_LIMIT of them, for every
-    later stream of the same seed."""
+    among them); otherwise ``bounds.budget`` uniform samples: ranks drawn
+    with replacement from one generator seeded ``f"{bounds.seed}:enumerate"``,
+    each decoded by ``space.unrank`` when the stream reaches it.  The seed
+    alone fixes the ranks, so the i-th sample is the same state for every
+    query of a run, whichever queries run and in whatever order."""
     if space.size <= bounds.budget:
         return iter(space)
-    return islice(space.samples(bounds.seed), bounds.budget)
+    rng = random.Random(f"{bounds.seed}:enumerate")
+    return (space.unrank(rng.randrange(space.size)) for _ in range(bounds.budget))
 
 
 def enumerate_states(bounds: Bounds) -> Iterator[System]:

@@ -46,9 +46,9 @@ hypothesis is evaluated at most once on it, and each operation's
 candidates are enumerated and each covered step is taken once for all of
 its queries.  A query leaves the pass at its first hit, so its verdict,
 down to ``statesExamined`` and the hit, is the one it gets alone: no
-verdict depends on which other queries run.  The samples are held by the
-shared space, up to ``statespace.CACHE_LIMIT``, and decoded once for every
-query.
+verdict depends on which other queries run.  A row decodes each sample
+when its pass reaches it; the component values come from the shared
+space's decode caches.
 
 An enumerated run reads only the states that can decide a verdict.  Each
 callable of a query or an operation may declare the components it reads
@@ -390,9 +390,9 @@ def check_query(q: Query, bounds: Bounds,
 
     ``space`` may carry a prebuilt space for the same pool sizes and
     ``max_card``; it never changes the verdict, only the decoding cost.  A
-    space holds the samples a query decodes, so a later query given the
-    same space and seed reuses them (up to ``statespace.CACHE_LIMIT``); a
-    space last read at another seed decodes this seed's samples afresh.
+    space carries only its components' decode caches, so a later query
+    given the same space, at any seed, reuses the component values decoded
+    before it, and decodes its own samples.
 
     ``peers`` may map other queries at the same bounds to their verdicts,
     ``None`` while undecided.  Every undecided peer, whatever its tag, is
@@ -508,7 +508,7 @@ def run_suite(suite: str, bounds: Bounds,
     if suite in ("security", "all"):
         groups.append((SECURITY_ROW, gen_security_queries(operations, clauses)))
 
-    space = SystemSpace(bounds)  # decodes each sample once for every query
+    space = SystemSpace(bounds)  # its decode caches serve every row
     rows, verdicts = [], []
     for name, queries in groups:
         start = time.perf_counter()

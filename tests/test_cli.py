@@ -29,8 +29,8 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=src_env())
 
 
-def limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def limit_memory(size=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
 def write_scenario(path, f1, actions):
@@ -151,6 +151,14 @@ class TestVerify:
         r = run_cli("verify", "--apps", "30", "--maxcard", "30", "--budget", "20",
                     preexec_fn=limit_memory, timeout=60)
         assert r.returncode == 3, r.stderr
+
+    def test_a_long_sampled_run_holds_no_samples(self):
+        # about 20 KB per sample at these bounds: holding the 8,000 samples
+        # for the row used to end in MemoryError (exit 4) under 128 MiB
+        r = run_cli("verify", "--suite", "security", "--apps", "30", "--perms", "1",
+                    "--grps", "1", "--maxcard", "30", "--budget", "8000",
+                    preexec_fn=lambda: limit_memory(128 << 20), timeout=120)
+        assert r.returncode == 0, r.stderr
 
     def test_wide_permission_pool_fits_in_one_gib(self):
         # 99,999 permission triples: targeted families are built only up to

@@ -269,38 +269,21 @@ def reference_samples(space, seed, n):
 
 
 class TestSamples:
-    def test_a_space_decodes_each_sample_once(self, monkeypatch):
+    def test_each_stream_of_a_space_is_the_reference_stream(self):
         space = SystemSpace(Bounds(2, 2, 2, 2))
-        expected = reference_samples(space, 3, 40)
-        other = reference_samples(space, 4, 10)
-        decoded = []
-        real = space.unrank
-        monkeypatch.setattr(space, "unrank",
-                            lambda r: decoded.append(r) or real(r))
-        assert list(itertools.islice(space.samples(3), 25)) == expected[:25]
-        assert list(itertools.islice(space.samples(3), 40)) == expected
-        assert len(decoded) == 40
-        # another seed replaces the held samples; coming back decodes again
-        assert list(itertools.islice(space.samples(4), 10)) == other
-        assert list(itertools.islice(space.samples(3), 40)) == expected
-        assert len(decoded) == 40 + 10 + 40
+        for seed in (3, 4, 3):
+            b = Bounds(2, 2, 2, 2, budget=40, seed=seed)
+            assert list(state_stream(space, b)) == reference_samples(space, seed, 40)
 
     def test_interleaved_streams_read_the_same_samples(self):
         space = SystemSpace(Bounds(2, 2, 2, 2))
-        a, b = space.samples(5), space.samples(5)
+        b = Bounds(2, 2, 2, 2, budget=8, seed=5)
+        a, c = state_stream(space, b), state_stream(space, b)
         got_a = [next(a) for _ in range(3)]
-        got_b = [next(b) for _ in range(6)]
+        got_c = [next(c) for _ in range(6)]
         got_a += [next(a) for _ in range(5)]
         assert got_a == reference_samples(space, 5, 8)
-        assert got_b == got_a[:6]
-
-    def test_samples_past_the_cap_continue_the_stream(self, monkeypatch):
-        space = SystemSpace(Bounds(2, 2, 2, 2))
-        expected = reference_samples(space, 1, 12)
-        monkeypatch.setattr(statespace, "CACHE_LIMIT", 5)
-        for _ in range(2):
-            assert list(itertools.islice(space.samples(1), 12)) == expected
-        assert len(space._samples[1]) == 5
+        assert got_c == got_a[:6]
 
     def test_stream_of_a_reused_space_is_the_enumerated_stream(self):
         space = SystemSpace(Bounds(2, 2, 2, 2))
