@@ -19,12 +19,12 @@ import permcheck.operations as operations
 import permcheck.verifier as verifier
 from permcheck.invariants import standard_clauses
 from permcheck.model import (COMPONENTS, ENV_FIELDS, STATE_FIELDS, Environment, State,
-                             System, get_component, reading, with_component)
+                             System, get_component, reading)
 from permcheck.operations import default_operations, grant_auto_operation
 from permcheck.statespace import Bounds, SystemSpace, enumerate_states
 from permcheck.verifier import (_sp_variants, gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
-from test_verifier import stale_perms_from
+from test_verifier import keep_stale, stale_perms_from
 
 TINY = Bounds(1, 1, 1, 1, budget=98_304)  # exactly the whole space
 SLICE = ("allMapsCorrect.perms", "notDupPerm.3")  # perfbench's exhaustive slice
@@ -186,20 +186,6 @@ def without_reads(monkeypatch):
 
     for name in ("gen_invariance_queries", "gen_security_queries"):
         monkeypatch.setattr(verifier, name, bare_queries(getattr(verifier, name)))
-
-
-def keep_stale(component, apply):
-    """``apply`` whose successor also keeps the pre-state's pairs of one
-    mapping component; it reads what ``apply`` reads, which includes that
-    component."""
-    def run(sp, sys, action):
-        out = apply(sp, sys, action)
-        if not out.ok:
-            return out
-        stale = get_component(sys, component) | get_component(out.system, component)
-        return dataclasses.replace(out, system=with_component(out.system, component, stale))
-    assert component in apply.reads
-    return reading(apply.reads, run)
 
 
 def perfbench_mutants():

@@ -9,7 +9,8 @@ import permcheck.invariants as invariants
 import permcheck.verifier as verifier
 from permcheck.invariants import standard_clauses, valid_state
 from permcheck.kernel import EMPTY, foplus
-from permcheck.model import DANGEROUS, ENV_FIELDS, Perm, get_component, with_component
+from permcheck.model import (DANGEROUS, ENV_FIELDS, Perm, get_component, reading,
+                             with_component)
 from permcheck.operations import (
     Outcome,
     default_operations,
@@ -92,6 +93,20 @@ def stale_perms_from(states, apply):
     return run
 
 
+def keep_stale(component, apply):
+    """``apply`` whose successor also keeps the pre-state's pairs of one
+    mapping component; it reads what ``apply`` reads, which includes that
+    component."""
+    def run(sp, sys, action):
+        out = apply(sp, sys, action)
+        if not out.ok:
+            return out
+        stale = get_component(sys, component) | get_component(out.system, component)
+        return dataclasses.replace(out, system=with_component(out.system, component, stale))
+    assert component in apply.reads
+    return reading(apply.reads, run)
+
+
 def stale_perms_operations(states):
     return {k: dataclasses.replace(op, apply=stale_perms_from(states, op.apply))
             for k, op in default_operations().items()}
@@ -105,6 +120,14 @@ def replaced_operations(op_id, apply):
 
 def revoke_operations(apply):
     return replaced_operations("revoke", apply)
+
+
+def stale_groups_operations():
+    """revokeGroup keeping the app's old grantedPermGroups pair, declaring
+    what the apply it replaces reads."""
+    ops = default_operations()
+    return replaced_operations("revokeGroup",
+                               keep_stale("grantedPermGroups", ops["revokeGroup"].apply))
 
 
 def revoke_query(apply):
@@ -670,6 +693,15 @@ RECORDED_VERDICTS = {
     "grantAuto-skip-group-1111": (
         "security", TINY, mutated_operations,
         "28e5dd082b948859519f31c8682196565438e42452e4b692294ef995a2947fb8"),
+    # enumerated runs with invariance hits: revoke's mutant declares no
+    # reads, so its queries read every state, and hits at state 2,049;
+    # revokeGroup's declares them, and hits at state 16,385
+    "revoke-stale-perms-1111": (
+        "all", TINY, lambda: revoke_operations(stale_revoke),
+        "6ddaab618092119ad658d93fef2826ca33ede4d1adcc4cab2ec7dc77ab059a5c"),
+    "revokeGroup-stale-groups-1111": (
+        "all", TINY, stale_groups_operations,
+        "7aeb8415a4e95c586a1ec22524e5451a9b9a83d6ff2b44867f1e60b96d66d97a"),
     # the exhaustive frontier: all 6,834,375 states, with the witness at
     # state 317,251
     "security-2111": ("security", Bounds(2, 1, 1, 1, budget=6_834_375), None,
