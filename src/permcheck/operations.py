@@ -99,8 +99,9 @@ class Outcome:
     result: Optional[bool] = None  # hasPermission answer
 
 
-def _blocked(conjunct: int) -> Outcome:
-    return Outcome(ok=False, failed_conjunct=conjunct)
+# one blocked outcome per conjunct, shared by every step it blocks: an
+# Outcome is frozen
+_BLOCKED = {c: Outcome(ok=False, failed_conjunct=c) for c in range(1, 6)}
 
 
 def _images(rel, key) -> list:
@@ -125,7 +126,7 @@ def _transition(guard: Callable, effect: Callable, sp: frozenset, sys: System,
                 action: Action) -> Outcome:
     failed = guard(sp, sys, action)
     if failed is not None:
-        return _blocked(failed)
+        return _BLOCKED[failed]
     return Outcome(ok=True, system=System(effect(sys.state, action), sys.environment))
 
 
@@ -346,7 +347,8 @@ class Operation:
 # state stream in rank order changes the low components first, so
 # consecutive states share their State and most components.  Both carry
 # the components they read as ``reads`` (``model.reading``), from which
-# the verifier picks each footprint's representatives.
+# the verifier picks each footprint's representatives, and gates them on
+# the one component the candidates read.
 
 def _reused(effect: Callable) -> Callable:
     last = (None, None, None)  # (State, action, successor State)

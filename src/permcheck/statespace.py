@@ -248,7 +248,8 @@ class SystemSpace:
         ...: the systems of ``representatives(None)``."""
         return map(itemgetter(1), self.representatives(None))
 
-    def representatives(self, footprint: Optional[Iterable[str]]
+    def representatives(self, footprint: Optional[Iterable[str]],
+                        gate: Optional[tuple[str, Callable[[object], bool]]] = None
                         ) -> Iterator[tuple[int, System]]:
         """``(rank, system)`` for every point of the product of the
         components named in ``footprint``, in rank order, with every other
@@ -257,6 +258,12 @@ class SystemSpace:
         opaque slots) select nothing, and a footprint of None names every
         component, so it yields ``enumerate(self)``.
 
+        ``gate``, a ``(component, keep)`` pair, drops the systems whose
+        value of that component ``keep`` rejects; the ranks of the others
+        are unchanged.  ``verifier.check_query`` gates each pass on the one
+        component its operations' candidate actions come from, and keeps
+        the values at which some operation has one.
+
         Each component value is decoded once, each State built once per
         state prefix and each Environment once per pass; the Environments
         are held for the pass, so iterate only footprints swept whole.
@@ -264,7 +271,10 @@ class SystemSpace:
         axes, weight = [], 1
         for name, space in reversed(self.components):  # least significant first
             picked = space.size if footprint is None or name in footprint else 1
-            axes.append([(d * weight, space.unrank(d)) for d in range(picked)])
+            axis = [(d * weight, space.unrank(d)) for d in range(picked)]
+            if gate is not None and name == gate[0]:
+                axis = [(r, v) for r, v in axis if gate[1](v)]
+            axes.append(axis)
             weight *= space.size
         axes.reverse()
         envs = [(sum(r for r, _ in e), Environment(*(v for _, v in e)))

@@ -205,6 +205,19 @@ class TestRepresentatives:
         assert ranks == sorted(set(ranks))
         assert all(sys == space.unrank(r) for r, sys in got)
 
+    @pytest.mark.parametrize("gated", ["manifest", "perms", "grantedPermGroups"])
+    @pytest.mark.parametrize("name", FOOTPRINTS)
+    def test_a_gate_drops_the_systems_it_rejects_and_keeps_the_ranks(self, name, gated):
+        space, footprint = SystemSpace(TINY), FOOTPRINTS[name]
+        values = dict(space.components)[gated]
+        # rejects the values of rank 1, 4, 7, ...; keeps rank 0
+        dropped = {values.unrank(d) for d in range(1, values.size, 3)}
+        keep = lambda value: value not in dropped
+        got = list(space.representatives(footprint, (gated, keep)))
+        every = brute_representatives(footprint)
+        assert got == [(r, sys) for r, sys in every if keep(get_component(sys, gated))]
+        assert (len(got) < len(every)) == (footprint is None or gated in footprint)
+
     def test_a_field_that_does_not_vary_selects_nothing(self):
         space = SystemSpace(TINY)
         for footprint in ((), ("perms",), GRANT_AUTO_SLICE):
