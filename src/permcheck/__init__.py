@@ -17,11 +17,10 @@ from .model import (
     SysImgApp,
     System,
     emit_state,
-    empty_system,
     parse_state,
 )
 from .operations import Action, Outcome, default_operations, grant_auto, step
-from .statespace import Bounds, enumerate_states
+from .statespace import Bounds
 from .verifier import Report, Verdict, check_query, recheck, run_suite
 
 __version__ = "0.1.0"
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action", "Bounds", "Environment", "Manifest", "Outcome", "Perm",
     "Report", "State", "SysImgApp", "System", "Verdict", "check_clauses",
-    "check_query", "default_operations", "emit_state", "empty_system",
-    "enumerate_states", "grant_auto", "parse_state", "recheck", "run_suite",
-    "standard_clauses", "step", "valid_state", "__version__",
+    "check_query", "default_operations", "emit_state", "grant_auto",
+    "parse_state", "recheck", "run_suite", "standard_clauses", "step",
+    "valid_state", "__version__",
 ]

@@ -14,12 +14,12 @@ around.  The shipped registry carries two families:
   They are evaluated through an index from each permission id to its
   definitions; the quantifier forms stay beside them as the index's oracle.
 
-Each clause's ``eval`` declares the components it ``reads``, and the
-clause's ``reads`` is that declaration.  The shipped clauses are built by
-``clause``, which passes the body only those components, so the
-declaration cannot be wrong.  Its ``eval`` comes from ``model.reusing``,
-the one helper that keeps a result while the components it was computed
-from are the same objects; the operation registry's candidates use it too.
+Each clause's ``eval`` declares the components it ``reads``.  The shipped
+clauses are built by ``clause``, which passes the body only those
+components, so the declaration cannot be wrong.  Its ``eval`` comes from
+``model.reusing``, the one helper that keeps a result while the
+components it was computed from are the same objects; the operation
+registry's candidates use it too.
 A verified operation keeps the environment, so an environment-only
 clause's conclusion on a successor is the result it gave on the pre-state,
 without running the body again.
@@ -44,14 +44,6 @@ class InvariantClause:
 
     id: str
     eval: Callable[[System], bool]
-
-    @property
-    def reads(self) -> Optional[tuple[str, ...]]:
-        """The components ``eval`` declares it reads, as its own ``reads``
-        attribute; ``None`` means it may read any.  An ``eval`` replaced
-        through ``dataclasses.replace`` carries its own declaration, or
-        none."""
-        return getattr(self.eval, "reads", None)
 
 
 def clause(id: str, reads: tuple[str, ...], body: Callable[..., bool]

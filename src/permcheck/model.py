@@ -107,10 +107,6 @@ ENV_FIELDS = ("manifest", "cert", "defPerms", "systemImage")
 COMPONENTS = STATE_FIELDS + ENV_FIELDS
 
 
-def empty_system() -> System:
-    return System()
-
-
 # -- accessors / updaters ----------------------------------------------------
 #
 # Components are reachable as plain attributes (sys.state.perms, ...); the
@@ -182,11 +178,6 @@ def reusing(names: tuple[str, ...], fn: Callable) -> Callable[[System], object]:
                 last = (values, result)
             return result
     return reading(names, reused)
-
-
-def differing_components(a: System, b: System) -> list[str]:
-    """Names of components that differ structurally between two systems."""
-    return [n for n in COMPONENTS if get_component(a, n) != get_component(b, n)]
 
 
 # -- helper predicates -------------------------------------------------------

@@ -12,17 +12,14 @@ is one kind of indexed space, a ``SetSpace``: a set of pool indices, each
 carrying a value rank, unranked straight from binomial coefficients with no
 table.  The whole space is the product of the eight component spaces, so
 it can be enumerated exhaustively in a fixed order or sampled uniformly by
-drawing integer ranks.  ``state_stream`` is the one definition of what a
-search reads after its targeted family: the whole space in rank order
-when it fits the budget (the family is then empty), otherwise seeded
-uniform samples (with replacement), and the run counts as
-non-exhaustive.  Of the whole space, a search may read only the
-``representatives`` of what it reads: the lowest-rank system of each
-projection on those components.  The samples are a pure function of the
-bounds: every query of a run, and ``enumerate_states``, reads the same
-ones.  A stream decodes each sample when it reaches it and keeps none;
-the component values it is built from come from the ``SetSpace`` decode
-caches.
+drawing integer ranks.  A search reads states through three readers:
+``representatives``, the lowest-rank system of each projection on some
+components, in rank order; ``state_stream``, uniform samples drawn with
+replacement, a pure function of the bounds, each decoded when the stream
+reaches it and kept by none; and ``targeted_states``, below.  The first
+two build systems from the component values in the ``SetSpace`` decode
+caches.  ``verifier.check_query`` alone decides which of them a query
+reads.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -260,9 +257,7 @@ class SystemSpace:
 
         ``gate``, a ``(component, keep)`` pair, drops the systems whose
         value of that component ``keep`` rejects; the ranks of the others
-        are unchanged.  ``verifier.check_query`` gates each pass on the one
-        component its operations' candidate actions come from, and keeps
-        the values at which some operation has one.
+        are unchanged.
 
         Each component value is decoded once, each State built once per
         state prefix and each Environment once per pass; the Environments
@@ -286,26 +281,13 @@ class SystemSpace:
 
 
 def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
-    """The tail of every bounded search at ``bounds``: the states
-    ``verifier.check_query`` reads after a query's targeted family.  It is
-    the whole space in rank order when it fits the budget, and the family
-    is then empty (a search reads the representatives of its footprint
-    among them); otherwise ``bounds.budget`` uniform samples: ranks drawn
-    with replacement from one generator seeded ``f"{bounds.seed}:enumerate"``,
+    """``bounds.budget`` uniform samples of ``space``: ranks drawn with
+    replacement from one generator seeded ``f"{bounds.seed}:enumerate"``,
     each decoded by ``space.unrank`` when the stream reaches it.  The seed
-    alone fixes the ranks, so the i-th sample is the same state for every
-    query of a run, whichever queries run and in whatever order."""
-    if space.size <= bounds.budget:
-        return iter(space)
+    alone fixes the ranks, so every stream at the same bounds yields the
+    same states, however streams of one space interleave."""
     rng = random.Random(f"{bounds.seed}:enumerate")
     return (space.unrank(rng.randrange(space.size)) for _ in range(bounds.budget))
-
-
-def enumerate_states(bounds: Bounds) -> Iterator[System]:
-    """``state_stream`` at the given bounds in a fresh space: the states a
-    query with an empty targeted family examines.  The same bounds always
-    produce the same stream."""
-    yield from state_stream(SystemSpace(bounds), bounds)
 
 
 # -- targeted generation --------------------------------------------------------

@@ -25,23 +25,26 @@ no conclusion reads the set except through the step being enabled.
 
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
-deliberately weaker claim than "proved".  Every query reads one stream:
-its tag's targeted pre-satisfying family, then
-``statespace.state_stream``, up to the budget.  When the space fits the
-budget the family is empty and the stream is the whole space in rank
-order; otherwise the tail is seeded uniform samples, and if the budget
-cannot even cover the targeted family the verdict is ``budget-exhausted``
-(inconclusive).  Every emitted counterexample or witness is re-evaluated,
-on copies of its concrete values rebuilt from its document, before being
-returned; an unsound hit raises instead of reporting.
+deliberately weaker claim than "proved".  What a query reads is decided
+here, in ``check_query``, and nowhere else.  When the space fits the
+budget the run is *enumerated*: each query reads the gated
+representatives of its footprint (below), and a clean sweep is
+exhaustive.  Otherwise the run is *sampled*: each query reads its tag's
+targeted pre-satisfying family (``statespace.targeted_states``), then the
+run's seeded uniform samples (``statespace.state_stream``), up to the
+budget, and if the budget cannot even cover the family the verdict is
+``budget-exhausted`` (inconclusive).  Every emitted counterexample or
+witness is re-evaluated, on copies of its concrete values rebuilt from
+its document, before being returned; an unsound hit raises instead of
+reporting.
 
 Queries are independent and deterministic for a fixed seed.  The queries
-of a suite row are checked together: each tag's family is swept with that
-tag's queries, and then one pass over the shared tail checks every query,
-each on the states its budget leaves after its family.  The i-th state of
-the tail is the same for every query, so the pass runs in segments
-between the points where a query's share ends, each with a fixed set of
-queries.  In every pass each state is decoded once, each distinct
+of a suite row are checked together.  In a sampled run each tag's family
+is swept with that tag's queries, and then one pass over the samples
+checks every query, each on the samples its budget leaves after its
+family.  The i-th sample is the same for every query, so the pass runs in
+segments between the points where a query's share ends, each with a fixed
+set of queries.  In every pass each state is decoded once, each distinct
 hypothesis is evaluated at most once on it, and each operation's
 candidates are enumerated and each covered step is taken once for all of
 its queries in the pass.  A query leaves the pass at its first hit, so
@@ -66,16 +69,12 @@ the representatives is its first hit in the whole space.  A state at
 which the operation has no candidate action has no step, and so no hit.
 When the operation's ``candidates`` read one component, the query's
 *gate*, its pass keeps only the representatives whose value of the gate
-gives some operation of the pass a candidate action.  So when the space
-fits the budget, the tail is split into passes, one per footprint and
-gate: each checks its queries over its gated representatives
-(``SystemSpace.representatives``), and a hit at rank r examined r + 1
-states.  Verdicts, ``statesExamined`` and hits are the ones a pass over
-every state gives.  On perfbench's ``exhaustive-1111`` slice the passes
-read 6,859 representatives in 6 passes, where one ungated pass per
-operation group read 26,624 in 4; the grantAuto and grant pass and the
-security pass each read 3,072 of 12,288.  Targeted families and sampled
-tails read every state of their stream.  A callable that declares no
+gives some operation of the pass a candidate action.  So an enumerated
+run is split into passes, one per footprint and gate: each checks its
+queries over its gated representatives (``SystemSpace.representatives``),
+and a hit at rank r examined r + 1 states.  Verdicts, ``statesExamined``
+and hits are the ones a pass over every state gives.  A sampled run reads
+every state of its families and samples.  A callable that declares no
 ``reads``, as a ``dataclasses.replace``d ``apply``, ``eval`` or
 ``candidates`` does, leaves its query without a footprint, and the query
 reads the whole space in rank order, with no gate.
@@ -402,12 +401,9 @@ def check_query(q: Query, bounds: Bounds,
                 peers: Optional[dict] = None) -> Verdict:
     """Discharge one query at the given bounds.
 
-    The examined stream is the targeted family for the query's tag, then
-    ``state_stream(space, bounds)``, up to the budget.  When the space fits
-    the budget the family is empty and the tail is the whole space in rank
-    order; otherwise the tail is the run's seeded uniform samples.  The
-    tail depends on the bounds alone, not on the query: every query reads
-    the same one, the states ``enumerate_states(bounds)`` yields.  A
+    What the query reads follows the rule in the module docstring.  The
+    samples of ``state_stream(space, bounds)`` depend on the bounds alone,
+    not on the query: every query of a sampled run reads the same ones.  A
     sampled sweep that could not fit the whole targeted family is
     inconclusive.
 
@@ -419,13 +415,9 @@ def check_query(q: Query, bounds: Bounds,
 
     ``peers`` may map other queries at the same bounds to their verdicts,
     ``None`` while undecided.  Every undecided peer, whatever its tag, is
-    checked with ``q``, and the verdicts are written back into ``peers``.
-    Each tag's family is swept, cut to the budget, with that tag's queries;
-    then one pass over the tail checks every query on the states left in
-    its budget after its family.  When the space fits the budget, the tail
-    is read as one pass per footprint and gate, over the representatives
-    at which an operation of the pass has a candidate action (see the
-    module docstring).  Each verdict is the one its query gets alone.
+    checked with ``q``, in the passes the module docstring describes, and
+    the verdicts are written back into ``peers``.  Each verdict is the one
+    its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)

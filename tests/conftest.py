@@ -6,14 +6,16 @@ import pytest
 
 from permcheck.kernel import EMPTY, foplus
 from permcheck.model import (
+    COMPONENTS,
     DANGEROUS,
     Environment,
     Manifest,
     Perm,
     State,
     System,
+    get_component,
 )
-from permcheck.statespace import Bounds, SystemSpace, enumerate_states
+from permcheck.statespace import Bounds, SystemSpace, state_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +30,11 @@ def src_env() -> dict:
 READ = Perm("read", "contacts", DANGEROUS)
 WRITE = Perm("write", "contacts", DANGEROUS)
 NET = Perm("net", None, "normal")  # ungrouped
+
+
+def changed_components(a: System, b: System) -> list[str]:
+    """The names of the components that differ structurally between a and b."""
+    return [n for n in COMPONENTS if get_component(a, n) != get_component(b, n)]
 
 
 def make_system(apps=(), mg=EMPTY, perms=EMPTY, manifest=EMPTY, cert=EMPTY,
@@ -92,5 +99,6 @@ def rank_order_states(tiny=None):
     manifest for 128; among the samples, the component values a space holds
     once decoded.  So a registry or clause tuple kept across the stream
     reuses its last results here, as in a sweep."""
+    b = Bounds(2, 2, 2, 2, budget=2000, seed=0)
     return chain(islice(SystemSpace(Bounds(1, 1, 1, 1)), tiny),
-                 enumerate_states(Bounds(2, 2, 2, 2, budget=2000, seed=0)))
+                 state_stream(SystemSpace(b), b))

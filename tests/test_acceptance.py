@@ -34,7 +34,7 @@ from permcheck.operations import (
     grant_auto_operation,
     pre_grant_auto,
 )
-from permcheck.statespace import Bounds, SystemSpace, enumerate_states
+from permcheck.statespace import Bounds, SystemSpace
 from permcheck.invariants import valid_state
 from permcheck.verifier import (
     check_query,
@@ -186,7 +186,7 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_serialization_round_trip(f1):
     assert parse_state(emit_state(f1["sys"])) == f1["sys"]
     count = 0
-    for state in enumerate_states(Bounds(1, 1, 1, 1)):
+    for state in SystemSpace(Bounds(1, 1, 1, 1)):
         assert parse_state(emit_state(state)) == state
         count += 1
     assert count == SystemSpace(Bounds(1, 1, 1, 1)).size

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permcheck
 import permcheck.cli
 import permcheck.verifier
 from conftest import NET, READ, ROOT, WRITE, make_system, src_env
@@ -283,6 +284,12 @@ class TestWitness:
 
 def test_no_command_is_usage_error():
     assert run_cli().returncode == 2
+
+
+def test_every_exported_name_resolves():
+    assert len(set(permcheck.__all__)) == len(permcheck.__all__)
+    for name in permcheck.__all__:
+        assert hasattr(permcheck, name), name
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

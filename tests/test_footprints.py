@@ -22,7 +22,7 @@ from permcheck.invariants import standard_clauses
 from permcheck.model import (COMPONENTS, ENV_FIELDS, STATE_FIELDS, Environment, State,
                              System, get_component, reading)
 from permcheck.operations import default_operations, grant_auto_operation
-from permcheck.statespace import Bounds, SystemSpace, enumerate_states
+from permcheck.statespace import Bounds, SystemSpace, state_stream
 from permcheck.verifier import (_sp_variants, gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
 from test_verifier import keep_stale, stale_perms_from
@@ -137,7 +137,8 @@ def test_declared_reads_cover_what_each_callable_reads(source):
     if source == "rank-order-1111":
         states = islice(SystemSpace(Bounds(1, 1, 1, 1)), 24 * 1024)
     else:
-        states = enumerate_states(Bounds(2, 2, 2, 2, budget=1000, seed=0))
+        b = Bounds(2, 2, 2, 2, budget=1000, seed=0)
+        states = state_stream(SystemSpace(b), b)
     ops = default_operations()
     queries = suite_queries(ops)
     for fn in [f for op in ops.values() for f in (op.apply, op.candidates)] + [

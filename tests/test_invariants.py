@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import islice
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import brute
 import permcheck.invariants as invariants
 from conftest import NET, READ, WRITE, make_system, rank_order_states
-from permcheck.model import Manifest, Perm, SysImgApp, empty_system, reading
+from permcheck.model import Manifest, Perm, SysImgApp, System
 from permcheck.invariants import (
     check_clauses,
     not_dup_perm_clauses,
@@ -16,7 +15,7 @@ from permcheck.invariants import (
     valid_state,
 )
 from permcheck.operations import default_operations
-from permcheck.statespace import Bounds, SystemSpace, enumerate_states
+from permcheck.statespace import Bounds, SystemSpace, state_stream
 from permcheck.verifier import _sp_variants
 
 CLAUSES = {c.id: c for c in standard_clauses()}
@@ -32,13 +31,8 @@ def test_registry_shape():
 
 
 def test_a_clause_reads_what_its_eval_declares():
-    # one source: an eval replaced through dataclasses.replace carries its
-    # own declaration, or none, and then the clause may read anything
     c = CLAUSES["notDupPerm.3"]
-    assert c.reads == c.eval.reads == ("defPerms", "systemImage")
-    traced = dataclasses.replace(c, eval=lambda sys: c.eval(sys))
-    assert traced.reads is None
-    assert dataclasses.replace(c, eval=reading(("perms",), traced.eval)).reads == ("perms",)
+    assert c.eval.reads == ("defPerms", "systemImage")
 
 
 class TestMapClauses:
@@ -48,7 +42,7 @@ class TestMapClauses:
         assert not CLAUSES["allMapsCorrect.grantedPermGroups"].eval(sys)
 
     def test_all_empty_maps_pass(self):
-        sys = empty_system()
+        sys = System()
         assert all(CLAUSES[f"allMapsCorrect.{n}"].eval(sys)
                    for n in ("manifest", "cert", "defPerms",
                              "grantedPermGroups", "perms"))
@@ -68,7 +62,7 @@ class TestNotDupPerm:
         assert not CLAUSES["notDupPerm.1"].eval(sys)
 
     def test_empty_sources_pass_all_three(self):
-        sys = empty_system()
+        sys = System()
         assert all(c.eval(sys) for c in not_dup_perm_clauses())
 
     def test_identical_perm_both_sources_passes_clause_3(self):
@@ -96,8 +90,8 @@ class TestNotDupPerm:
 
 class TestValidState:
     def test_empty_system_is_valid(self):
-        assert valid_state(empty_system())
-        assert check_clauses(empty_system()) == []
+        assert valid_state(System())
+        assert check_clauses(System()) == []
 
     def test_duplicate_key_perms_reports_exact_clause(self):
         sys = make_system(perms=frozenset((("a1", frozenset((READ,))),
@@ -141,7 +135,7 @@ QUANTIFIER_FORMS = {
     # the first 1,024 states in rank order: one State, every environment.
     # At maxcard 1 a source defines one permission, so only clause 3 fails
     (lambda: islice(SystemSpace(Bounds(1, 1, 1, 1)), 1024), [1024, 1024, 544]),
-    (lambda: enumerate_states(Bounds(2, 2, 2, 2, budget=10_000, seed=0)),
+    (lambda b=Bounds(2, 2, 2, 2, budget=10_000, seed=0): state_stream(SystemSpace(b), b),
      [190, 199, 107]),
 ], ids=["1111-environments", "2222-samples"])
 def test_not_dup_perm_index_equals_quantifier_form_and_brute_force(states, held):

@@ -4,7 +4,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NET, READ, WRITE, make_system
+from conftest import NET, READ, WRITE, changed_components, make_system
 from permcheck.kernel import EMPTY
 from permcheck.model import (
     COMPONENTS,
@@ -14,9 +14,7 @@ from permcheck.model import (
     Perm,
     SysImgApp,
     System,
-    differing_components,
     emit_state,
-    empty_system,
     get_component,
     parse_state,
     reusing,
@@ -32,18 +30,18 @@ SPACE = SystemSpace(Bounds(2, 2, 2, 2))
 class TestAccessors:
     @pytest.mark.parametrize("name", COMPONENTS)
     def test_get_after_set_and_frame(self, name):
-        sys = empty_system()
+        sys = System()
         value = "probe" if name.startswith("opaque") else frozenset(("x",))
         updated = with_component(sys, name, value)
         assert get_component(updated, name) == value
-        assert differing_components(sys, updated) == [name]
+        assert changed_components(sys, updated) == [name]
 
     def test_perms_of_empty_system(self):
-        assert get_component(empty_system(), "perms") == EMPTY
+        assert get_component(System(), "perms") == EMPTY
 
     def test_set_then_get_granted_groups(self):
         rel = frozenset((("a1", frozenset(("g1",))),))
-        sys = with_component(empty_system(), "grantedPermGroups", rel)
+        sys = with_component(System(), "grantedPermGroups", rel)
         assert sys.state.grantedPermGroups == rel
 
     def test_updating_perms_leaves_environment_equal(self):
@@ -53,7 +51,7 @@ class TestAccessors:
 
     def test_unknown_component(self):
         with pytest.raises(KeyError):
-            get_component(empty_system(), "nope")
+            get_component(System(), "nope")
 
     @pytest.mark.parametrize("reads", [("perms",), ("defPerms", "perms")])
     def test_reusing_keeps_its_result_while_each_read_is_the_same_object(self, reads):
@@ -83,7 +81,7 @@ class TestAccessors:
 
 class TestUsrDefPerm:
     def test_empty_sources(self):
-        assert not usr_def_perm(empty_system(), READ)
+        assert not usr_def_perm(System(), READ)
 
     def test_in_def_perms(self):
         sys = make_system(def_perms=frozenset((("a2", frozenset((READ, NET))),)))
@@ -97,7 +95,7 @@ class TestUsrDefPerm:
 
 class TestSerialization:
     def test_empty_state_document(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         assert doc == {
             "state": {"apps": [], "alreadyVerified": [], "grantedPermGroups": [],
                       "perms": [], "opaque5": "unused", "opaque6": "unused",
@@ -120,7 +118,7 @@ class TestSerialization:
         assert parse_state(json.dumps(doc)) == f1["sys"]
 
     def test_duplicate_pair_rejected(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         perm = {"id": "p", "group": None, "level": "normal"}
         doc["state"]["perms"] = [["a1", [perm]], ["a1", [perm]]]
         with pytest.raises(ParseError):
@@ -129,33 +127,33 @@ class TestSerialization:
     def test_duplicate_key_different_value_is_a_relation(self):
         # non-functional relations are representable; validity is checked
         # separately by the invariant clauses
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         doc["state"]["perms"] = [["a1", []],
                                  ["a1", [{"id": "p", "group": None, "level": "normal"}]]]
         sys = parse_state(json.dumps(doc))
         assert len(sys.state.perms) == 2
 
     def test_duplicate_set_element_rejected(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         doc["state"]["apps"] = ["a1", "a1"]
         with pytest.raises(ParseError) as e:
             parse_state(json.dumps(doc))
         assert "apps" in str(e.value)
 
     def test_unknown_field_rejected(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         doc["state"]["extra"] = []
         with pytest.raises(ParseError):
             parse_state(json.dumps(doc))
 
     def test_missing_field_rejected(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         del doc["environment"]["cert"]
         with pytest.raises(ParseError):
             parse_state(json.dumps(doc))
 
     def test_bad_level_rejected(self):
-        doc = json.loads(emit_state(empty_system()))
+        doc = json.loads(emit_state(System()))
         doc["environment"]["defPerms"] = [["a1", [{"id": "p", "group": None,
                                                    "level": "critical"}]]]
         with pytest.raises(ParseError) as e:

@@ -3,15 +3,14 @@ import random
 
 import pytest
 
-from conftest import (NET, READ, WRITE, make_system, random_grant_auto_state,
-                      rank_order_states)
+from conftest import (NET, READ, WRITE, changed_components, make_system,
+                      random_grant_auto_state, rank_order_states)
 from permcheck.kernel import EMPTY, canonical_order
 from permcheck.model import (
     DANGEROUS,
     Manifest,
     ParseError,
     Perm,
-    differing_components,
     get_component,
     state_to_doc,
 )
@@ -106,7 +105,7 @@ class TestGrantAuto:
         out = grant_auto(f1["sp"], f1["sys"], f1["p"], f1["app"])
         assert out.ok
         assert out.system.state.perms == frozenset((("a1", frozenset((READ,))),))
-        assert differing_components(f1["sys"], out.system) == ["perms"]
+        assert changed_components(f1["sys"], out.system) == ["perms"]
 
     def test_grants_into_existing_image(self, f1):
         q = NET  # unrelated, not blocking the precondition
@@ -183,7 +182,7 @@ class TestRevokeGroup:
         assert out.ok
         assert groups_of(out.system, "a1") == EMPTY
         assert granted(out.system, "a1") == frozenset((NET,))
-        assert set(differing_components(sys, out.system)) == {
+        assert set(changed_components(sys, out.system)) == {
             "grantedPermGroups", "perms"}
 
     def test_unauthorized_group_rejected(self):
@@ -252,7 +251,7 @@ class TestContracts:
             out = grant_auto(sp, sys, p, a)
             assert out.ok
             # frame: only the granted-permission mapping changes
-            assert differing_components(sys, out.system) in ([], ["perms"])
+            assert changed_components(sys, out.system) in ([], ["perms"])
             # monotonicity: images only grow, and p lands at a
             old = dict(sys.state.perms)
             new = dict(out.system.state.perms)

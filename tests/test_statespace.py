@@ -17,7 +17,6 @@ from permcheck.statespace import (
     Bounds,
     SystemSpace,
     _unrank_combination,
-    enumerate_states,
     make_pools,
     state_stream,
     targeted_states,
@@ -259,21 +258,19 @@ def test_rank_to_state_digest(bounds, size, digest):
 
 class TestEnumerateStates:
     def test_exhaustive_when_budget_covers_space(self):
-        b = Bounds(1, 1, 1, 0, budget=10)
-        assert list(enumerate_states(b)) == [System()]
+        assert list(SystemSpace(Bounds(1, 1, 1, 0, budget=10))) == [System()]
 
     def test_sampling_is_deterministic(self):
         b = Bounds(2, 2, 2, 2, budget=50, seed=9)
-        assert list(enumerate_states(b)) == list(enumerate_states(b))
+        assert list(state_stream(SystemSpace(b), b)) == list(state_stream(SystemSpace(b), b))
 
     def test_different_seeds_differ(self):
-        a = list(enumerate_states(Bounds(2, 2, 2, 2, budget=50, seed=1)))
-        c = list(enumerate_states(Bounds(2, 2, 2, 2, budget=50, seed=2)))
-        assert a != c
+        a, c = (Bounds(2, 2, 2, 2, budget=50, seed=seed) for seed in (1, 2))
+        assert list(state_stream(SystemSpace(a), a)) != list(state_stream(SystemSpace(c), c))
 
     def test_sampled_stream_has_budget_length(self):
         b = Bounds(2, 2, 2, 2, budget=40, seed=4)
-        assert len(list(enumerate_states(b))) == 40
+        assert len(list(state_stream(SystemSpace(b), b))) == 40
 
 
 def reference_samples(space, seed, n):
@@ -302,7 +299,7 @@ class TestSamples:
         space = SystemSpace(Bounds(2, 2, 2, 2))
         for seed in (0, 1, 0):
             b = Bounds(2, 2, 2, 2, budget=30, seed=seed)
-            assert list(state_stream(space, b)) == list(enumerate_states(b))
+            assert list(state_stream(space, b)) == list(state_stream(SystemSpace(b), b))
 
 
 TAGS = ("grantAuto", "grant", "revoke", "revokeGroup",

@@ -19,8 +19,7 @@ from permcheck.operations import (
     pre_grant_auto,
     step,
 )
-from permcheck.statespace import (Bounds, SystemSpace, enumerate_states, state_stream,
-                                  targeted_states)
+from permcheck.statespace import Bounds, SystemSpace, state_stream, targeted_states
 from permcheck.verifier import (
     VerifierError,
     check_query,
@@ -47,13 +46,22 @@ def mutated_operations():
     return grant_auto_skip((5,))
 
 
+# the registry entries the stale mutants wrap, built once; each mutant
+# declares what its entry reads, so enumerated runs gate its passes
+REVOKE = default_operations()["revoke"].apply
+REVOKE_GROUP = default_operations()["revokeGroup"].apply
+
+
 def stale_revoke(sp, sys, action):
     """revoke whose successor keeps the app's old perms pair beside the new one."""
-    out = default_operations()["revoke"].apply(sp, sys, action)
+    out = REVOKE(sp, sys, action)
     if not out.ok:
         return out
     stale = sys.state.perms | out.system.state.perms
     return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
+
+
+stale_revoke = reading(REVOKE.reads, stale_revoke)
 
 
 def stale_revoke_of_system_perm(sp, sys, action):
@@ -71,7 +79,7 @@ def stale_revoke_group(sp, sys, action):
     perms one within the targeted family, whose states authorize one group,
     and the grantedPermGroups one only among the samples, at a state where
     every group of the app gives a hitting step."""
-    out = default_operations()["revokeGroup"].apply(sp, sys, action)
+    out = REVOKE_GROUP(sp, sys, action)
     if not out.ok:
         return out
     groups = [g for k, gs in sys.state.grantedPermGroups if k == action.app
@@ -80,6 +88,9 @@ def stale_revoke_group(sp, sys, action):
     stale = get_component(sys, component) | get_component(out.system, component)
     return dataclasses.replace(
         out, system=with_component(out.system, component, stale))
+
+
+stale_revoke_group = reading(REVOKE_GROUP.reads, stale_revoke_group)
 
 
 def stale_perms_from(states, apply):
@@ -299,7 +310,7 @@ def recording(q, seen):
 
 
 def assert_family_then_samples(seen, bounds):
-    samples = list(enumerate_states(bounds))
+    samples = list(state_stream(SystemSpace(bounds), bounds))
     for q in all_queries():
         family = list(targeted_states(bounds, q.tag))
         assert seen[q.id] == family + samples[:bounds.budget - len(family)]
@@ -330,16 +341,24 @@ class TestSharedStream:
 
     def test_queries_of_an_enumerated_suite_read_the_space_in_rank_order(
             self, monkeypatch):
-        # the space fits the budget: no family is built, and each query
-        # reads every state once, in rank order
+        # the space fits the budget: no family is built and no sample
+        # drawn, and each query reads every state once, in rank order
         def no_family(bounds, tag):
             raise AssertionError(f"family {tag} built for an enumerated run")
 
+        def no_samples(space, bounds):
+            raise AssertionError("samples drawn for an enumerated run")
+
+        monkeypatch.setattr(verifier, "targeted_states", no_family)
+        monkeypatch.setattr(verifier, "state_stream", no_samples)
+        # the gated passes of the default registry read neither
+        verdicts = run_suite("all", TINY).verdicts
+        assert {v.kind for v in verdicts} == {"holds-at-bounds", "witness"}
+        assert all(v.enumerated for v in verdicts)
         seen = {}
         real = verifier.gen_security_queries
         monkeypatch.setattr(verifier, "gen_security_queries", lambda *args: [
             recording(q, seen) for q in real(*args)])
-        monkeypatch.setattr(verifier, "targeted_states", no_family)
         report = run_suite("security", TINY)
         space = list(SystemSpace(TINY))
         assert len(space) == 98_304
@@ -393,7 +412,7 @@ class TestSharedStream:
         # no targeted state has a system image, so each operation's perms
         # query hits among the samples, after a family of its own length
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=seed)
-        samples = list(enumerate_states(bounds))
+        samples = list(state_stream(SystemSpace(bounds), bounds))
         ops = stale_perms_operations({s for s in samples if s.environment.systemImage})
         in_suite = run_suite("all", bounds, ops).verdicts
         alone = [check_query(q, bounds) for q in all_queries(ops)]
@@ -414,7 +433,7 @@ class TestSharedStream:
         # revoke 176, revokeGroup 184.  Steps break the perms map only from
         # samples 152 on, which only revoke and revokeGroup read
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
-        samples = list(enumerate_states(bounds))
+        samples = list(state_stream(SystemSpace(bounds), bounds))
         ops = stale_perms_operations(set(samples[152:]))
         in_suite = run_suite("invariance", bounds, ops).verdicts
         alone = [check_query(q, bounds) for q in gen_invariance_queries(ops)]
@@ -753,9 +772,8 @@ RECORDED_VERDICTS = {
     "grantAuto-skip-group-1111": (
         "security", TINY, mutated_operations,
         "28e5dd082b948859519f31c8682196565438e42452e4b692294ef995a2947fb8"),
-    # enumerated runs with invariance hits: revoke's mutant declares no
-    # reads, so its queries read every state, and hits at state 2,049;
-    # revokeGroup's declares them, and hits at state 16,385
+    # enumerated runs with invariance hits, both from gated passes: revoke's
+    # mutant hits at state 2,049, revokeGroup's at state 16,385
     "revoke-stale-perms-1111": (
         "all", TINY, lambda: revoke_operations(stale_revoke),
         "6ddaab618092119ad658d93fef2826ca33ede4d1adcc4cab2ec7dc77ab059a5c"),
