@@ -184,13 +184,22 @@ def reusing(names: tuple[str, ...], fn: Callable) -> Callable[[System], object]:
 
 def usr_def_perm(sys: System, p: Perm) -> bool:
     """True iff p is defined by some app (either defining source)."""
-    return (any(p in l for _, l in sys.environment.defPerms)
-            or any(p in s.defPermsSI for s in sys.environment.systemImage))
+    env = sys.environment
+    for _, l in env.defPerms:
+        if p in l:
+            return True
+    for s in env.systemImage:
+        if p in s.defPermsSI:
+            return True
+    return False
 
 
 def group_authorized(sys: System, app: str, group: str) -> bool:
     """True iff the user authorized the group for the app."""
-    return any(k == app and group in gs for k, gs in sys.state.grantedPermGroups)
+    for k, gs in sys.state.grantedPermGroups:
+        if k == app and group in gs:
+            return True
+    return False
 
 
 # -- canonical JSON documents -------------------------------------------------

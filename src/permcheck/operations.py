@@ -141,7 +141,10 @@ def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
     """
     st, env = sys.state, sys.environment
     if 1 not in skip:
-        if not any(k == a and p in m.use for k, m in env.manifest):
+        for k, m in env.manifest:
+            if k == a and p in m.use:
+                break
+        else:
             return 1
     if 2 not in skip:
         if p not in sp and not usr_def_perm(sys, p):

@@ -21,7 +21,9 @@ says whether the step is a hit.  One search loop runs every query.
 An operation reads the system-permission set only through membership of
 the action's permission, so the loop tries the empty set, then that one
 permission if the step was blocked, and stops at the first enabled variant:
-no conclusion reads the set except through the step being enabled.
+no conclusion reads the set except through the step being enabled.  An
+action that names no permission, as a ``revokeGroup`` does, has only the
+first variant.
 
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
@@ -44,12 +46,18 @@ is swept with that tag's queries, and then one pass over the samples
 checks every query, each on the samples its budget leaves after its
 family.  The i-th sample is the same for every query, so the pass runs in
 segments between the points where a query's share ends, each with a fixed
-set of queries.  In every pass each state is decoded once, each distinct
-hypothesis is evaluated at most once on it, and each operation's
-candidates are enumerated and each covered step is taken once for all of
-its queries in the pass.  A query leaves the pass at its first hit, so
-its verdict, down to ``statesExamined`` and the hit, is the one it gets
-alone: no verdict depends on which other queries run.  A row decodes
+set of queries.  Each pass first builds its *plan* (``_plan``): one
+entry per operation, with its ``candidates``, its ``apply``, its queries
+still searching, and whether one of them filters actions.  Then, on each
+state, which is decoded once, each distinct hypothesis is evaluated at
+most once; each operation's candidates are enumerated once; ``covers``
+is called only in an entry that filters, since every other query covers
+every action; each covered step is taken once for all of the entry's
+queries, with a second system-permission variant only when the first was
+blocked; and each covered query tests its conclusion on that one
+successor.  A query leaves the pass at its first hit, so its verdict,
+down to ``statesExamined`` and the hit, is the one it gets alone: no
+verdict depends on which other queries run.  A row decodes
 each sample when its pass reaches it; the component values come from the
 shared space's decode caches.
 
@@ -121,7 +129,9 @@ class Query:
 @dataclass(frozen=True)
 class Verdict:
     """The outcome of one query.  ``enumerated`` is the stream mode: the
-    whole space in rank order, rather than a targeted family and samples."""
+    gated representatives of the query's footprint, which stand for the
+    whole space and count it in rank order, rather than a targeted family
+    and samples."""
 
     query_id: str
     kind: str  # holds-at-bounds | counterexample | witness |
@@ -252,11 +262,6 @@ def gen_security_queries(operations: Optional[dict] = None,
     ]
 
 
-def _sp_variants(action: Action) -> tuple:
-    # two variants cover every system-permission set (see the module docstring)
-    return (EMPTY,) if action.perm is None else (EMPTY, frozenset((action.perm,)))
-
-
 # query kind -> (verdict on a hit, verdict on a conclusive clean sweep)
 VERDICT_KINDS = {"invariance": ("counterexample", "holds-at-bounds"),
                  "universal": ("counterexample", "holds-at-bounds"),
@@ -272,51 +277,76 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
 
-def _first_hits(plan: list, sys: System) -> list:
-    """The first hit in one state of each query of ``plan``, as (query,
-    system perms, action, successor).
-
-    ``plan`` pairs each operation with its queries still searching.  Each
-    distinct hypothesis is evaluated once per state, and each operation's
-    candidates are enumerated once.  A step is taken only when some query
-    still searching the state covers it; each of those tests its
-    conclusion on that one successor and, at its first hit, leaves the
-    state and the plan, so it finds the hit it would find alone.
-    """
-    hits, held = [], {}
-    for op, queries in plan:
-        for q in queries:
-            if q.hypothesis not in held:
-                held[q.hypothesis] = q.hypothesis(sys)
-        live = [q for q in queries if held[q.hypothesis]]
-        if not live:
-            continue
-        for action in op.candidates(sys):
-            covered = [q for q in live if q.covers(sys, action)]
-            if not covered:
-                continue
-            for sp in _sp_variants(action):
-                out = op.apply(sp, sys, action)
-                if out.ok:  # every other variant reaches the same successor
-                    break
-            else:
-                continue
-            for q in covered:
-                if q.concludes(sys, out.system):
-                    live.remove(q)
-                    queries.remove(q)
-                    hits.append((q, sp, action, out.system))
-            if not live:
-                break
-    return hits
+def _filters(queries: Iterable[Query]) -> bool:
+    """Whether some query of ``queries`` filters the actions it covers."""
+    return any(q.covers is not _always for q in queries)
 
 
 def _plan(queries: Sequence[Query]) -> list:
-    """The queries grouped by operation, each group a fresh list."""
+    """The plan of one sweep: an entry per operation of ``queries``, in
+    order of first appearance, built once.  An entry is a list [its
+    ``candidates``, its ``apply``, its queries still searching, whether one
+    of those filters actions]; ``_first_hits`` drops a query from it at its
+    hit."""
     by_op: dict[Operation, list] = {}
     for q in queries:
         by_op.setdefault(q.op, []).append(q)
-    return list(by_op.items())
+    return [[op.candidates, op.apply, group, _filters(group)]
+            for op, group in by_op.items()]
+
+
+def _first_hits(plan: list, sys: System) -> list:
+    """The first hit in one state of each query still searching in
+    ``plan``, as (query, system perms, action, successor).
+
+    Each distinct hypothesis is evaluated at most once on the state, and
+    each operation's candidates are enumerated once.  When no query of an
+    entry filters, every action is covered by all of its live queries and
+    no ``covers`` is called.  A covered step is taken with the empty
+    system-permission set, and again with the action's own permission only
+    when that was blocked (see the module docstring).  Each covered query
+    tests its conclusion on that one successor and, at its first hit,
+    leaves the state and the plan, so it finds the hit it would find alone.
+    """
+    hits, held = [], {}
+    for entry in plan:
+        candidates, apply, searching, filtered = entry
+        live = []
+        for q in searching:
+            h = q.hypothesis
+            if h not in held:
+                held[h] = h(sys)
+            if held[h]:
+                live.append(q)
+        if not live:
+            continue
+        for action in candidates(sys):
+            if filtered:
+                covered = [q for q in live if q.covers(sys, action)]
+                if not covered:
+                    continue
+            else:
+                covered = live
+            sp, out = EMPTY, apply(EMPTY, sys, action)
+            if not out.ok:
+                if action.perm is None:
+                    continue
+                sp = frozenset((action.perm,))
+                out = apply(sp, sys, action)
+                if not out.ok:
+                    continue
+            nxt = out.system
+            hit = [q for q in covered if q.concludes(sys, nxt)]
+            if not hit:
+                continue
+            for q in hit:
+                live.remove(q)
+                searching.remove(q)
+                hits.append((q, sp, action, nxt))
+            entry[3] = _filters(searching)
+            if not live:
+                break
+    return hits
 
 
 def _passes(queries: Sequence[Query]) -> dict:
@@ -396,6 +426,10 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
             return
 
 
+def _sizes(bounds: Bounds) -> tuple:
+    return bounds.apps, bounds.perms, bounds.grps, bounds.max_card
+
+
 def check_query(q: Query, bounds: Bounds,
                 space: Optional[SystemSpace] = None,
                 peers: Optional[dict] = None) -> Verdict:
@@ -408,9 +442,10 @@ def check_query(q: Query, bounds: Bounds,
     inconclusive.
 
     ``space`` may carry a prebuilt space for the same pool sizes and
-    ``max_card``; it never changes the verdict, only the decoding cost.  A
-    space carries only its components' decode caches, so a later query
-    given the same space, at any seed, reuses the component values decoded
+    ``max_card``, and ``ValueError`` is raised when it was built for
+    others; it never changes the verdict, only the decoding cost.  A space
+    carries only its components' decode caches, so a later query given the
+    same space, at any budget or seed, reuses the component values decoded
     before it, and decodes its own samples.
 
     ``peers`` may map other queries at the same bounds to their verdicts,
@@ -421,6 +456,9 @@ def check_query(q: Query, bounds: Bounds,
     """
     if space is None:
         space = SystemSpace(bounds)
+    elif _sizes(space.bounds) != _sizes(bounds):
+        raise ValueError(f"space built for (apps, perms, grps, max_card) "
+                         f"{_sizes(space.bounds)}, not {_sizes(bounds)}")
     queries = [q] + [p for p, v in (peers or {}).items() if v is None and p is not q]
     budget, verdicts = bounds.budget, {}
     enumerated = space.size <= budget

@@ -59,6 +59,14 @@ def f1():
     return {"sp": frozenset((READ,)), "sys": sys, "p": READ, "app": "a1"}
 
 
+def sp_variants(action) -> tuple:
+    """The system-permission sets the search tries for ``action``: the
+    empty set, then the action's own permission when it names one.  An
+    operation reads the set only through that membership, so the two cover
+    every set."""
+    return (EMPTY,) if action.perm is None else (EMPTY, frozenset((action.perm,)))
+
+
 def _image_union(rel, key) -> frozenset:
     return frozenset().union(*(v for k, v in rel if k == key))
 

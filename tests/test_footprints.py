@@ -23,8 +23,9 @@ from permcheck.model import (COMPONENTS, ENV_FIELDS, STATE_FIELDS, Environment, 
                              System, get_component, reading)
 from permcheck.operations import default_operations, grant_auto_operation
 from permcheck.statespace import Bounds, SystemSpace, state_stream
-from permcheck.verifier import (_sp_variants, gen_invariance_queries,
+from permcheck.verifier import (gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
+from conftest import sp_variants
 from test_verifier import keep_stale, stale_perms_from
 
 TINY = Bounds(1, 1, 1, 1, budget=98_304)  # exactly the whole space
@@ -102,7 +103,7 @@ def check_reads(ops, queries, states):
             for action in actions:
                 for q in by_op[op]:
                     assert q.covers(cut(q.covers), action) == q.covers(sys, action), q.id
-                for sp in _sp_variants(action):
+                for sp in sp_variants(action):
                     out = op.apply(sp, sys, action)
                     cut_out = op.apply(sp, cut(op.apply), action)
                     assert (cut_out.ok, cut_out.failed_conjunct) == \

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 import permcheck.invariants as invariants
-from conftest import NET, READ, WRITE, make_system, rank_order_states
+from conftest import NET, READ, WRITE, make_system, rank_order_states, sp_variants
 from permcheck.model import Manifest, Perm, SysImgApp, System
 from permcheck.invariants import (
     check_clauses,
@@ -16,7 +16,6 @@ from permcheck.invariants import (
 )
 from permcheck.operations import default_operations
 from permcheck.statespace import Bounds, SystemSpace, state_stream
-from permcheck.verifier import _sp_variants
 
 CLAUSES = {c.id: c for c in standard_clauses()}
 SPACE = SystemSpace(Bounds(2, 2, 2, 2))
@@ -204,7 +203,7 @@ def test_one_clause_tuple_agrees_with_brute_force_in_rank_order():
         successors = []
         for op in ops.values():
             for action in op.candidates(sys):
-                for sp in _sp_variants(action):
+                for sp in sp_variants(action):
                     out = op.apply(sp, sys, action)
                     if out.ok:
                         successors.append(out.system)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (NET, READ, WRITE, changed_components, make_system,
-                      random_grant_auto_state, rank_order_states)
+                      random_grant_auto_state, rank_order_states, sp_variants)
 from permcheck.kernel import EMPTY, canonical_order
 from permcheck.model import (
     DANGEROUS,
@@ -32,7 +32,6 @@ from permcheck.operations import (
     step,
 )
 from permcheck.statespace import Bounds, SystemSpace
-from permcheck.verifier import _sp_variants
 
 
 def granted(sys, app):
@@ -393,7 +392,7 @@ def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
     for sys in states:
         for op in ops.values():
             for action in op.candidates(sys):
-                for sp in _sp_variants(action):
+                for sp in sp_variants(action):
                     out = op.apply(sp, sys, action)
                     assert out == reference(sp, sys, action), (op.id, action)
                     if out.ok:

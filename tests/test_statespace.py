@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_grant_auto_state
+from conftest import random_grant_auto_state, sp_variants
 from permcheck.invariants import valid_state
 from permcheck.model import COMPONENTS, DANGEROUS, System, emit_state, get_component
 import permcheck.operations as operations
@@ -21,7 +21,7 @@ from permcheck.statespace import (
     state_stream,
     targeted_states,
 )
-from permcheck.verifier import _sp_variants, run_suite
+from permcheck.verifier import run_suite
 
 
 def subsets_upto(n, k):
@@ -342,7 +342,7 @@ class TestTargeted:
         enabled = 0
         for sys in targeted_states(b, "grantAuto"):
             for action in ops["grantAuto"].candidates(sys):
-                for sp in _sp_variants(action):
+                for sp in sp_variants(action):
                     if pre_grant_auto(sp, sys, action.perm, action.app) is None:
                         enabled += 1
         assert enabled > 0

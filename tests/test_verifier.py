@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 
@@ -620,6 +621,144 @@ class TestSharedSamples:
         hits = [(a, b) for a, b in zip(docs[0], docs[1])
                 if "state" in a or "state" in b]
         assert hits and any(a != b for a, b in hits)
+
+
+def with_covers(queries, covers):
+    """``queries`` with each ``covers`` replaced by ``covers()``, a fresh
+    callable per query."""
+    return [dataclasses.replace(q, covers=covers()) for q in queries]
+
+
+def counting_registry(calls, blocked=()):
+    """The registry with each ``apply`` appending (op id, state, system
+    perms, action, enabled) to ``calls``; the operations in ``blocked``
+    block every step.  Each declares what the apply it wraps reads."""
+    def counting(op):
+        def apply(sp, sys, action):
+            out = (Outcome(ok=False, failed_conjunct=1) if op.id in blocked
+                   else op.apply(sp, sys, action))
+            calls.append((op.id, sys, sp, action, out.ok))
+            return out
+        return dataclasses.replace(op, apply=reading(op.apply.reads, apply))
+    return {k: counting(op) for k, op in default_operations().items()}
+
+
+class TestPlan:
+    """The shortcuts of the search loop: no ``covers`` call for a group
+    that does not filter, the second system-permission variant only when
+    the empty set blocks, and no query searching past its hit."""
+
+    @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
+    @pytest.mark.parametrize("operations", [
+        default_operations, lambda: revoke_operations(stale_revoke),
+        stale_groups_operations],
+        ids=["standard", "revoke-stale-perms", "revokeGroup-stale-groups"])
+    def test_always_true_filters_keep_the_verdicts(self, monkeypatch, bounds,
+                                                   operations):
+        # each invariance query gets a filter of its own that keeps every
+        # action, so its group is searched as a filtering one
+        expected = verdict_sections("all", bounds, operations())
+        real = verifier.gen_invariance_queries
+        monkeypatch.setattr(verifier, "gen_invariance_queries", lambda *args: with_covers(
+            real(*args), lambda: reading((), lambda sys, action: True)))
+        assert verdict_sections("all", bounds, operations()) == expected
+
+    @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
+    def test_a_filter_rejecting_every_action_takes_no_step(self, bounds):
+        calls = []
+        ops = counting_registry(calls)
+        queries = with_covers(all_queries(ops),
+                              lambda: reading((), lambda sys, action: False))
+        peers = dict.fromkeys(queries)
+        check_query(queries[0], bounds, None, peers)
+        assert calls == []
+        assert {v.kind for v in peers.values()} == {"holds-at-bounds",
+                                                    "no-witness-at-bounds"}
+
+    def test_each_covered_step_is_taken_once_per_variant_it_needs(self):
+        # grant and grantAuto steps blocked without a system permission are
+        # retried with the action's permission; revokeGroup actions name no
+        # permission, so a blocked one is tried once
+        calls = []
+        ops = counting_registry(calls, blocked=("revokeGroup",))
+        queries = all_queries(ops)
+        states = list(islice(SystemSpace(TINY), 0, None, 97))
+        states += targeted_states(TINY, "grantAuto")
+        seen = collections.Counter()
+        for sys in states:
+            calls.clear()
+            verifier._first_hits(verifier._plan(queries), sys)
+            steps = collections.defaultdict(list)
+            for op_id, pre, sp, action, ok in calls:
+                assert pre is sys
+                steps[op_id, action].append((sp, ok))
+            covered = {(q.op.id, action) for q in queries if q.hypothesis(sys)
+                       for action in q.op.candidates(sys) if q.covers(sys, action)}
+            assert set(steps) == covered
+            for (op_id, action), tried in steps.items():
+                sps = [sp for sp, _ in tried]
+                if tried[0][1]:
+                    assert sps == [EMPTY]
+                    seen["enabled"] += 1
+                elif action.perm is None:
+                    assert sps == [EMPTY]
+                    seen["blocked, no permission"] += 1
+                else:
+                    assert sps == [EMPTY, frozenset((action.perm,))]
+                    seen["blocked, retried"] += 1
+        assert len(seen) == 3 and min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
+    def test_a_query_tests_no_step_after_its_hit(self, monkeypatch, bounds):
+        # the stale revoke breaks the perms map on every enabled revoke of
+        # a state with one perms pair, so a query kept searching past its
+        # hit would hit again, at another step
+        hits = collections.defaultdict(list)
+
+        def recording_hits(q):
+            def concludes(sys, nxt):
+                hit = q.concludes(sys, nxt)
+                if hit:
+                    hits[q.id].append((sys, nxt))
+                return hit
+            return dataclasses.replace(q, concludes=reading(q.concludes.reads, concludes))
+
+        real = verifier.gen_invariance_queries
+        monkeypatch.setattr(verifier, "gen_invariance_queries",
+                            lambda *args: [recording_hits(q) for q in real(*args)])
+        report = run_suite("invariance", bounds, revoke_operations(stale_revoke))
+        (v,) = report.counterexamples
+        assert v.query_id == "inv/allMapsCorrect.perms/revoke"
+        # the search's hit, then the recheck's replay of it
+        assert hits == {v.query_id: [(v.system, v.next_system)] * 2}
+
+
+class TestPrebuiltSpace:
+    @pytest.mark.parametrize("field", ["apps", "perms", "grps", "max_card"])
+    @pytest.mark.parametrize("step", [1, -1], ids=["larger", "smaller"])
+    def test_a_space_for_other_sizes_is_rejected(self, field, step):
+        base = Bounds(1, 1, 1, 1, budget=98_304) if step > 0 else Bounds(2, 2, 2, 2)
+        other = dataclasses.replace(base, **{field: getattr(base, field) + step})
+        with pytest.raises(ValueError, match="max_card"):
+            check_query(gen_security_queries()[1], base, SystemSpace(other))
+
+    def test_a_2222_space_under_1111_bounds_is_rejected(self):
+        # unchecked, the run would read the (2,2,2,2) space, too large for
+        # the budget, and report its first sample as a witness, where the
+        # exhaustive witness of (1,1,1,1) is at state 18,049
+        q = gen_security_queries()[1]
+        with pytest.raises(ValueError):
+            check_query(q, Bounds(1, 1, 1, 1, budget=98_304),
+                        SystemSpace(Bounds(2, 2, 2, 2)))
+        v = check_query(q, Bounds(1, 1, 1, 1, budget=98_304))
+        assert (v.kind, v.states_examined, v.enumerated) == ("witness", 18_049, True)
+
+    def test_a_space_at_the_same_sizes_is_accepted_at_any_budget_and_seed(self):
+        space = SystemSpace(Bounds(1, 1, 1, 1, budget=7, seed=9))
+        queries = gen_security_queries()
+        for bounds in (TINY, SAMPLED):
+            got = [verdict_to_doc(check_query(q, bounds, space)) for q in queries]
+            assert got == [verdict_to_doc(check_query(q, bounds)) for q in queries]
 
 
 class TestRecheck:
