@@ -318,9 +318,21 @@ ENVIRONMENT = record(Environment, manifest=rel_of(MANIFEST), cert=rel_of(ATOM),
 SYSTEM = record(System, state=STATE, environment=ENVIRONMENT)
 
 
+def _fields(pairs: list) -> dict:
+    # plain json.loads keeps the last value of a repeated key
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ParseError(f"repeated field: {k}")
+            seen.add(k)
+    return doc
+
+
 def _loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_fields)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", "") from e
     except RecursionError as e:

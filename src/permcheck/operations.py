@@ -19,30 +19,20 @@ the whole environment stay untouched.
 
 ``grant``/``revoke``/``revokeGroup``/``hasPermission`` are named
 counterparts whose behavior is only sketched by the platform description;
-their exact semantics here is a design decision, flagged DESIGN DECISION in
-each docstring so they can be re-aligned later:
-
-* ``grant`` = conjuncts 1-4 (explicit user consent replaces the group
-  authorization), and additionally records the permission's group, if any,
-  as authorized for the app.
-* ``revoke`` removes one *ungrouped* granted permission.
-* ``revokeGroup`` withdraws a group authorization and removes every granted
-  permission of that group.
-* ``hasPermission`` is a read-only membership check: a scenario action
-  served by ``step``, not a verified operation.
+their exact semantics here is a design decision, flagged DESIGN DECISION on
+the guard or effect that implements it so it can be re-aligned later.
 
 Each of the four operations that change state is a *guard* and an
-*effect*.  ``guard(sp, sys, action)`` returns the first failed conjunct,
-numbered as above, or None.  ``effect(State, action) -> State`` reads and
-writes only the dynamic ``State``, in one constructor call; the successor
-pairs it with the pre-state's ``Environment`` object.  Each is declared
-once, in the table ``_OPERATIONS``, with the components its guard and
-effect read and the one component its candidate actions come from;
-``OP_NAMES``, ``step`` and the registry of
-``default_operations`` all derive from that table, and every one of them
-runs the guard and effect through ``_transition``.  ``grant_auto``,
-``grant``, ``revoke``, ``revoke_group`` and ``step`` reuse nothing and are
-the reference.
+*effect*.  Every guard is ``guard(sp, sys, action)`` and returns the first
+failed conjunct, numbered as above, or None.  ``effect(State, action) ->
+State`` reads and writes only the dynamic ``State``, in one constructor
+call; the successor pairs it with the pre-state's ``Environment`` object.
+Each is declared once, in the table ``_OPERATIONS``, with the components
+its guard and effect read and the one component its candidate actions come
+from; ``OP_NAMES``, ``step`` and the registry of ``default_operations`` all
+derive from that table, and every one of them runs the guard and effect
+through ``_transition``.  ``step``, and ``grant_auto`` for grantAuto's
+``skip`` variants, reuse nothing and are the reference.
 
 Operations are total: preconditions that fail yield an error outcome
 carrying the conjunct id, never an exception.  On relations that are not
@@ -132,13 +122,14 @@ def _transition(guard: Callable, effect: Callable, sp: frozenset, sys: System,
 
 # -- grantAuto ----------------------------------------------------------------
 
-def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
+def pre_grant_auto(sp: frozenset, sys: System, action: Action,
                    skip: tuple = ()) -> Optional[int]:
     """First failed conjunct id of grantAuto's enabling condition, or None.
 
     ``skip`` disables conjuncts by id; it exists for fault-injection
     experiments against the verifier and is never set in normal use.
     """
+    p, a = action.perm, action.app
     st, env = sys.state, sys.environment
     if 1 not in skip:
         for k, m in env.manifest:
@@ -167,11 +158,6 @@ def pre_grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
     return None
 
 
-def _grant_auto_guard(sp: frozenset, sys: System, action: Action,
-                      skip: tuple = ()) -> Optional[int]:
-    return pre_grant_auto(sp, sys, action.perm, action.app, skip)
-
-
 def _grant_auto_effect(st: State, action: Action) -> State:
     p, a = action.perm, action.app
     return _state(st, st.grantedPermGroups,
@@ -191,17 +177,20 @@ def _manifest_actions(op: str, manifest, dangerous_only: bool = True
 
 def grant_auto(sp: frozenset, sys: System, p: Perm, a: str,
                skip: tuple = ()) -> Outcome:
-    return _transition(partial(_grant_auto_guard, skip=skip), _grant_auto_effect,
+    return _transition(partial(pre_grant_auto, skip=skip), _grant_auto_effect,
                        sp, sys, Action("grantAuto", perm=p, app=a))
 
 
 # -- grant --------------------------------------------------------------------
 
-def _grant_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
-    return pre_grant_auto(sp, sys, action.perm, action.app, skip=(5,))
-
-
 def _grant_effect(st: State, action: Action) -> State:
+    """Grant with explicit user consent.
+
+    DESIGN DECISION: grant's guard is conjuncts 1-4 of grantAuto only
+    (``_OPERATIONS`` skips conjunct 5).  On success the permission is added
+    to the app's granted set and, when grouped, the group is recorded as
+    authorized so later requests from the same group auto-grant.
+    """
     p, a = action.perm, action.app
     mg = st.grantedPermGroups
     if p.group is not None:
@@ -209,21 +198,12 @@ def _grant_effect(st: State, action: Action) -> State:
     return _state(st, mg, foplus(st.perms, a, _image_union(st.perms, a) | {p}))
 
 
-def grant(sp: frozenset, sys: System, p: Perm, a: str) -> Outcome:
-    """Grant with explicit user consent.
-
-    DESIGN DECISION: grant requires conjuncts 1-4 of grantAuto only.  On
-    success the permission is added to the app's granted set and, when
-    grouped, the group is recorded as authorized so later requests from the
-    same group auto-grant.
-    """
-    return _transition(_grant_guard, _grant_effect, sp, sys,
-                       Action("grant", perm=p, app=a))
-
-
 # -- revoke -------------------------------------------------------------------
 
 def _revoke_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
+    """DESIGN DECISION: conjunct 1 = the permission is ungrouped, conjunct 2
+    = it is currently granted to the app.  Grouped permissions can only be
+    withdrawn through revokeGroup."""
     if action.perm.group is not None:
         return 1
     if action.perm not in _image_union(sys.state.perms, action.app):
@@ -243,24 +223,22 @@ def _revoke_actions(perms) -> tuple[Action, ...]:
                  for p in canonical_order(granted) if p.group is None)
 
 
-def revoke(sys: System, p: Perm, a: str) -> Outcome:
-    """Remove one ungrouped granted permission.
-
-    DESIGN DECISION: conjunct 1 = the permission is ungrouped, conjunct 2 =
-    it is currently granted to the app.  Grouped permissions can only be
-    withdrawn through revokeGroup.
-    """
-    return _transition(_revoke_guard, _revoke_effect, EMPTY, sys,
-                       Action("revoke", perm=p, app=a))
-
-
 # -- revokeGroup --------------------------------------------------------------
 
 def _revoke_group_guard(sp: frozenset, sys: System, action: Action) -> Optional[int]:
+    """DESIGN DECISION: conjunct 1 = the group is currently authorized for
+    the app."""
     return None if group_authorized(sys, action.app, action.group) else 1
 
 
 def _revoke_group_effect(st: State, action: Action) -> State:
+    """Withdraw a group authorization and all granted permissions of the
+    group.
+
+    DESIGN DECISION: the app's granted set is rewritten only when it
+    exists; revoking a group an app holds no permissions of leaves the
+    mapping's keys alone.
+    """
     g, a = action.group, action.app
     mg = st.grantedPermGroups
     perms = st.perms
@@ -275,21 +253,11 @@ def _revoke_group_actions(mg) -> tuple[Action, ...]:
                  for a, groups in order_by_key(mg) for g in canonical_order(groups))
 
 
-def revoke_group(sys: System, g: str, a: str) -> Outcome:
-    """Withdraw a group authorization and all granted permissions of the group.
-
-    DESIGN DECISION: conjunct 1 = the group is currently authorized for the
-    app.  The app's granted set is rewritten only when it exists; revoking
-    a group an app holds no permissions of leaves the mapping's keys alone.
-    """
-    return _transition(_revoke_group_guard, _revoke_group_effect, EMPTY, sys,
-                       Action("revokeGroup", group=g, app=a))
-
-
 # -- hasPermission ------------------------------------------------------------
 
 def has_permission(sys: System, p: Perm, a: str) -> bool:
-    """DESIGN DECISION: membership in the app's granted set; read-only."""
+    """DESIGN DECISION: membership in the app's granted set; read-only, a
+    scenario action served by ``step``, not a verified operation."""
     return p in _image_union(sys.state.perms, a)
 
 
@@ -309,11 +277,11 @@ def has_permission(sys: System, p: Perm, a: str) -> bool:
 # grantedPermGroups and perms, and keeps every other component as the same
 # object.
 _OPERATIONS = {
-    "grantAuto": (_grant_auto_guard, _grant_auto_effect,
+    "grantAuto": (pre_grant_auto, _grant_auto_effect,
                   ("grantedPermGroups", "perms", "manifest", "defPerms",
                    "systemImage"),
                   "manifest", partial(_manifest_actions, "grantAuto")),
-    "grant": (_grant_guard, _grant_effect,
+    "grant": (partial(pre_grant_auto, skip=(5,)), _grant_effect,
               ("grantedPermGroups", "perms", "manifest", "defPerms", "systemImage"),
               "manifest", partial(_manifest_actions, "grant")),
     "revoke": (_revoke_guard, _revoke_effect, ("perms",), "perms", _revoke_actions),

@@ -29,6 +29,7 @@ from permcheck.kernel import (
 )
 from permcheck.model import DANGEROUS, emit_state, parse_state
 from permcheck.operations import (
+    Action,
     default_operations,
     grant_auto,
     grant_auto_operation,
@@ -150,7 +151,8 @@ def test_criterion_5_existential_witness(witness_verdict):
     (image,) = [img for k, img in v.system.state.perms if k == a]
     assert not any(q.group == g for q in image)
     assert p.level == DANGEROUS and p.group == g
-    assert pre_grant_auto(v.system_perms, v.system, p, a) is None
+    assert pre_grant_auto(v.system_perms, v.system,
+                          Action("grantAuto", perm=p, app=a)) is None
     # shape: the granting perm is in the app's manifest and system perms
     (manifest,) = [m for k, m in v.system.environment.manifest if k == a]
     assert p in manifest.use
@@ -199,7 +201,8 @@ def test_criterion_9_grant_auto_contracts():
     rng = random.Random(2024)
     for _ in range(10_000):
         sys_, p, a, sp = random_grant_auto_state(space, rng)
-        assert pre_grant_auto(sp, sys_, p, a) is None
+        action = Action("grantAuto", perm=p, app=a)
+        assert pre_grant_auto(sp, sys_, action) is None
         out = grant_auto(sp, sys_, p, a)
         assert out.ok
         # frame: everything except the granted-permission mapping is untouched
@@ -212,6 +215,6 @@ def test_criterion_9_grant_auto_contracts():
         assert all(image <= new[app] for app, image in old.items())
         assert p in new[a]
         # the same grant is not re-enabled
-        assert pre_grant_auto(sp, out.system, p, a) == 3
+        assert pre_grant_auto(sp, out.system, action) == 3
     ok(9, "grantAuto frame/monotonicity/non-re-enabling hold on 10^4 seeded "
           "pre-satisfying states")

@@ -406,3 +406,19 @@ def test_single_fault_documents_match_recorded_outcomes(tmp_path):
                                  out.getvalue(), err.getvalue()])
     text = json.dumps(outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == FAULT_OUTCOMES_DIGEST
+
+
+# a key repeated at the root, inside the state and inside the first Perm:
+# json.loads alone keeps the last value, which would make each document read
+# as valid
+@pytest.mark.parametrize("command, key", [
+    ("check", "state"), ("check", "apps"), ("check", "id"),
+    ("run", "systemPerms"), ("run", "apps"), ("run", "id")])
+def test_a_repeated_key_is_parse_error(tmp_path, command, key):
+    text = json.dumps(RICH if command == "check" else SCENARIO)
+    doc_file = tmp_path / "repeated.json"
+    doc_file.write_text(text.replace(f'"{key}": ', f'"{key}": null, "{key}": ', 1))
+    r = run_cli(command, str(doc_file))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert f"repeated field: {key}" in r.stderr

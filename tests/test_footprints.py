@@ -5,8 +5,8 @@ pass reads, for each footprint (what a query and its operation read),
 only the lowest-rank state of each projection on it, and of those only
 the ones at which the operation has a candidate action.  These tests
 check the declarations by poisoning every other component, check that
-the skip leaves every verdict byte-identical, and check that it reads
-the representatives where it should and nowhere else.
+reading only the representatives leaves every verdict byte-identical, and
+check that a run reads them where it should and nowhere else.
 """
 
 import collections
@@ -213,14 +213,14 @@ EXACT_CASES = {
 
 
 @pytest.mark.parametrize("case", EXACT_CASES)
-def test_the_skip_leaves_every_verdict_section_unchanged(monkeypatch, case):
+def test_representatives_leave_every_verdict_section_unchanged(monkeypatch, case):
     operations_, clauses = EXACT_CASES[case]
-    skipping = run_suite("all", TINY, operations_(), clauses and clauses())
+    representatives = run_suite("all", TINY, operations_(), clauses and clauses())
     with monkeypatch.context() as m:
         without_reads(m)
         searched = run_suite("all", TINY, operations_(), clauses and clauses())
-    assert sections(skipping) == sections(searched)
-    hits = {v.query_id for v in skipping.verdicts if v.system is not None}
+    assert sections(representatives) == sections(searched)
+    hits = {v.query_id for v in representatives.verdicts if v.system is not None}
     assert "sec/execAutoGrantWithoutIndividualPerms" in hits
     if case == "perfbench-mutants":
         assert {"sec/cannotAutoGrantWithoutGroup", "inv/allMapsCorrect.perms/revoke",
@@ -253,7 +253,7 @@ def test_an_apply_reading_undeclared_components_is_never_skipped(monkeypatch):
     assert hits and all(v.system in late for v in hits)
     assert all(v.states_examined == space.index(v.system) + 1 for v in hits)
     # the same mutant declaring the reads of the apply it replaced reads no
-    # late state: the declaration is what the skip trusts
+    # late state: the declaration is what the representatives trust
     wrongly_declared = run_suite("invariance", TINY, stale_ops(True), clauses)
     assert not any(v.kind == "counterexample" for v in wrongly_declared.verdicts)
 
@@ -306,9 +306,9 @@ def test_grant_auto_runs_once_per_new_projection_on_the_slice(monkeypatch, row):
         assert all(get_component(s, n) == get_component(lowest, n) for n in unread)
 
 
-def test_no_projection_is_built_where_it_would_not_pay(monkeypatch):
+def test_a_sampled_run_reads_no_representatives(monkeypatch):
     # a sampled run reads its families and samples, never representatives
-    def no_representatives(self, footprint):
+    def no_representatives(self, footprint, gate=None):
         raise AssertionError("representatives read by a sampled run")
 
     monkeypatch.setattr(SystemSpace, "representatives", no_representatives)

@@ -21,13 +21,10 @@ from permcheck.operations import (
     action_from_doc,
     action_to_doc,
     default_operations,
-    grant,
     grant_auto_operation,
     grant_auto,
     has_permission,
     pre_grant_auto,
-    revoke,
-    revoke_group,
     scenario_from_doc,
     step,
 )
@@ -47,7 +44,8 @@ def groups_of(sys, app):
 
 class TestPreGrantAuto:
     def test_f1_enables_all_conjuncts(self, f1):
-        assert pre_grant_auto(f1["sp"], f1["sys"], f1["p"], f1["app"]) is None
+        action = Action("grantAuto", perm=f1["p"], app=f1["app"])
+        assert pre_grant_auto(f1["sp"], f1["sys"], action) is None
 
     def test_normal_level_fails_conjunct_4(self, f1):
         p = Perm("read", "contacts", "normal")
@@ -56,7 +54,8 @@ class TestPreGrantAuto:
             mg=frozenset((("a1", frozenset(("contacts",))),)),
             manifest=frozenset((("a1", Manifest(frozenset((p,)))),)),
         )
-        assert pre_grant_auto(frozenset((p,)), sys, p, "a1") == 4
+        action = Action("grantAuto", perm=p, app="a1")
+        assert pre_grant_auto(frozenset((p,)), sys, action) == 4
 
     def test_unauthorized_group_fails_conjunct_5(self, f1):
         sys = make_system(
@@ -64,13 +63,16 @@ class TestPreGrantAuto:
             mg=frozenset((("a1", EMPTY),)),
             manifest=f1["sys"].environment.manifest,
         )
-        assert pre_grant_auto(f1["sp"], sys, f1["p"], "a1") == 5
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(f1["sp"], sys, action) == 5
 
     def test_not_in_manifest_fails_conjunct_1(self, f1):
-        assert pre_grant_auto(f1["sp"], f1["sys"], WRITE, "a1") == 1
+        action = Action("grantAuto", perm=WRITE, app="a1")
+        assert pre_grant_auto(f1["sp"], f1["sys"], action) == 1
 
     def test_not_defined_anywhere_fails_conjunct_2(self, f1):
-        assert pre_grant_auto(EMPTY, f1["sys"], f1["p"], "a1") == 2
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(EMPTY, f1["sys"], action) == 2
 
     def test_user_defined_satisfies_conjunct_2(self, f1):
         sys = make_system(
@@ -79,7 +81,8 @@ class TestPreGrantAuto:
             manifest=f1["sys"].environment.manifest,
             def_perms=frozenset((("a2", frozenset((f1["p"],))),)),
         )
-        assert pre_grant_auto(EMPTY, sys, f1["p"], "a1") is None
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(EMPTY, sys, action) is None
 
     def test_already_granted_fails_conjunct_3(self, f1):
         sys = make_system(
@@ -88,7 +91,8 @@ class TestPreGrantAuto:
             perms=frozenset((("a1", frozenset((f1["p"],))),)),
             manifest=f1["sys"].environment.manifest,
         )
-        assert pre_grant_auto(f1["sp"], sys, f1["p"], "a1") == 3
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(f1["sp"], sys, action) == 3
 
     def test_skip_disables_a_conjunct(self, f1):
         sys = make_system(
@@ -96,7 +100,8 @@ class TestPreGrantAuto:
             mg=frozenset((("a1", EMPTY),)),
             manifest=f1["sys"].environment.manifest,
         )
-        assert pre_grant_auto(f1["sp"], sys, f1["p"], "a1", skip=(5,)) is None
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(f1["sp"], sys, action, skip=(5,)) is None
 
 
 class TestGrantAuto:
@@ -132,7 +137,7 @@ class TestGrant:
     def test_records_group_authorization(self, f1):
         sys = make_system(apps=("a1",), mg=frozenset((("a1", EMPTY),)),
                           manifest=f1["sys"].environment.manifest)
-        out = grant(f1["sp"], sys, f1["p"], "a1")
+        out = step(f1["sp"], sys, Action("grant", perm=f1["p"], app="a1"))
         assert out.ok
         assert granted(out.system, "a1") == frozenset((READ,))
         assert groups_of(out.system, "a1") == frozenset(("contacts",))
@@ -141,33 +146,33 @@ class TestGrant:
         u = Perm("boot", None, DANGEROUS)
         sys = make_system(apps=("a1",),
                           manifest=frozenset((("a1", Manifest(frozenset((u,)))),)))
-        out = grant(frozenset((u,)), sys, u, "a1")
+        out = step(frozenset((u,)), sys, Action("grant", perm=u, app="a1"))
         assert out.ok
         assert out.system.state.grantedPermGroups == EMPTY
 
     def test_not_in_manifest_fails_conjunct_1(self, f1):
-        out = grant(f1["sp"], f1["sys"], WRITE, "a1")
+        out = step(f1["sp"], f1["sys"], Action("grant", perm=WRITE, app="a1"))
         assert not out.ok and out.failed_conjunct == 1
 
     def test_no_group_authorization_needed(self, f1):
         sys = make_system(apps=("a1",), manifest=f1["sys"].environment.manifest)
-        assert grant(f1["sp"], sys, f1["p"], "a1").ok
+        assert step(f1["sp"], sys, Action("grant", perm=f1["p"], app="a1")).ok
 
 
 class TestRevoke:
     def test_removes_ungrouped_perm(self):
         sys = make_system(perms=frozenset((("a1", frozenset((NET,))),)))
-        out = revoke(sys, NET, "a1")
+        out = step(EMPTY, sys, Action("revoke", perm=NET, app="a1"))
         assert out.ok
         assert granted(out.system, "a1") == EMPTY
 
     def test_grouped_perm_rejected(self):
         sys = make_system(perms=frozenset((("a1", frozenset((READ,))),)))
-        out = revoke(sys, READ, "a1")
+        out = step(EMPTY, sys, Action("revoke", perm=READ, app="a1"))
         assert not out.ok and out.failed_conjunct == 1
 
     def test_not_granted_rejected(self):
-        out = revoke(make_system(), NET, "a1")
+        out = step(EMPTY, make_system(), Action("revoke", perm=NET, app="a1"))
         assert not out.ok and out.failed_conjunct == 2
 
 
@@ -177,7 +182,7 @@ class TestRevokeGroup:
             mg=frozenset((("a1", frozenset(("contacts",))),)),
             perms=frozenset((("a1", frozenset((READ, NET))),)),
         )
-        out = revoke_group(sys, "contacts", "a1")
+        out = step(EMPTY, sys, Action("revokeGroup", group="contacts", app="a1"))
         assert out.ok
         assert groups_of(out.system, "a1") == EMPTY
         assert granted(out.system, "a1") == frozenset((NET,))
@@ -185,12 +190,12 @@ class TestRevokeGroup:
             "grantedPermGroups", "perms"}
 
     def test_unauthorized_group_rejected(self):
-        out = revoke_group(make_system(), "contacts", "a1")
+        out = step(EMPTY, make_system(), Action("revokeGroup", group="contacts", app="a1"))
         assert not out.ok and out.failed_conjunct == 1
 
     def test_zero_granted_perms_of_group_leaves_perms_alone(self):
         sys = make_system(mg=frozenset((("a1", frozenset(("contacts",))),)))
-        out = revoke_group(sys, "contacts", "a1")
+        out = step(EMPTY, sys, Action("revokeGroup", group="contacts", app="a1"))
         assert out.ok
         assert out.system.state.perms == sys.state.perms == EMPTY
 
@@ -199,7 +204,7 @@ class TestRevokeGroup:
             mg=frozenset((("a1", frozenset(("contacts",))),)),
             perms=frozenset((("a1", frozenset((NET,))),)),
         )
-        out = revoke_group(sys, "contacts", "a1")
+        out = step(EMPTY, sys, Action("revokeGroup", group="contacts", app="a1"))
         assert out.ok
         assert granted(out.system, "a1") == frozenset((NET,))
 
@@ -246,7 +251,8 @@ class TestContracts:
     def test_grant_auto_contracts(self):
         for _ in range(400):
             sys, p, a, sp = random_grant_auto_state(self.space, self.rng)
-            assert pre_grant_auto(sp, sys, p, a) is None
+            action = Action("grantAuto", perm=p, app=a)
+            assert pre_grant_auto(sp, sys, action) is None
             out = grant_auto(sp, sys, p, a)
             assert out.ok
             # frame: only the granted-permission mapping changes
@@ -258,7 +264,7 @@ class TestContracts:
                 assert image <= new[app]
             assert p in new[a]
             # not re-enabled afterwards
-            assert pre_grant_auto(sp, out.system, p, a) == 3
+            assert pre_grant_auto(sp, out.system, action) == 3
 
 
 class TestActionDocs:

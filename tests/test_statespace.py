@@ -10,7 +10,7 @@ from conftest import random_grant_auto_state, sp_variants
 from permcheck.invariants import valid_state
 from permcheck.model import COMPONENTS, DANGEROUS, System, emit_state, get_component
 import permcheck.operations as operations
-from permcheck.operations import default_operations, pre_grant_auto
+from permcheck.operations import Action, default_operations, pre_grant_auto
 import permcheck.statespace as statespace
 from permcheck.statespace import (
     MAX_CARD,
@@ -343,7 +343,7 @@ class TestTargeted:
         for sys in targeted_states(b, "grantAuto"):
             for action in ops["grantAuto"].candidates(sys):
                 for sp in sp_variants(action):
-                    if pre_grant_auto(sp, sys, action.perm, action.app) is None:
+                    if pre_grant_auto(sp, sys, action) is None:
                         enabled += 1
         assert enabled > 0
 
@@ -359,4 +359,4 @@ def test_random_grant_auto_state_is_enabled():
     for _ in range(100):
         sys, p, a, sp = random_grant_auto_state(space, rng)
         assert p.level == DANGEROUS and p.group is not None
-        assert pre_grant_auto(sp, sys, p, a) is None
+        assert pre_grant_auto(sp, sys, Action("grantAuto", perm=p, app=a)) is None

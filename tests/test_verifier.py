@@ -14,6 +14,7 @@ from permcheck.kernel import EMPTY, foplus
 from permcheck.model import (DANGEROUS, ENV_FIELDS, Perm, get_component, reading,
                              with_component)
 from permcheck.operations import (
+    Action,
     Outcome,
     default_operations,
     grant_auto_operation,
@@ -248,7 +249,8 @@ class TestExistentialProperty:
         (image,) = [img for k, img in v.system.state.perms if k == a]
         assert not any(q2.group == g for q2 in image)
         assert p.level == DANGEROUS and p.group == g
-        assert pre_grant_auto(v.system_perms, v.system, p, a) is None
+        assert pre_grant_auto(v.system_perms, v.system,
+                              Action("grantAuto", perm=p, app=a)) is None
 
     @pytest.mark.parametrize("tamper", ["authorize-nothing", "hold-group-perm"])
     def test_tampered_witness_fails_recheck(self, tamper):
