@@ -110,18 +110,21 @@ def _search(fn, *args):
         raise _SearchFailed from e
 
 
+def _exit_code(verdicts) -> int:
+    """1 on a counterexample or no witness, else 3 when out of budget, else 0."""
+    kinds = {v.kind for v in verdicts}
+    if kinds & {"counterexample", "no-witness-at-bounds"}:
+        return 1
+    return 3 if "budget-exhausted" in kinds else 0
+
+
 def cmd_verify(args) -> int:
     report = _search(run_suite, args.suite, _bounds(args))
     if args.format == "json":
         _write(args, json.dumps(report.to_doc(), indent=2) + "\n")
     else:
         _write(args, report.text())
-    if any(v.kind in ("counterexample", "no-witness-at-bounds")
-           for v in report.verdicts):
-        return 1
-    if report.inconclusive:
-        return 3
-    return 0
+    return _exit_code(report.verdicts)
 
 
 def cmd_witness(args) -> int:
@@ -147,11 +150,7 @@ def cmd_witness(args) -> int:
             lines.append("state:")
             lines.append(json.dumps(doc["state"], indent=2))
         _write(args, "\n".join(lines) + "\n")
-    if verdict.kind == "witness":
-        return 0
-    if verdict.kind == "budget-exhausted":
-        return 3
-    return 1
+    return _exit_code([verdict])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -124,10 +124,8 @@ def get_component(sys: System, name: str):
 def with_component(sys: System, name: str, value) -> System:
     """System equal to sys except for the one named component."""
     if name in STATE_FIELDS:
-        # a positional rebuild is measurably cheaper than dataclasses.replace
-        st = sys.state
-        return System(State(*[value if f == name else getattr(st, f)
-                              for f in STATE_FIELDS]), sys.environment)
+        return System(dataclasses.replace(sys.state, **{name: value}),
+                      sys.environment)
     if name in ENV_FIELDS:
         return System(sys.state,
                       dataclasses.replace(sys.environment, **{name: value}))

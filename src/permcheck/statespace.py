@@ -59,6 +59,12 @@ MAX_APP_PERM_PAIRS = 100_000
 # about 0.7 s at 32, 5.5 s at 48 and 23 s at 64 (2-vCPU VM, Python 3.11),
 # so larger caps are rejected.
 MAX_CARD = 32
+# An enumerated pass holds every Environment of its footprint, about 170
+# bytes each (``SystemSpace.representatives``), and no component has more
+# values than the four environment components multiply to.  Bounds whose
+# whole space fits the budget, so that their run is enumerated, are rejected
+# up front when that product exceeds this limit: at (2,2,2,2) it is 2.1e14.
+MAX_ENVIRONMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,28 @@ class Bounds:
         if pairs > MAX_APP_PERM_PAIRS:
             raise ValueError(f"bounds give {pairs:,} (app, permission triple) "
                              f"pairs; the limit is {MAX_APP_PERM_PAIRS:,}")
+        sizes = _component_sizes(self)
+        envs = prod(sizes[4:])
+        if prod(sizes) <= self.budget and envs > MAX_ENVIRONMENTS:
+            raise ValueError(f"an enumerated run at these bounds holds {envs:,} "
+                             f"environments; the limit is {MAX_ENVIRONMENTS:,}")
 
     def to_doc(self) -> dict:
         return {"apps": self.apps, "perms": self.perms, "grps": self.grps,
                 "maxcard": self.max_card, "budget": self.budget, "seed": self.seed}
+
+
+def _component_sizes(bounds: Bounds) -> tuple:
+    """The number of values of each of the eight components of
+    ``SystemSpace(bounds)``, in its order, counted without decoding."""
+    def count(n: int, values: int = 1) -> int:
+        return sum(comb(n, k) * values ** k for k in range(min(bounds.max_card, n) + 1))
+
+    apps = bounds.apps
+    sets = count(bounds.perms * (bounds.grps + 1) * len(PROTECTION_LEVELS))
+    return (count(apps), count(apps), count(apps, count(bounds.grps)),
+            count(apps, sets), count(apps, sets), count(apps), count(apps, sets),
+            count(apps * sets))
 
 
 @dataclass(frozen=True)
@@ -261,7 +285,8 @@ class SystemSpace:
 
         Each component value is decoded once, each State built once per
         state prefix and each Environment once per pass; the Environments
-        are held for the pass, so iterate only footprints swept whole.
+        are held for the pass, so iterate only footprints swept whole; an
+        enumerated run holds at most ``MAX_ENVIRONMENTS`` of them.
         """
         axes, weight = [], 1
         for name, space in reversed(self.components):  # least significant first

@@ -46,20 +46,14 @@ is swept with that tag's queries, and then one pass over the samples
 checks every query, each on the samples its budget leaves after its
 family.  The i-th sample is the same for every query, so the pass runs in
 segments between the points where a query's share ends, each with a fixed
-set of queries.  Each pass first builds its *plan* (``_plan``): one
-entry per operation, with its ``candidates``, its ``apply``, its queries
-still searching, and whether one of them filters actions.  Then, on each
-state, which is decoded once, each distinct hypothesis is evaluated at
-most once; each operation's candidates are enumerated once; ``covers``
-is called only in an entry that filters, since every other query covers
-every action; each covered step is taken once for all of the entry's
-queries, with a second system-permission variant only when the first was
-blocked; and each covered query tests its conclusion on that one
-successor.  A query leaves the pass at its first hit, so its verdict,
-down to ``statesExamined`` and the hit, is the one it gets alone: no
-verdict depends on which other queries run.  A row decodes
-each sample when its pass reaches it; the component values come from the
-shared space's decode caches.
+set of queries.  A pass (``_sweep``) decodes each state once, from the
+shared space's decode caches, and takes each step once for all of an
+operation's queries (``_first_hits``), as its *plan* (``_plan``) groups
+them.  A plan is never edited: a pass builds one for its queries, and a
+new one, of the queries still searching, after each state with a hit.  A
+query leaves the pass at its first hit, so its verdict, down to
+``statesExamined`` and the hit, is the one it gets alone: no verdict
+depends on which other queries run.
 
 An enumerated run reads only the states that can decide a verdict.  Each
 callable of a query or an operation may declare the components it reads
@@ -277,27 +271,21 @@ def _hit_fields(q: Query, action: Action, nxt: System) -> dict:
     return {"next_system": None if witness else nxt, "bindings": bindings}
 
 
-def _filters(queries: Iterable[Query]) -> bool:
-    """Whether some query of ``queries`` filters the actions it covers."""
-    return any(q.covers is not _always for q in queries)
-
-
-def _plan(queries: Sequence[Query]) -> list:
-    """The plan of one sweep: an entry per operation of ``queries``, in
-    order of first appearance, built once.  An entry is a list [its
-    ``candidates``, its ``apply``, its queries still searching, whether one
-    of those filters actions]; ``_first_hits`` drops a query from it at its
-    hit."""
+def _plan(queries: Sequence[Query]) -> tuple:
+    """The plan of a sweep over ``queries``: one entry per operation, in
+    order of first appearance, as the tuple (its ``candidates``, its
+    ``apply``, its queries, whether one of them filters actions)."""
     by_op: dict[Operation, list] = {}
     for q in queries:
         by_op.setdefault(q.op, []).append(q)
-    return [[op.candidates, op.apply, group, _filters(group)]
-            for op, group in by_op.items()]
+    return tuple((op.candidates, op.apply, tuple(group),
+                  any(q.covers is not _always for q in group))
+                 for op, group in by_op.items())
 
 
-def _first_hits(plan: list, sys: System) -> list:
-    """The first hit in one state of each query still searching in
-    ``plan``, as (query, system perms, action, successor).
+def _first_hits(plan: tuple, sys: System) -> list:
+    """The first hit in one state of each query of ``plan``, as (query,
+    system perms, action, successor).
 
     Each distinct hypothesis is evaluated at most once on the state, and
     each operation's candidates are enumerated once.  When no query of an
@@ -305,14 +293,13 @@ def _first_hits(plan: list, sys: System) -> list:
     no ``covers`` is called.  A covered step is taken with the empty
     system-permission set, and again with the action's own permission only
     when that was blocked (see the module docstring).  Each covered query
-    tests its conclusion on that one successor and, at its first hit,
-    leaves the state and the plan, so it finds the hit it would find alone.
+    tests its conclusion on that one successor and leaves the state at its
+    first hit, so it finds the hit it would find alone.
     """
     hits, held = [], {}
-    for entry in plan:
-        candidates, apply, searching, filtered = entry
+    for candidates, apply, queries, filtered in plan:
         live = []
-        for q in searching:
+        for q in queries:
             h = q.hypothesis
             if h not in held:
                 held[h] = h(sys)
@@ -341,9 +328,7 @@ def _first_hits(plan: list, sys: System) -> list:
                 continue
             for q in hit:
                 live.remove(q)
-                searching.remove(q)
                 hits.append((q, sp, action, nxt))
-            entry[3] = _filters(searching)
             if not live:
                 break
     return hits
@@ -404,12 +389,12 @@ def recheck(v: Verdict) -> bool:
 
 
 def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
-           before: dict, enumerated: bool, verdicts: dict) -> None:
+           before: dict, enumerated: bool) -> dict:
     """Check ``queries`` in one pass over ``states``, (position, state)
-    pairs, writing each query's first hit, rechecked, into ``verdicts``.  A
+    pairs, and return each query's first hit, rechecked, as its verdict.  A
     hit at position i examined ``before[p] + i`` states.  The pass ends when
     every query has hit."""
-    plan, searching = _plan(queries), len(queries)
+    verdicts, searching, plan = {}, queries, _plan(queries)
     for i, sys in states:
         hits = _first_hits(plan, sys)
         if not hits:
@@ -421,9 +406,11 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
             if not recheck(v):
                 raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
             verdicts[p] = v
-        searching -= len(hits)
+        searching = [p for p in searching if p not in verdicts]
         if not searching:
-            return
+            break
+        plan = _plan(searching)
+    return verdicts
 
 
 def _sizes(bounds: Bounds) -> tuple:
@@ -448,18 +435,17 @@ def check_query(q: Query, bounds: Bounds,
     same space, at any budget or seed, reuses the component values decoded
     before it, and decodes its own samples.
 
-    ``peers`` may map other queries at the same bounds to their verdicts,
-    ``None`` while undecided.  Every undecided peer, whatever its tag, is
-    checked with ``q``, in the passes the module docstring describes, and
-    the verdicts are written back into ``peers``.  Each verdict is the one
-    its query gets alone.
+    ``peers`` may be ``q``'s row: each query of the row, ``q`` among them,
+    mapped to ``None``.  Each of them, whatever its tag, is checked with
+    ``q``, in the passes the module docstring describes, and its verdict is
+    written into ``peers``.  Each verdict is the one its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)
     elif _sizes(space.bounds) != _sizes(bounds):
         raise ValueError(f"space built for (apps, perms, grps, max_card) "
                          f"{_sizes(space.bounds)}, not {_sizes(bounds)}")
-    queries = [q] + [p for p, v in (peers or {}).items() if v is None and p is not q]
+    queries = [q] + [p for p in peers or () if p is not q]
     budget, verdicts = bounds.budget, {}
     enumerated = space.size <= budget
     if enumerated:
@@ -469,8 +455,8 @@ def check_query(q: Query, bounds: Bounds,
         for (footprint, name), group in _passes(queries).items():
             gate = None if name is None else (
                 name, _acting(space, name, {p.op for p in group}))
-            _sweep(group, space.representatives(footprint, gate),
-                   dict.fromkeys(group, 1), True, verdicts)
+            verdicts.update(_sweep(group, space.representatives(footprint, gate),
+                                   dict.fromkeys(group, 1), True))
         conclusive = set(queries)
     else:
         by_tag: dict[str, list] = {}
@@ -479,8 +465,8 @@ def check_query(q: Query, bounds: Bounds,
         before, conclusive = {}, set()
         for tag, tagged in by_tag.items():
             family = targeted_states(bounds, tag)
-            _sweep(tagged, enumerate(family[:budget], 1), dict.fromkeys(tagged, 0),
-                   False, verdicts)
+            verdicts.update(_sweep(tagged, enumerate(family[:budget], 1),
+                                   dict.fromkeys(tagged, 0), False))
             before.update(dict.fromkeys(tagged, min(len(family), budget)))
             if len(family) <= budget:
                 conclusive.update(tagged)
@@ -491,8 +477,8 @@ def check_query(q: Query, bounds: Bounds,
             live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
             if not live:
                 break
-            _sweep(live, enumerate(islice(tail, end - start), 1),
-                   {p: before[p] + start for p in live}, False, verdicts)
+            verdicts.update(_sweep(live, enumerate(islice(tail, end - start), 1),
+                                   {p: before[p] + start for p in live}, False))
             start = end
     for p in queries:
         if p not in verdicts:
@@ -522,10 +508,6 @@ class Report:
     def counterexamples(self) -> list[Verdict]:
         return [v for v in self.verdicts if v.kind == "counterexample"]
 
-    @property
-    def inconclusive(self) -> list[Verdict]:
-        return [v for v in self.verdicts if v.kind == "budget-exhausted"]
-
     def to_doc(self) -> dict:
         return {
             "suite": self.suite,
@@ -554,9 +536,9 @@ def run_suite(suite: str, bounds: Bounds,
               clauses: Optional[Sequence[InvariantClause]] = None) -> Report:
     """Run a verification suite and aggregate per-row counts and wall time.
 
-    The first query of a row is checked with the whole row as its peers
-    (see ``check_query``), so one call decides the row and its time is the
-    row's; every verdict is still the one its query gets alone."""
+    Each row is one ``check_query`` call, on its first query with the whole
+    row as its peers, so its time is the row's; every verdict is still the
+    one its query gets alone."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     groups = []
@@ -570,7 +552,8 @@ def run_suite(suite: str, bounds: Bounds,
     for name, queries in groups:
         start = time.perf_counter()
         peers = dict.fromkeys(queries)
-        vs = [peers[q] or check_query(q, bounds, space, peers) for q in queries]
+        check_query(queries[0], bounds, space, peers)
+        vs = list(peers.values())
         elapsed = time.perf_counter() - start
         lemmas = len({q.lemma for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),

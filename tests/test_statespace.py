@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -69,6 +69,22 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(**kwargs)
 
+    def test_an_enumerated_run_holding_too_many_environments_is_rejected(self):
+        # at (2,2,2,2) the environment components multiply to 2.1e14, every
+        # one of which an enumerated pass would hold; a sampled run holds none
+        size = SystemSpace(Bounds()).size
+        with pytest.raises(ValueError, match="environments"):
+            Bounds(budget=size)
+        assert Bounds(budget=size - 1)
+
+    @pytest.mark.parametrize("bounds", [
+        (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1), (1, 1, 1, 2),
+        (3, 2, 1, 1), (2, 2, 3, 1)])
+    def test_the_frontier_bounds_enumerate(self, bounds):
+        sizes = statespace._component_sizes(Bounds(*bounds))
+        assert prod(sizes[4:]) <= statespace.MAX_ENVIRONMENTS
+        assert Bounds(*bounds, budget=prod(sizes))
+
 
 class TestPools:
     def test_perm_pool_is_every_triple(self):
@@ -114,6 +130,13 @@ class TestSpace:
     def test_component_counts_match_hand_formulas_2222(self):
         space = SystemSpace(Bounds(2, 2, 2, 2))
         assert component_sizes(space) == expected_component_sizes(2, 2, 2, 2)
+
+    @pytest.mark.parametrize("bounds", [
+        (1, 1, 1, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 2, 1, 1), (1, 1, 1, 3)])
+    def test_component_sizes_count_the_space_without_decoding(self, bounds):
+        b = Bounds(*bounds)
+        assert (statespace._component_sizes(b)
+                == tuple(component_sizes(SystemSpace(b)).values()))
 
     def test_unrank_is_injective_on_prefix(self):
         space = SystemSpace(Bounds(1, 1, 1, 1))

@@ -710,6 +710,31 @@ class TestPlan:
                     seen["blocked, retried"] += 1
         assert len(seen) == 3 and min(seen.values()) > 10, seen
 
+    def test_first_hits_edits_nothing_it_is_given(self):
+        # the stale revoke and the existential witness both hit in the
+        # targeted families; a plan edited at a hit would find none again
+        queries = all_queries(revoke_operations(stale_revoke))
+        plan = verifier._plan(queries)
+        states = (targeted_states(TINY, "revoke")
+                  + targeted_states(TINY, "execAutoGrantWithoutIndividualPerms"))
+        kinds = set()
+        for sys in states:
+            first = verifier._first_hits(plan, sys)
+            assert verifier._first_hits(plan, sys) == first
+            assert plan == verifier._plan(queries)
+            kinds.update(q.kind for q, *_ in first)
+        assert kinds == {"invariance", "existential"}
+
+    def test_sweep_returns_its_verdicts_and_edits_nothing_it_is_given(self):
+        queries = all_queries(revoke_operations(stale_revoke))
+        given = list(queries)
+        before = dict.fromkeys(queries, 0)
+        states = targeted_states(TINY, "execAutoGrantWithoutIndividualPerms")
+        verdicts = verifier._sweep(queries, enumerate(states, 1), before, False)
+        assert {v.kind for v in verdicts.values()} == {"witness", "counterexample"}
+        assert all(v.query is p for p, v in verdicts.items())
+        assert queries == given and before == dict.fromkeys(queries, 0)
+
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
     def test_a_query_tests_no_step_after_its_hit(self, monkeypatch, bounds):
         # the stale revoke breaks the perms map on every enabled revoke of
