@@ -7,17 +7,19 @@ existential property.  Exit codes: 0 success / all hold / witness found;
 2 usage or parse error (bounds too large included); 3 budget exhausted
 (inconclusive); 4 internal error (any exception raised by the search or
 its recheck, such as a failed soundness guard or running out of memory).
-Bounds and inputs are checked before the search starts.
+Bounds and inputs are checked, and ``--out`` opened, before the search
+starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys as _sys
 
 from .invariants import check_clauses, standard_clauses
-from .model import ParseError, emit_state, parse_state
+from .model import emit_state, parse_state
 from .operations import parse_scenario, step
 from .statespace import Bounds
 from .verifier import (
@@ -40,9 +42,13 @@ def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
 
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write output to a file instead of stdout")
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write output to a file instead of stdout")
+    _add_out_flag(p)
 
 
 def _bounds(args) -> Bounds:
@@ -50,12 +56,13 @@ def _bounds(args) -> Bounds:
                   max_card=args.maxcard, budget=args.budget, seed=args.seed)
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        _sys.stdout.write(text)
+def _output(args):
+    """The output stream, ``--out`` opened (and truncated) or stdout.  Each
+    command opens it once its inputs are read and before its work starts,
+    as a shell redirect is, so a bad path costs no search."""
+    if args.out:
+        return open(args.out, "w", encoding="utf-8")
+    return contextlib.nullcontext(_sys.stdout)
 
 
 def _read(path: str) -> str:
@@ -66,32 +73,34 @@ def _read(path: str) -> str:
 def cmd_run(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
     current = scenario.initial
-    for i, action in enumerate(scenario.actions, 1):
-        out = step(scenario.system_perms, current, action)
-        if not out.ok:
-            print(f"action {i}: {action.op} blocked (conjunct {out.failed_conjunct})",
-                  file=_sys.stderr)
-            return 1
-        if action.op == "hasPermission":
-            print(f"action {i}: hasPermission -> {'true' if out.result else 'false'}",
-                  file=_sys.stderr)
-        current = out.system
-    _write(args, emit_state(current))
+    with _output(args) as f:
+        for i, action in enumerate(scenario.actions, 1):
+            out = step(scenario.system_perms, current, action)
+            if not out.ok:
+                print(f"action {i}: {action.op} blocked "
+                      f"(conjunct {out.failed_conjunct})", file=_sys.stderr)
+                return 1
+            if action.op == "hasPermission":
+                print(f"action {i}: hasPermission -> "
+                      f"{'true' if out.result else 'false'}", file=_sys.stderr)
+            current = out.system
+        f.write(emit_state(current))
     return 0
 
 
 def cmd_check(args) -> int:
     system = parse_state(_read(args.state))
-    failing = set(check_clauses(system))
-    if args.format == "json":
-        doc = {"valid": not failing,
-               "clauses": [{"id": c.id, "ok": c.id not in failing}
-                           for c in standard_clauses()]}
-        _write(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [f"{c.id}: {'FAIL' if c.id in failing else 'ok'}"
-                 for c in standard_clauses()]
-        _write(args, "\n".join(lines) + "\n")
+    with _output(args) as f:
+        failing = set(check_clauses(system))
+        if args.format == "json":
+            doc = {"valid": not failing,
+                   "clauses": [{"id": c.id, "ok": c.id not in failing}
+                               for c in standard_clauses()]}
+            f.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            lines = [f"{c.id}: {'FAIL' if c.id in failing else 'ok'}"
+                     for c in standard_clauses()]
+            f.write("\n".join(lines) + "\n")
     return 1 if failing else 0
 
 
@@ -119,11 +128,13 @@ def _exit_code(verdicts) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = _search(run_suite, args.suite, _bounds(args))
-    if args.format == "json":
-        _write(args, json.dumps(report.to_doc(), indent=2) + "\n")
-    else:
-        _write(args, report.text())
+    bounds = _bounds(args)
+    with _output(args) as f:
+        report = _search(run_suite, args.suite, bounds)
+        if args.format == "json":
+            f.write(json.dumps(report.to_doc(), indent=2) + "\n")
+        else:
+            f.write(report.text())
     return _exit_code(report.verdicts)
 
 
@@ -136,20 +147,21 @@ def cmd_witness(args) -> int:
               f"(expected one of {sorted(queries)})", file=_sys.stderr)
         return 2
     bounds = _bounds(args)
-    verdict = _search(check_query, queries[name], bounds)
-    doc = {"property": name, "bounds": bounds.to_doc(),
-           **verdict_to_doc(verdict)}
-    if args.format == "json":
-        _write(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [f"property: {name}",
-                 f"verdict: {verdict.kind} ({verdict.states_examined} states, "
-                 f"{verdict.mode})"]
-        if verdict.kind == "witness":
-            lines.append("bindings: " + json.dumps(doc["bindings"]))
-            lines.append("state:")
-            lines.append(json.dumps(doc["state"], indent=2))
-        _write(args, "\n".join(lines) + "\n")
+    with _output(args) as f:
+        verdict = _search(check_query, queries[name], bounds)
+        doc = {"property": name, "bounds": bounds.to_doc(),
+               **verdict_to_doc(verdict)}
+        if args.format == "json":
+            f.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            lines = [f"property: {name}",
+                     f"verdict: {verdict.kind} ({verdict.states_examined} states, "
+                     f"{verdict.mode})"]
+            if verdict.kind == "witness":
+                lines.append("bindings: " + json.dumps(doc["bindings"]))
+                lines.append("state:")
+                lines.append(json.dumps(doc["state"], indent=2))
+            f.write("\n".join(lines) + "\n")
     return _exit_code([verdict])
 
 
@@ -161,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fold a scenario's actions over its initial state")
     p.add_argument("scenario", help="scenario JSON file")
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("check", help="evaluate every validity clause on a state")
@@ -187,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, json.JSONDecodeError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError and JSONDecodeError among them
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:

@@ -10,16 +10,17 @@ by distinct apps.  Opaque slots stay fixed.
 Every component, a subset of a pool or a relation keyed by distinct apps,
 is one kind of indexed space, a ``SetSpace``: a set of pool indices, each
 carrying a value rank, unranked straight from binomial coefficients with no
-table.  The whole space is the product of the eight component spaces, so
-it can be enumerated exhaustively in a fixed order or sampled uniformly by
-drawing integer ranks.  A search reads states through three readers:
-``representatives``, the lowest-rank system of each projection on some
-components, in rank order; ``state_stream``, uniform samples drawn with
-replacement, a pure function of the bounds, each decoded when the stream
-reaches it and kept by none; and ``targeted_states``, below.  The first
-two build systems from the component values in the ``SetSpace`` decode
-caches.  ``verifier.check_query`` alone decides which of them a query
-reads.
+table.  ``SystemSpace`` alone declares the layout: the whole space is the
+product of the eight component spaces, so it can be enumerated exhaustively
+in a fixed order or sampled uniformly by drawing integer ranks, and
+``Bounds`` counts its limits through it.  A search reads states through
+three readers: ``representatives``, the lowest-rank system of each
+projection on some components, in rank order; ``state_stream``, uniform
+samples drawn with replacement, a pure function of the bounds, each decoded
+when the stream reaches it and kept by none; and ``targeted_states``,
+below.  The first two build systems from the component values in the
+decode caches, one per kind of value, each filled on demand.
+``verifier.check_query`` alone decides which of them a query reads.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -63,7 +64,8 @@ MAX_CARD = 32
 # bytes each (``SystemSpace.representatives``), and no component has more
 # values than the four environment components multiply to.  Bounds whose
 # whole space fits the budget, so that their run is enumerated, are rejected
-# up front when that product exceeds this limit: at (2,2,2,2) it is 2.1e14.
+# up front when that product, counted through ``SystemSpace``, exceeds this
+# limit: at (2,2,2,2) it is 2.1e14.
 MAX_ENVIRONMENTS = 1_000_000
 
 
@@ -89,28 +91,15 @@ class Bounds:
         if pairs > MAX_APP_PERM_PAIRS:
             raise ValueError(f"bounds give {pairs:,} (app, permission triple) "
                              f"pairs; the limit is {MAX_APP_PERM_PAIRS:,}")
-        sizes = _component_sizes(self)
-        envs = prod(sizes[4:])
-        if prod(sizes) <= self.budget and envs > MAX_ENVIRONMENTS:
+        space = SystemSpace(self)  # decodes nothing
+        envs = prod(s.size for _, s in space.components[4:])
+        if space.size <= self.budget and envs > MAX_ENVIRONMENTS:
             raise ValueError(f"an enumerated run at these bounds holds {envs:,} "
                              f"environments; the limit is {MAX_ENVIRONMENTS:,}")
 
     def to_doc(self) -> dict:
         return {"apps": self.apps, "perms": self.perms, "grps": self.grps,
                 "maxcard": self.max_card, "budget": self.budget, "seed": self.seed}
-
-
-def _component_sizes(bounds: Bounds) -> tuple:
-    """The number of values of each of the eight components of
-    ``SystemSpace(bounds)``, in its order, counted without decoding."""
-    def count(n: int, values: int = 1) -> int:
-        return sum(comb(n, k) * values ** k for k in range(min(bounds.max_card, n) + 1))
-
-    apps = bounds.apps
-    sets = count(bounds.perms * (bounds.grps + 1) * len(PROTECTION_LEVELS))
-    return (count(apps), count(apps), count(apps, count(bounds.grps)),
-            count(apps, sets), count(apps, sets), count(apps), count(apps, sets),
-            count(apps * sets))
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,8 @@ def _pools(n_apps: int, n_perms: int, n_grps: int) -> Pools:
 # -- indexed spaces ------------------------------------------------------------
 
 # The one decode cache: a SetSpace of at most this many values keeps each
-# value it decodes, so every stream of a space shares its component values.
+# value it decodes, as it decodes it, so every stream of a space and every
+# component of the same kind share their values.
 CACHE_LIMIT = 120_000
 
 
@@ -181,8 +171,9 @@ class SetSpace:
     for the element ``item(j, d)`` (a mapping carries its images this way,
     a plain subset the one value 0); ``make`` builds the set.  Rank order:
     cardinality, then the lexicographic combination, then the value ranks
-    as digits, most significant first.  ``unrank`` keeps each decoded value
-    when the space has at most CACHE_LIMIT of them.
+    as digits, most significant first.  ``unrank`` keeps each value it
+    decodes, in a dict that fills on demand, when the space has at most
+    CACHE_LIMIT of them, so building a space allocates nothing per value.
     """
 
     def __init__(self, n: int, max_card: int, item: Callable[[int, int], object],
@@ -191,13 +182,13 @@ class SetSpace:
         self.blocks = [(k, comb(n, k) * values ** k, values ** k)
                        for k in range(min(max_card, n) + 1)]
         self.size = sum(size for _, size, _ in self.blocks)
-        self._cache = [None] * self.size if self.size <= CACHE_LIMIT else None
+        self._cache = {} if self.size <= CACHE_LIMIT else None
 
     def unrank(self, r: int):
         cache = self._cache
         if cache is None:
             return self._decode(r)
-        value = cache[r]
+        value = cache.get(r)
         if value is None:
             value = cache[r] = self._decode(r)
         return value
@@ -220,8 +211,10 @@ class SetSpace:
 class SystemSpace:
     """The full product space of systems at given bounds.  A rank's digits,
     most significant first, are the eight varying components in State then
-    Environment field order.  The space holds no systems, only its
-    components' decode caches.
+    Environment field order.  Components holding the same kind of value
+    (``apps`` and ``alreadyVerified``, ``perms`` and ``defPerms``) share one
+    ``SetSpace``, so there is one decode cache per kind of value.  The space
+    holds no systems, only those caches.
     """
 
     def __init__(self, bounds: Bounds):
@@ -235,20 +228,22 @@ class SystemSpace:
         def mapping(size: int, value: Callable[[int], object]) -> SetSpace:
             return SetSpace(n_apps, mc, lambda j, d: (p.apps[j], value(d)), size)
 
+        app_sets = SetSpace(n_apps, mc, pick(p.apps))
         perm_sets = SetSpace(n_perms, mc, pick(p.all_perms))
         # one Manifest per perm-set rank, shared by every mapping holding it
         manifests = SetSpace(n_perms, mc, pick(p.all_perms),
                              make=lambda items: Manifest(frozenset(items)))
         group_sets = SetSpace(len(p.groups), mc, pick(p.groups))
         n_sets = perm_sets.size
+        perm_maps = mapping(n_sets, perm_sets.unrank)
         self.components = (
-            ("apps", SetSpace(n_apps, mc, pick(p.apps))),
-            ("alreadyVerified", SetSpace(n_apps, mc, pick(p.apps))),
+            ("apps", app_sets),
+            ("alreadyVerified", app_sets),
             ("grantedPermGroups", mapping(group_sets.size, group_sets.unrank)),
-            ("perms", mapping(n_sets, perm_sets.unrank)),
+            ("perms", perm_maps),
             ("manifest", mapping(n_sets, manifests.unrank)),
             ("cert", mapping(len(p.certs), p.certs.__getitem__)),
-            ("defPerms", mapping(n_sets, perm_sets.unrank)),
+            ("defPerms", perm_maps),
             ("systemImage", SetSpace(
                 n_apps * n_sets, mc, lambda j, d: SysImgApp(
                     p.apps[j // n_sets], perm_sets.unrank(j % n_sets)))),

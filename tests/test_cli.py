@@ -70,6 +70,13 @@ class TestRun:
         assert "action 1: hasPermission -> false" in r.stderr
         assert "action 3: hasPermission -> true" in r.stderr
 
+    def test_format_is_not_a_run_flag(self, tmp_path, f1):
+        # run always prints the state document
+        scenario = write_scenario(tmp_path / "s.json", f1, [GRANT_AUTO_READ])
+        r = run_cli("run", scenario, "--format", "json")
+        assert r.returncode == 2
+        assert "--format" in r.stderr
+
     def test_malformed_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -228,6 +235,22 @@ class TestVerify:
                     "--format", "json", "--out", str(out))
         assert r.returncode == 0
         assert json.loads(out.read_text())["suite"] == "security"
+
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("witness", "execAutoGrantWithoutIndividualPerms")])
+    def test_bad_out_path_exits_2_before_the_search(self, monkeypatch, capsys,
+                                                     tmp_path, command):
+        # opened before the search, as a shell redirect is: a bad path
+        # costs no search work
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(permcheck.cli, "run_suite", no_search)
+        monkeypatch.setattr(permcheck.cli, "check_query", no_search)
+        out = str(tmp_path / "missing" / "report.json")
+        assert permcheck.cli.main([*command, *SMALL, "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
     def test_bad_flag_is_usage_error(self):
         assert run_cli("verify", "--suite", "nope").returncode == 2

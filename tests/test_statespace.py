@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 from math import comb, prod
 
@@ -81,9 +82,11 @@ class TestBounds:
         (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1), (1, 1, 1, 2),
         (3, 2, 1, 1), (2, 2, 3, 1)])
     def test_the_frontier_bounds_enumerate(self, bounds):
-        sizes = statespace._component_sizes(Bounds(*bounds))
-        assert prod(sizes[4:]) <= statespace.MAX_ENVIRONMENTS
-        assert Bounds(*bounds, budget=prod(sizes))
+        space = SystemSpace(Bounds(*bounds))
+        sizes = component_sizes(space)
+        assert sizes == expected_component_sizes(*bounds)
+        assert prod(list(sizes.values())[4:]) <= statespace.MAX_ENVIRONMENTS
+        assert Bounds(*bounds, budget=space.size)
 
 
 class TestPools:
@@ -134,9 +137,37 @@ class TestSpace:
     @pytest.mark.parametrize("bounds", [
         (1, 1, 1, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 2, 1, 1), (1, 1, 1, 3)])
     def test_component_sizes_count_the_space_without_decoding(self, bounds):
-        b = Bounds(*bounds)
-        assert (statespace._component_sizes(b)
-                == tuple(component_sizes(SystemSpace(b)).values()))
+        space = SystemSpace(Bounds(*bounds))
+        assert component_sizes(space) == expected_component_sizes(*bounds)
+        assert not any(s._cache for _, s in space.components)
+
+    def test_like_components_share_one_space_and_its_values(self):
+        space = SystemSpace(Bounds(2, 2, 2, 2))
+        spaces = dict(space.components)
+        assert spaces["apps"] is spaces["alreadyVerified"]
+        assert spaces["perms"] is spaces["defPerms"]
+        assert len({id(s) for _, s in space.components}) == 6
+        # the same digit in both components of a kind: one decoded object
+        digits = {"apps": 3, "alreadyVerified": 3, "perms": 7, "defPerms": 7}
+        rank = 0
+        for name, s in space.components:
+            rank = rank * s.size + digits.get(name, 0)
+        sys = space.unrank(rank)
+        assert sys.state.apps and sys.state.perms
+        assert sys.state.apps is sys.state.alreadyVerified
+        assert sys.state.perms is sys.environment.defPerms
+
+    def test_building_a_space_allocates_nothing_per_value(self):
+        # the decode caches fill on demand; a slot per value would take
+        # about 1.2 MB per component at (2,2,2,2)
+        bounds = Bounds(2, 2, 2, 2)
+        tracemalloc.start()
+        try:
+            SystemSpace(bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_unrank_is_injective_on_prefix(self):
         space = SystemSpace(Bounds(1, 1, 1, 1))
