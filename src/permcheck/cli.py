@@ -148,7 +148,7 @@ def cmd_witness(args) -> int:
         return 2
     bounds = _bounds(args)
     with _output(args) as f:
-        verdict = _search(check_query, queries[name], bounds)
+        (verdict,) = _search(check_query, [queries[name]], bounds)
         doc = {"property": name, "bounds": bounds.to_doc(),
                **verdict_to_doc(verdict)}
         if args.format == "json":

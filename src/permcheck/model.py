@@ -44,7 +44,9 @@ class ParseError(ValueError):
 
 # The three record types sit inside sets and relations, so ordering them is
 # hot: each has one cache slot, in which the kernel stores the record's order
-# key the first time it is asked for.
+# key the first time it is asked for.  Guards test a Perm's membership in
+# sets on every step, so a Perm also keeps its hash in a slot, with the
+# value the generated hash gives: every set of Perms iterates as before.
 
 @dataclass(frozen=True, slots=True)
 class Perm:
@@ -54,6 +56,13 @@ class Perm:
     group: Optional[str]
     level: str
     _vkey: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.id, self.group, self.level)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ samples drawn with replacement, a pure function of the bounds, each decoded
 when the stream reaches it and kept by none; and ``targeted_states``,
 below.  The first two build systems from the component values in the
 decode caches, one per kind of value, each filled on demand.
-``verifier.check_query`` alone decides which of them a query reads.
+``verifier.check_query`` alone decides which of them each query reads.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling

@@ -41,19 +41,19 @@ its document, before being returned; an unsound hit raises instead of
 reporting.
 
 Queries are independent and deterministic for a fixed seed.  The queries
-of a suite row are checked together.  In a sampled run each tag's family
-is swept with that tag's queries, and then one pass over the samples
-checks every query, each on the samples its budget leaves after its
-family.  The i-th sample is the same for every query, so the pass runs in
-segments between the points where a query's share ends, each with a fixed
-set of queries.  A pass (``_sweep``) decodes each state once, from the
+of a suite row are checked together, in one ``check_query`` call.  In a
+sampled run each tag's family is swept with that tag's queries, and then
+one pass over the samples checks every query, each on the samples its
+budget leaves after its family, its *quota*: the i-th sample is the same
+for every query.  A pass (``_sweep``) decodes each state once, from the
 shared space's decode caches, and takes each step once for all of an
 operation's queries (``_first_hits``), as its *plan* (``_plan``) groups
 them.  A plan is never edited: a pass builds one for its queries, and a
-new one, of the queries still searching, after each state with a hit.  A
-query leaves the pass at its first hit, so its verdict, down to
-``statesExamined`` and the hit, is the one it gets alone: no verdict
-depends on which other queries run.
+new one, of the queries still searching, after each state with a hit or
+at which a quota ends.  A query leaves the pass at its first hit or at
+the end of its quota, so its verdict, down to ``statesExamined`` and the
+hit, is the one it gets alone: no verdict depends on which other queries
+run.
 
 An enumerated run reads only the states that can decide a verdict.  Each
 callable of a query or an operation may declare the components it reads
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
@@ -389,16 +388,19 @@ def recheck(v: Verdict) -> bool:
 
 
 def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
-           before: dict, enumerated: bool) -> dict:
+           before: dict, budget: int, enumerated: bool) -> dict:
     """Check ``queries`` in one pass over ``states``, (position, state)
     pairs, and return each query's first hit, rechecked, as its verdict.  A
-    hit at position i examined ``before[p] + i`` states.  The pass ends when
-    every query has hit."""
-    verdicts, searching, plan = {}, queries, _plan(queries)
+    hit at position i examined ``before[p] + i`` states, and query p reads
+    no position past its quota, ``budget - before[p]``.  A query leaves the
+    pass at its first hit or at the end of its quota, and the pass ends
+    when none is left, before it reads a state that no query would."""
+    if not queries:
+        return {}
+    verdicts, searching = {}, queries
+    plan, stop = _plan(searching), min(budget - before[p] for p in searching)
     for i, sys in states:
         hits = _first_hits(plan, sys)
-        if not hits:
-            continue
         for p, sp, action, nxt in hits:
             v = Verdict(p.id, VERDICT_KINDS[p.kind][0], before[p] + i, enumerated,
                         system=sys, system_perms=sp, action=action, query=p,
@@ -406,10 +408,12 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
             if not recheck(v):
                 raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
             verdicts[p] = v
-        searching = [p for p in searching if p not in verdicts]
-        if not searching:
-            break
-        plan = _plan(searching)
+        if hits or i >= stop:
+            # a new plan, of the queries still searching after position i
+            searching = [p for p in searching if p not in verdicts and budget - before[p] > i]
+            if not searching:
+                break
+            plan, stop = _plan(searching), min(budget - before[p] for p in searching)
     return verdicts
 
 
@@ -417,12 +421,13 @@ def _sizes(bounds: Bounds) -> tuple:
     return bounds.apps, bounds.perms, bounds.grps, bounds.max_card
 
 
-def check_query(q: Query, bounds: Bounds,
-                space: Optional[SystemSpace] = None,
-                peers: Optional[dict] = None) -> Verdict:
-    """Discharge one query at the given bounds.
+def check_query(queries: Sequence[Query], bounds: Bounds,
+                space: Optional[SystemSpace] = None) -> list[Verdict]:
+    """Discharge ``queries`` together at the given bounds, and return their
+    verdicts in the same order.  Each verdict is the one its query gets
+    alone.
 
-    What the query reads follows the rule in the module docstring.  The
+    What each query reads follows the rule in the module docstring.  The
     samples of ``state_stream(space, bounds)`` depend on the bounds alone,
     not on the query: every query of a sampled run reads the same ones.  A
     sampled sweep that could not fit the whole targeted family is
@@ -430,22 +435,16 @@ def check_query(q: Query, bounds: Bounds,
 
     ``space`` may carry a prebuilt space for the same pool sizes and
     ``max_card``, and ``ValueError`` is raised when it was built for
-    others; it never changes the verdict, only the decoding cost.  A space
-    carries only its components' decode caches, so a later query given the
+    others; it never changes a verdict, only the decoding cost.  A space
+    carries only its components' decode caches, so a later call given the
     same space, at any budget or seed, reuses the component values decoded
     before it, and decodes its own samples.
-
-    ``peers`` may be ``q``'s row: each query of the row, ``q`` among them,
-    mapped to ``None``.  Each of them, whatever its tag, is checked with
-    ``q``, in the passes the module docstring describes, and its verdict is
-    written into ``peers``.  Each verdict is the one its query gets alone.
     """
     if space is None:
         space = SystemSpace(bounds)
     elif _sizes(space.bounds) != _sizes(bounds):
         raise ValueError(f"space built for (apps, perms, grps, max_card) "
                          f"{_sizes(space.bounds)}, not {_sizes(bounds)}")
-    queries = [q] + [p for p in peers or () if p is not q]
     budget, verdicts = bounds.budget, {}
     enumerated = space.size <= budget
     if enumerated:
@@ -456,7 +455,7 @@ def check_query(q: Query, bounds: Bounds,
             gate = None if name is None else (
                 name, _acting(space, name, {p.op for p in group}))
             verdicts.update(_sweep(group, space.representatives(footprint, gate),
-                                   dict.fromkeys(group, 1), True))
+                                   dict.fromkeys(group, 1), budget, True))
         conclusive = set(queries)
     else:
         by_tag: dict[str, list] = {}
@@ -465,28 +464,20 @@ def check_query(q: Query, bounds: Bounds,
         before, conclusive = {}, set()
         for tag, tagged in by_tag.items():
             family = targeted_states(bounds, tag)
-            verdicts.update(_sweep(tagged, enumerate(family[:budget], 1),
-                                   dict.fromkeys(tagged, 0), False))
+            verdicts.update(_sweep(tagged, enumerate(family, 1),
+                                   dict.fromkeys(tagged, 0), budget, False))
             before.update(dict.fromkeys(tagged, min(len(family), budget)))
             if len(family) <= budget:
                 conclusive.update(tagged)
-        # query p reads the first budget - before[p] samples: cut the pass
-        # where a quota ends, so each segment has a fixed set of queries
-        tail, start = state_stream(space, bounds), 0
-        for end in sorted({budget - n for n in before.values()}):
-            live = [p for p in queries if p not in verdicts and budget - before[p] >= end]
-            if not live:
-                break
-            verdicts.update(_sweep(live, enumerate(islice(tail, end - start), 1),
-                                   {p: before[p] + start for p in live}, False))
-            start = end
-    for p in queries:
-        if p not in verdicts:
-            kind = VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted"
-            verdicts[p] = Verdict(p.id, kind, min(budget, space.size), enumerated, query=p)
-    if peers is not None:
-        peers.update(verdicts)
-    return verdicts[q]
+        # one pass over the samples, in which query p reads the first
+        # budget - before[p]: a query with none left takes no part
+        live = [p for p in queries if p not in verdicts and before[p] < budget]
+        verdicts.update(_sweep(live, enumerate(state_stream(space, bounds), 1),
+                               before, budget, False))
+    return [verdicts[p] if p in verdicts else
+            Verdict(p.id, VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted",
+                    min(budget, space.size), enumerated, query=p)
+            for p in queries]
 
 
 # -- suites and reports -----------------------------------------------------------
@@ -536,9 +527,8 @@ def run_suite(suite: str, bounds: Bounds,
               clauses: Optional[Sequence[InvariantClause]] = None) -> Report:
     """Run a verification suite and aggregate per-row counts and wall time.
 
-    Each row is one ``check_query`` call, on its first query with the whole
-    row as its peers, so its time is the row's; every verdict is still the
-    one its query gets alone."""
+    Each row is one ``check_query`` call, so its time is the row's; every
+    verdict is still the one its query gets alone."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     groups = []
@@ -551,9 +541,7 @@ def run_suite(suite: str, bounds: Bounds,
     rows, verdicts = [], []
     for name, queries in groups:
         start = time.perf_counter()
-        peers = dict.fromkeys(queries)
-        check_query(queries[0], bounds, space, peers)
-        vs = list(peers.values())
+        vs = check_query(queries, bounds, space)
         elapsed = time.perf_counter() - start
         lemmas = len({q.lemma for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),

@@ -66,13 +66,15 @@ def mutation_verdict():
     ops = default_operations()
     ops["grantAuto"] = grant_auto_operation(skip=(5,))
     query = gen_security_queries(operations=ops)[0]
-    return check_query(query, Bounds(2, 2, 2, 2, budget=10_000))
+    (verdict,) = check_query([query], Bounds(2, 2, 2, 2, budget=10_000))
+    return verdict
 
 
 @pytest.fixture(scope="module")
 def witness_verdict():
     query = gen_security_queries()[1]
-    return check_query(query, Bounds(1, 1, 1, 1))
+    (verdict,) = check_query([query], Bounds(1, 1, 1, 1))
+    return verdict
 
 
 def test_criterion_1_kernel_oracle_equivalence():

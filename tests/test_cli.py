@@ -336,7 +336,7 @@ def test_mutation_demo_reports_rechecked_counterexample():
 
 
 def test_benchmark_self_check_passes():
-    # the benchmark times each query by wrapping verifier.check_query and
+    # the benchmark times each row by wrapping verifier.check_query and
     # reaches SystemSpace, targeted_states and recheck as verifier
     # attributes; its self-check fails when any of these goes missing
     r = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),

@@ -22,7 +22,7 @@ from permcheck.model import (
     usr_def_perm,
     with_component,
 )
-from permcheck.statespace import Bounds, SystemSpace
+from permcheck.statespace import Bounds, SystemSpace, make_pools
 
 SPACE = SystemSpace(Bounds(2, 2, 2, 2))
 
@@ -91,6 +91,25 @@ class TestUsrDefPerm:
     def test_only_in_system_image(self):
         sys = make_system(system_image=frozenset((SysImgApp("a1", frozenset((WRITE,))),)))
         assert usr_def_perm(sys, WRITE)
+
+
+POOL_2222 = make_pools(Bounds(2, 2, 2, 2)).all_perms
+
+
+class TestPermHash:
+    # the kept hash is the generated one, so every set of Perms iterates in
+    # the order the recorded digests were taken in
+    @pytest.mark.parametrize("perm", POOL_2222, ids=repr)
+    def test_is_the_hash_of_the_field_tuple(self, perm):
+        assert hash(perm) == hash((perm.id, perm.group, perm.level))
+
+    @pytest.mark.parametrize("perm", POOL_2222, ids=repr)
+    def test_equal_perms_built_apart_hash_equal(self, perm):
+        twin = Perm(perm.id, perm.group, perm.level)
+        (parsed,) = PERM_SET.parse(PERM_SET.emit(frozenset((perm,))), "perms")
+        assert twin is not perm and parsed is not perm
+        assert twin == parsed == perm
+        assert hash(twin) == hash(parsed) == hash(perm)
 
 
 class TestSerialization:

@@ -36,6 +36,12 @@ TINY = Bounds(1, 1, 1, 1)           # exhaustive at default budget (98304 states
 SAMPLED = Bounds(1, 1, 1, 1, budget=3000, seed=5)
 
 
+def check_one(q, *args):
+    """The verdict of ``check_query`` on the one query ``q``."""
+    (v,) = check_query([q], *args)
+    return v
+
+
 def grant_auto_skip(skip):
     """The registry with grantAuto's conjuncts ``skip`` disabled."""
     ops = default_operations()
@@ -176,14 +182,14 @@ class TestQueryGeneration:
 class TestUniversalProperty:
     def test_holds_exhaustively_at_tiny_bounds(self):
         q = gen_security_queries()[0]
-        v = check_query(q, TINY)
+        v = check_one(q, TINY)
         assert v.kind == "holds-at-bounds"
         assert v.exhaustive
         assert v.states_examined == SystemSpace(TINY).size
 
     def test_mutant_yields_counterexample(self):
         q = gen_security_queries(operations=mutated_operations())[0]
-        v = check_query(q, Bounds(2, 2, 2, 2, budget=10_000))
+        v = check_one(q, Bounds(2, 2, 2, 2, budget=10_000))
         assert v.kind == "counterexample"
         assert recheck(v)
         # the state indeed lacks the group authorization
@@ -193,7 +199,7 @@ class TestUniversalProperty:
 
     def test_tampered_counterexample_fails_recheck(self):
         q = gen_security_queries(operations=mutated_operations())[0]
-        v = check_query(q, Bounds(2, 2, 2, 2, budget=10_000))
+        v = check_one(q, Bounds(2, 2, 2, 2, budget=10_000))
         mg = v.system.state.grantedPermGroups
         authorized = foplus(mg, v.bindings["app"],
                             frozenset((v.bindings["group"],)))
@@ -206,13 +212,13 @@ class TestUniversalProperty:
 
 class TestInvarianceCounterexample:
     def test_stale_revoke_breaks_perms_map(self):
-        v = check_query(revoke_query(stale_revoke), SAMPLED)
+        v = check_one(revoke_query(stale_revoke), SAMPLED)
         assert v.kind == "counterexample" and v.bindings is None
         assert recheck(v)
 
     @pytest.mark.parametrize("tamper", ["hypothesis", "next"])
     def test_tampered_counterexample_fails_recheck(self, tamper):
-        v = check_query(revoke_query(stale_revoke), SAMPLED)
+        v = check_one(revoke_query(stale_revoke), SAMPLED)
         if tamper == "hypothesis":
             # a second perms pair for the app: the clause fails before the step
             extra = (v.action.app, frozenset())
@@ -229,7 +235,7 @@ class TestInvarianceCounterexample:
 
 class TestSystemPermVariants:
     def test_step_enabled_only_by_a_system_permission_is_searched(self):
-        v = check_query(revoke_query(stale_revoke_of_system_perm), SAMPLED)
+        v = check_one(revoke_query(stale_revoke_of_system_perm), SAMPLED)
         assert v.query_id == "inv/allMapsCorrect.perms/revoke"
         assert v.kind == "counterexample"
         assert v.system_perms == frozenset((v.action.perm,))
@@ -239,7 +245,7 @@ class TestSystemPermVariants:
 class TestExistentialProperty:
     def test_witness_at_tiny_bounds(self):
         q = gen_security_queries()[1]
-        v = check_query(q, TINY)
+        v = check_one(q, TINY)
         assert v.kind == "witness"
         assert recheck(v)
         p, a, g = v.bindings["perm"], v.bindings["app"], v.bindings["group"]
@@ -254,7 +260,7 @@ class TestExistentialProperty:
 
     @pytest.mark.parametrize("tamper", ["authorize-nothing", "hold-group-perm"])
     def test_tampered_witness_fails_recheck(self, tamper):
-        v = check_query(gen_security_queries()[1], TINY)
+        v = check_one(gen_security_queries()[1], TINY)
         st, a, g = v.system.state, v.bindings["app"], v.bindings["group"]
         if tamper == "authorize-nothing":
             st = dataclasses.replace(st, grantedPermGroups=EMPTY)
@@ -267,14 +273,14 @@ class TestExistentialProperty:
         assert not recheck(tampered)
 
     def test_bindings_disagreeing_with_action_fail_recheck(self):
-        v = check_query(gen_security_queries()[1], TINY)
+        v = check_one(gen_security_queries()[1], TINY)
         assert recheck(v)
         tampered = dataclasses.replace(v, bindings={**v.bindings, "app": "other"})
         assert not recheck(tampered)
 
     def test_no_witness_at_max_card_zero(self):
         q = gen_security_queries()[1]
-        v = check_query(q, Bounds(1, 1, 1, 0))
+        v = check_one(q, Bounds(1, 1, 1, 0))
         assert v.kind == "no-witness-at-bounds"
         assert v.exhaustive and v.states_examined == 1
 
@@ -282,18 +288,18 @@ class TestExistentialProperty:
 class TestBudget:
     def test_budget_smaller_than_targeted_family_is_inconclusive(self):
         q = gen_invariance_queries()[0]
-        v = check_query(q, Bounds(1, 1, 1, 1, budget=1))
+        v = check_one(q, Bounds(1, 1, 1, 1, budget=1))
         assert v.kind == "budget-exhausted"
         assert v.states_examined == 1
 
     def test_exhaustive_fit_is_conclusive_even_at_budget_one(self):
         q = gen_invariance_queries()[0]
-        v = check_query(q, Bounds(1, 1, 1, 0, budget=1))
+        v = check_one(q, Bounds(1, 1, 1, 0, budget=1))
         assert v.kind == "holds-at-bounds" and v.exhaustive
 
     def test_sampled_run_examines_exactly_the_budget(self):
         q = gen_invariance_queries()[0]
-        v = check_query(q, SAMPLED)
+        v = check_one(q, SAMPLED)
         assert v.kind == "holds-at-bounds"
         assert not v.exhaustive
         assert v.states_examined == 3000
@@ -301,7 +307,7 @@ class TestBudget:
     def test_holds_is_monotone_safe_under_sampling(self):
         # exhaustively true at these bounds, so any sampled subset also holds
         q = gen_security_queries()[0]
-        v = check_query(q, Bounds(1, 1, 1, 1, budget=2500, seed=11))
+        v = check_one(q, Bounds(1, 1, 1, 1, budget=2500, seed=11))
         assert v.kind == "holds-at-bounds"
 
 
@@ -315,11 +321,13 @@ def recording(q, seen):
 def assert_family_then_samples(seen, bounds):
     samples = list(state_stream(SystemSpace(bounds), bounds))
     for q in all_queries():
-        family = list(targeted_states(bounds, q.tag))
+        family = list(targeted_states(bounds, q.tag))[:bounds.budget]
         assert seen[q.id] == family + samples[:bounds.budget - len(family)]
 
 
-STREAM_BOUNDS = [Bounds(2, 2, 2, 2, budget=200, seed=3), SAMPLED]
+# at budget 90 grant's family does not fit, and its queries read no sample
+STREAM_BOUNDS = [Bounds(2, 2, 2, 2, budget=200, seed=3), SAMPLED,
+                 Bounds(2, 2, 2, 2, budget=90, seed=0)]
 
 
 class TestSharedStream:
@@ -328,7 +336,7 @@ class TestSharedStream:
             self, bounds):
         seen = {}
         for q in all_queries():
-            check_query(recording(q, seen), bounds)
+            check_one(recording(q, seen), bounds)
         assert_family_then_samples(seen, bounds)
 
     @pytest.mark.parametrize("bounds", STREAM_BOUNDS)
@@ -383,7 +391,7 @@ class TestSharedStream:
         ops = operations()
         in_suite = [verdict_to_doc(v)
                     for v in run_suite("all", bounds, ops).verdicts]
-        alone = [verdict_to_doc(check_query(q, bounds))
+        alone = [verdict_to_doc(check_one(q, bounds))
                  for q in reversed(all_queries(ops))]
         assert in_suite == alone[::-1]
         assert any(v["statesExamined"] > 1 for v in in_suite
@@ -395,7 +403,7 @@ class TestSharedStream:
         ops = replaced_operations("revokeGroup", stale_revoke_group)
         in_suite = [verdict_to_doc(v)
                     for v in run_suite("all", bounds, ops).verdicts]
-        alone = [verdict_to_doc(check_query(q, bounds)) for q in all_queries(ops)]
+        alone = [verdict_to_doc(check_one(q, bounds)) for q in all_queries(ops)]
         assert in_suite == alone
         mates = {v["query"]: v for v in in_suite
                  if v["query"].endswith("/revokeGroup")}
@@ -418,7 +426,7 @@ class TestSharedStream:
         samples = list(state_stream(SystemSpace(bounds), bounds))
         ops = stale_perms_operations({s for s in samples if s.environment.systemImage})
         in_suite = run_suite("all", bounds, ops).verdicts
-        alone = [check_query(q, bounds) for q in all_queries(ops)]
+        alone = [check_one(q, bounds) for q in all_queries(ops)]
         assert ([verdict_to_doc(v) for v in in_suite]
                 == [verdict_to_doc(v) for v in alone])
         offsets = set()
@@ -439,7 +447,7 @@ class TestSharedStream:
         samples = list(state_stream(SystemSpace(bounds), bounds))
         ops = stale_perms_operations(set(samples[152:]))
         in_suite = run_suite("invariance", bounds, ops).verdicts
-        alone = [check_query(q, bounds) for q in gen_invariance_queries(ops)]
+        alone = [check_one(q, bounds) for q in gen_invariance_queries(ops)]
         assert ([verdict_to_doc(v) for v in in_suite]
                 == [verdict_to_doc(v) for v in alone])
         hits = {v.query_id.rsplit("/", 1)[1]: v for v in in_suite
@@ -456,7 +464,7 @@ class TestSharedStream:
         bounds = Bounds(2, 2, 2, 2, budget=90, seed=0)
         assert len(targeted_states(bounds, "grant")) > 90
         in_suite = run_suite("all", bounds).verdicts
-        alone = [check_query(q, bounds) for q in all_queries()]
+        alone = [check_one(q, bounds) for q in all_queries()]
         assert ([verdict_to_doc(v) for v in in_suite]
                 == [verdict_to_doc(v) for v in alone])
         for v in in_suite:
@@ -615,9 +623,9 @@ class TestSharedSamples:
         space = SystemSpace(at(0))
         docs = {}
         for seed in (0, 1, 0):
-            reused = [verdict_to_doc(check_query(q, at(seed), space))
+            reused = [verdict_to_doc(check_one(q, at(seed), space))
                       for q in queries]
-            fresh = [verdict_to_doc(check_query(q, at(seed))) for q in queries]
+            fresh = [verdict_to_doc(check_one(q, at(seed))) for q in queries]
             assert reused == fresh
             docs[seed] = fresh
         hits = [(a, b) for a, b in zip(docs[0], docs[1])
@@ -671,11 +679,10 @@ class TestPlan:
         ops = counting_registry(calls)
         queries = with_covers(all_queries(ops),
                               lambda: reading((), lambda sys, action: False))
-        peers = dict.fromkeys(queries)
-        check_query(queries[0], bounds, None, peers)
+        verdicts = check_query(queries, bounds)
         assert calls == []
-        assert {v.kind for v in peers.values()} == {"holds-at-bounds",
-                                                    "no-witness-at-bounds"}
+        assert {v.kind for v in verdicts} == {"holds-at-bounds",
+                                              "no-witness-at-bounds"}
 
     def test_each_covered_step_is_taken_once_per_variant_it_needs(self):
         # grant and grantAuto steps blocked without a system permission are
@@ -730,10 +737,42 @@ class TestPlan:
         given = list(queries)
         before = dict.fromkeys(queries, 0)
         states = targeted_states(TINY, "execAutoGrantWithoutIndividualPerms")
-        verdicts = verifier._sweep(queries, enumerate(states, 1), before, False)
+        verdicts = verifier._sweep(queries, enumerate(states, 1), before,
+                                   len(states), False)
         assert {v.kind for v in verdicts.values()} == {"witness", "counterexample"}
         assert all(v.query is p for p, v in verdicts.items())
         assert queries == given and before == dict.fromkeys(queries, 0)
+
+    def test_a_pass_reads_no_state_past_the_quotas_of_its_queries(self):
+        # quotas of 10 and 4: the query with the longer quota hits at the
+        # first state, and the pass stops at the end of the other's, before
+        # it draws a state that no query would read
+        states = (targeted_states(TINY, "revoke")
+                  + tuple(islice(SystemSpace(TINY), 7)))
+        seen, drawn = {}, []
+
+        def stream():
+            for i, sys in enumerate(states, 1):
+                drawn.append(i)
+                yield i, sys
+
+        hitter = revoke_query(stale_revoke)
+        reader = recording(gen_security_queries()[0], seen)
+        verdicts = verifier._sweep([hitter, reader], stream(),
+                                   {hitter: 0, reader: 6}, 10, False)
+        assert {p.id: v.states_examined for p, v in verdicts.items()} == {hitter.id: 1}
+        assert drawn == [1, 2, 3, 4]
+        assert seen[reader.id] == list(states[:4])
+
+    @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
+    def test_an_empty_row_gets_no_verdicts_and_reads_nothing(self, monkeypatch, bounds):
+        def no_space(b):
+            space = SystemSpace(b)
+            space.unrank = lambda r: pytest.fail("decoded a state for no query")
+            return space
+
+        monkeypatch.setattr(verifier, "SystemSpace", no_space)
+        assert check_query([], bounds) == []
 
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
     def test_a_query_tests_no_step_after_its_hit(self, monkeypatch, bounds):
@@ -760,6 +799,21 @@ class TestPlan:
         assert hits == {v.query_id: [(v.system, v.next_system)] * 2}
 
 
+class TestSuiteCalls:
+    @pytest.mark.parametrize("suite, rows", [("all", [32, 2]), ("invariance", [32])])
+    def test_each_row_is_one_check_query_call(self, monkeypatch, suite, rows):
+        # perfbench times each row by wrapping this module attribute
+        calls, real = [], verifier.check_query
+
+        def counting(queries, *args):
+            calls.append(len(queries))
+            return real(queries, *args)
+
+        monkeypatch.setattr(verifier, "check_query", counting)
+        run_suite(suite, Bounds(1, 1, 1, 1, budget=50))
+        assert calls == rows
+
+
 class TestPrebuiltSpace:
     @pytest.mark.parametrize("field", ["apps", "perms", "grps", "max_card"])
     @pytest.mark.parametrize("step", [1, -1], ids=["larger", "smaller"])
@@ -767,7 +821,7 @@ class TestPrebuiltSpace:
         base = Bounds(1, 1, 1, 1, budget=98_304) if step > 0 else Bounds(2, 2, 2, 2)
         other = dataclasses.replace(base, **{field: getattr(base, field) + step})
         with pytest.raises(ValueError, match="max_card"):
-            check_query(gen_security_queries()[1], base, SystemSpace(other))
+            check_one(gen_security_queries()[1], base, SystemSpace(other))
 
     def test_a_2222_space_under_1111_bounds_is_rejected(self):
         # unchecked, the run would read the (2,2,2,2) space, too large for
@@ -775,23 +829,23 @@ class TestPrebuiltSpace:
         # exhaustive witness of (1,1,1,1) is at state 18,049
         q = gen_security_queries()[1]
         with pytest.raises(ValueError):
-            check_query(q, Bounds(1, 1, 1, 1, budget=98_304),
+            check_one(q, Bounds(1, 1, 1, 1, budget=98_304),
                         SystemSpace(Bounds(2, 2, 2, 2)))
-        v = check_query(q, Bounds(1, 1, 1, 1, budget=98_304))
+        v = check_one(q, Bounds(1, 1, 1, 1, budget=98_304))
         assert (v.kind, v.states_examined, v.enumerated) == ("witness", 18_049, True)
 
     def test_a_space_at_the_same_sizes_is_accepted_at_any_budget_and_seed(self):
         space = SystemSpace(Bounds(1, 1, 1, 1, budget=7, seed=9))
         queries = gen_security_queries()
         for bounds in (TINY, SAMPLED):
-            got = [verdict_to_doc(check_query(q, bounds, space)) for q in queries]
-            assert got == [verdict_to_doc(check_query(q, bounds)) for q in queries]
+            got = [verdict_to_doc(check_one(q, bounds, space)) for q in queries]
+            assert got == [verdict_to_doc(check_one(q, bounds)) for q in queries]
 
 
 class TestRecheck:
     def test_rejects_conclusive_verdicts(self):
         q = gen_invariance_queries()[0]
-        v = check_query(q, Bounds(1, 1, 1, 0))
+        v = check_one(q, Bounds(1, 1, 1, 0))
         with pytest.raises(ValueError):
             recheck(v)
 
@@ -805,7 +859,7 @@ class TestRecheck:
             return Outcome(ok=False, failed_conjunct=1)
 
         with pytest.raises(VerifierError):
-            check_query(revoke_query(first_call_only), SAMPLED)
+            check_one(revoke_query(first_call_only), SAMPLED)
         assert len(calls) == 2  # the search's step, then the recheck's replay
 
     def test_replay_does_not_reuse_the_searched_objects(self):
@@ -823,7 +877,7 @@ class TestRecheck:
             return step(sp, sys, action)
 
         with pytest.raises(VerifierError):
-            check_query(revoke_query(stale_on_seen_states), TINY)
+            check_one(revoke_query(stale_on_seen_states), TINY)
 
 
 class TestReuse:
