@@ -12,7 +12,7 @@ import argparse
 import json
 
 from permcheck.operations import default_operations, grant_auto_operation
-from permcheck.statespace import Bounds
+from permcheck.statespace import Bounds, SystemSpace
 from permcheck.verifier import check_query, gen_security_queries, recheck, verdict_to_doc
 
 
@@ -27,7 +27,7 @@ def main() -> int:
     query = gen_security_queries(operations=ops)[0]
 
     bounds = Bounds(2, 2, 2, 2, budget=args.budget, seed=args.seed)
-    (verdict,) = check_query([query], bounds)
+    (verdict,) = check_query([query], SystemSpace(bounds))
     print(f"query: {query.id} (against grantAuto without the group conjunct)")
     print(f"verdict: {verdict.kind} after {verdict.states_examined} states")
     if verdict.kind != "counterexample":

@@ -21,7 +21,7 @@ import sys as _sys
 from .invariants import check_clauses, standard_clauses
 from .model import emit_state, parse_state
 from .operations import parse_scenario, step
-from .statespace import Bounds
+from .statespace import Bounds, SystemSpace
 from .verifier import (
     SUITES,
     check_query,
@@ -148,7 +148,7 @@ def cmd_witness(args) -> int:
         return 2
     bounds = _bounds(args)
     with _output(args) as f:
-        (verdict,) = _search(check_query, [queries[name]], bounds)
+        (verdict,) = _search(check_query, [queries[name]], SystemSpace(bounds))
         doc = {"property": name, "bounds": bounds.to_doc(),
                **verdict_to_doc(verdict)}
         if args.format == "json":

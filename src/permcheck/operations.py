@@ -126,8 +126,8 @@ def pre_grant_auto(sp: frozenset, sys: System, action: Action,
                    skip: tuple = ()) -> Optional[int]:
     """First failed conjunct id of grantAuto's enabling condition, or None.
 
-    ``skip`` disables conjuncts by id; it exists for fault-injection
-    experiments against the verifier and is never set in normal use.
+    ``skip`` disables conjuncts by id: grant's guard skips conjunct 5, and
+    fault-injection experiments against the verifier skip others.
     """
     p, a = action.perm, action.app
     st, env = sys.state, sys.environment

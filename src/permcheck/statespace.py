@@ -13,14 +13,16 @@ carrying a value rank, unranked straight from binomial coefficients with no
 table.  ``SystemSpace`` alone declares the layout: the whole space is the
 product of the eight component spaces, so it can be enumerated exhaustively
 in a fixed order or sampled uniformly by drawing integer ranks, and
-``Bounds`` counts its limits through it.  A search reads states through
+``Bounds`` counts its limits through it.  A space keeps its bounds, and
+a search reads its states, budget and seed from the space alone, through
 three readers: ``representatives``, the lowest-rank system of each
-projection on some components, in rank order; ``state_stream``, uniform
-samples drawn with replacement, a pure function of the bounds, each decoded
-when the stream reaches it and kept by none; and ``targeted_states``,
-below.  The first two build systems from the component values in the
-decode caches, one per kind of value, each filled on demand.
-``verifier.check_query`` alone decides which of them each query reads.
+projection on some components, in rank order; ``state_stream(space)``,
+uniform samples drawn with replacement, a pure function of the bounds,
+each decoded when the stream reaches it and kept by none; and
+``targeted_states``, below.  The first two build systems from the
+component values in the decode caches, one per kind of value, each filled
+on demand.  ``verifier.check_query`` alone decides which of them each
+query reads.
 
 Alongside the raw product space there are *targeted* generators that wire
 manifests, groups and granted sets so that a chosen operation's enabling
@@ -300,12 +302,13 @@ class SystemSpace:
                 yield rank + r, System(state, env)
 
 
-def state_stream(space: SystemSpace, bounds: Bounds) -> Iterator[System]:
-    """``bounds.budget`` uniform samples of ``space``: ranks drawn with
-    replacement from one generator seeded ``f"{bounds.seed}:enumerate"``,
+def state_stream(space: SystemSpace) -> Iterator[System]:
+    """``budget`` uniform samples of ``space``, at its bounds: ranks drawn
+    with replacement from one generator seeded ``f"{seed}:enumerate"``,
     each decoded by ``space.unrank`` when the stream reaches it.  The seed
     alone fixes the ranks, so every stream at the same bounds yields the
     same states, however streams of one space interleave."""
+    bounds = space.bounds
     rng = random.Random(f"{bounds.seed}:enumerate")
     return (space.unrank(rng.randrange(space.size)) for _ in range(bounds.budget))
 

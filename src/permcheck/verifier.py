@@ -28,8 +28,9 @@ first variant.
 Search is enumeration at small scope, never symbolic proof, so a clean
 sweep reports ``holds-at-bounds`` (or ``no-witness-at-bounds``) -- a
 deliberately weaker claim than "proved".  What a query reads is decided
-here, in ``check_query``, and nowhere else.  When the space fits the
-budget the run is *enumerated*: each query reads the gated
+here, in ``check_query(queries, space)``, and nowhere else; the budget
+and seed are those of the bounds the space was built for.  When the space
+fits the budget the run is *enumerated*: each query reads the gated
 representatives of its footprint (below), and a clean sweep is
 exhaustive.  Otherwise the run is *sampled*: each query reads its tag's
 targeted pre-satisfying family (``statespace.targeted_states``), then the
@@ -417,35 +418,19 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
     return verdicts
 
 
-def _sizes(bounds: Bounds) -> tuple:
-    return bounds.apps, bounds.perms, bounds.grps, bounds.max_card
-
-
-def check_query(queries: Sequence[Query], bounds: Bounds,
-                space: Optional[SystemSpace] = None) -> list[Verdict]:
-    """Discharge ``queries`` together at the given bounds, and return their
-    verdicts in the same order.  Each verdict is the one its query gets
-    alone.
+def check_query(queries: Sequence[Query], space: SystemSpace) -> list[Verdict]:
+    """Discharge ``queries`` together in ``space``, at its bounds, and
+    return their verdicts in the same order.  Each verdict is the one its
+    query gets alone.
 
     What each query reads follows the rule in the module docstring.  The
-    samples of ``state_stream(space, bounds)`` depend on the bounds alone,
-    not on the query: every query of a sampled run reads the same ones.  A
-    sampled sweep that could not fit the whole targeted family is
-    inconclusive.
-
-    ``space`` may carry a prebuilt space for the same pool sizes and
-    ``max_card``, and ``ValueError`` is raised when it was built for
-    others; it never changes a verdict, only the decoding cost.  A space
-    carries only its components' decode caches, so a later call given the
-    same space, at any budget or seed, reuses the component values decoded
-    before it, and decodes its own samples.
+    samples of ``state_stream(space)`` depend on the bounds alone, not on
+    the query: every query of a sampled run reads the same ones.  A sampled
+    sweep that could not fit the whole targeted family is inconclusive.
+    The space's decode caches serve every call given it: a later call
+    reuses the component values decoded before it.
     """
-    if space is None:
-        space = SystemSpace(bounds)
-    elif _sizes(space.bounds) != _sizes(bounds):
-        raise ValueError(f"space built for (apps, perms, grps, max_card) "
-                         f"{_sizes(space.bounds)}, not {_sizes(bounds)}")
-    budget, verdicts = bounds.budget, {}
+    budget, verdicts = space.bounds.budget, {}
     enumerated = space.size <= budget
     if enumerated:
         # no family: each pass reads the representatives of its footprint at
@@ -463,7 +448,7 @@ def check_query(queries: Sequence[Query], bounds: Bounds,
             by_tag.setdefault(p.tag, []).append(p)
         before, conclusive = {}, set()
         for tag, tagged in by_tag.items():
-            family = targeted_states(bounds, tag)
+            family = targeted_states(space.bounds, tag)
             verdicts.update(_sweep(tagged, enumerate(family, 1),
                                    dict.fromkeys(tagged, 0), budget, False))
             before.update(dict.fromkeys(tagged, min(len(family), budget)))
@@ -472,7 +457,7 @@ def check_query(queries: Sequence[Query], bounds: Bounds,
         # one pass over the samples, in which query p reads the first
         # budget - before[p]: a query with none left takes no part
         live = [p for p in queries if p not in verdicts and before[p] < budget]
-        verdicts.update(_sweep(live, enumerate(state_stream(space, bounds), 1),
+        verdicts.update(_sweep(live, enumerate(state_stream(space), 1),
                                before, budget, False))
     return [verdicts[p] if p in verdicts else
             Verdict(p.id, VERDICT_KINDS[p.kind][1] if p in conclusive else "budget-exhausted",
@@ -541,7 +526,7 @@ def run_suite(suite: str, bounds: Bounds,
     rows, verdicts = [], []
     for name, queries in groups:
         start = time.perf_counter()
-        vs = check_query(queries, bounds, space)
+        vs = check_query(queries, space)
         elapsed = time.perf_counter() - start
         lemmas = len({q.lemma for q in queries})
         rows.append({"name": name, "lemmas": lemmas, "queries": len(queries),

@@ -109,4 +109,4 @@ def rank_order_states(tiny=None):
     reuses its last results here, as in a sweep."""
     b = Bounds(2, 2, 2, 2, budget=2000, seed=0)
     return chain(islice(SystemSpace(Bounds(1, 1, 1, 1)), tiny),
-                 state_stream(SystemSpace(b), b))
+                 state_stream(SystemSpace(b)))

@@ -66,14 +66,14 @@ def mutation_verdict():
     ops = default_operations()
     ops["grantAuto"] = grant_auto_operation(skip=(5,))
     query = gen_security_queries(operations=ops)[0]
-    (verdict,) = check_query([query], Bounds(2, 2, 2, 2, budget=10_000))
+    (verdict,) = check_query([query], SystemSpace(Bounds(2, 2, 2, 2, budget=10_000)))
     return verdict
 
 
 @pytest.fixture(scope="module")
 def witness_verdict():
     query = gen_security_queries()[1]
-    (verdict,) = check_query([query], Bounds(1, 1, 1, 1))
+    (verdict,) = check_query([query], SystemSpace(Bounds(1, 1, 1, 1)))
     return verdict
 
 

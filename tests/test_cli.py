@@ -325,8 +325,8 @@ def test_deeply_nested_json_is_parse_error(tmp_path, command):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
     r = run_cli(command, str(nested))
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: invalid JSON: nested too deeply\n"
 
 
 def test_mutation_demo_reports_rechecked_counterexample():

@@ -139,7 +139,7 @@ def test_declared_reads_cover_what_each_callable_reads(source):
         states = islice(SystemSpace(Bounds(1, 1, 1, 1)), 24 * 1024)
     else:
         b = Bounds(2, 2, 2, 2, budget=1000, seed=0)
-        states = state_stream(SystemSpace(b), b)
+        states = state_stream(SystemSpace(b))
     ops = default_operations()
     queries = suite_queries(ops)
     for fn in [f for op in ops.values() for f in (op.apply, op.candidates)] + [

@@ -134,7 +134,7 @@ QUANTIFIER_FORMS = {
     # the first 1,024 states in rank order: one State, every environment.
     # At maxcard 1 a source defines one permission, so only clause 3 fails
     (lambda: islice(SystemSpace(Bounds(1, 1, 1, 1)), 1024), [1024, 1024, 544]),
-    (lambda b=Bounds(2, 2, 2, 2, budget=10_000, seed=0): state_stream(SystemSpace(b), b),
+    (lambda b=Bounds(2, 2, 2, 2, budget=10_000, seed=0): state_stream(SystemSpace(b)),
      [190, 199, 107]),
 ], ids=["1111-environments", "2222-samples"])
 def test_not_dup_perm_index_equals_quantifier_form_and_brute_force(states, held):

@@ -94,6 +94,23 @@ class TestPreGrantAuto:
         action = Action("grantAuto", perm=f1["p"], app="a1")
         assert pre_grant_auto(f1["sp"], sys, action) == 3
 
+    def test_multiply_keyed_perms_fail_conjunct_3(self, f1):
+        # a1 has two images, neither holding the permission: an entry keyed
+        # twice has no functional override, so grantAuto and grant block
+        sys = make_system(
+            apps=("a1",),
+            mg=f1["sys"].state.grantedPermGroups,
+            perms=frozenset((("a1", EMPTY), ("a1", frozenset((NET,))))),
+            manifest=f1["sys"].environment.manifest,
+        )
+        action = Action("grantAuto", perm=f1["p"], app="a1")
+        assert pre_grant_auto(f1["sp"], sys, action) == 3
+        for op in ("grantAuto", "grant"):
+            action = Action(op, perm=f1["p"], app="a1")
+            for out in (step(f1["sp"], sys, action),
+                        default_operations()[op].apply(f1["sp"], sys, action)):
+                assert not out.ok and out.failed_conjunct == 3, op
+
     def test_skip_disables_a_conjunct(self, f1):
         sys = make_system(
             apps=("a1",),

@@ -36,9 +36,9 @@ TINY = Bounds(1, 1, 1, 1)           # exhaustive at default budget (98304 states
 SAMPLED = Bounds(1, 1, 1, 1, budget=3000, seed=5)
 
 
-def check_one(q, *args):
-    """The verdict of ``check_query`` on the one query ``q``."""
-    (v,) = check_query([q], *args)
+def check_one(q, bounds):
+    """The verdict of ``check_query`` on the one query ``q`` at ``bounds``."""
+    (v,) = check_query([q], SystemSpace(bounds))
     return v
 
 
@@ -319,7 +319,7 @@ def recording(q, seen):
 
 
 def assert_family_then_samples(seen, bounds):
-    samples = list(state_stream(SystemSpace(bounds), bounds))
+    samples = list(state_stream(SystemSpace(bounds)))
     for q in all_queries():
         family = list(targeted_states(bounds, q.tag))[:bounds.budget]
         assert seen[q.id] == family + samples[:bounds.budget - len(family)]
@@ -357,7 +357,7 @@ class TestSharedStream:
         def no_family(bounds, tag):
             raise AssertionError(f"family {tag} built for an enumerated run")
 
-        def no_samples(space, bounds):
+        def no_samples(space):
             raise AssertionError("samples drawn for an enumerated run")
 
         monkeypatch.setattr(verifier, "targeted_states", no_family)
@@ -423,7 +423,7 @@ class TestSharedStream:
         # no targeted state has a system image, so each operation's perms
         # query hits among the samples, after a family of its own length
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=seed)
-        samples = list(state_stream(SystemSpace(bounds), bounds))
+        samples = list(state_stream(SystemSpace(bounds)))
         ops = stale_perms_operations({s for s in samples if s.environment.systemImage})
         in_suite = run_suite("all", bounds, ops).verdicts
         alone = [check_one(q, bounds) for q in all_queries(ops)]
@@ -444,7 +444,7 @@ class TestSharedStream:
         # revoke 176, revokeGroup 184.  Steps break the perms map only from
         # samples 152 on, which only revoke and revokeGroup read
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
-        samples = list(state_stream(SystemSpace(bounds), bounds))
+        samples = list(state_stream(SystemSpace(bounds)))
         ops = stale_perms_operations(set(samples[152:]))
         in_suite = run_suite("invariance", bounds, ops).verdicts
         alone = [check_one(q, bounds) for q in gen_invariance_queries(ops)]
@@ -583,7 +583,7 @@ class TestSharedSamples:
         (space,) = spaces
         # the row decodes the samples it reads; the rest are never reached
         samples = list(decoded)
-        samples += list(state_stream(space, bounds))[len(samples):]
+        samples += list(state_stream(space))[len(samples):]
         read = bounds.budget - min(len(targeted_states(bounds, op_id))
                                    for op_id in default_operations())
         for c in clauses:
@@ -615,19 +615,17 @@ class TestSharedSamples:
     @pytest.mark.parametrize("operations", [
         mutated_operations, lambda: revoke_operations(stale_revoke)],
         ids=["grantAuto-skip-group", "revoke-stale-perms"])
-    def test_a_space_reused_at_another_seed_reads_that_seeds_samples(
-            self, monkeypatch, operations):
+    def test_each_seed_reads_its_own_samples(self, monkeypatch, operations):
         monkeypatch.setattr(verifier, "targeted_states", lambda bounds, tag: ())
-        at = lambda seed: Bounds(2, 2, 2, 2, budget=100, seed=seed)
         queries = all_queries(operations())
-        space = SystemSpace(at(0))
         docs = {}
-        for seed in (0, 1, 0):
-            reused = [verdict_to_doc(check_one(q, at(seed), space))
-                      for q in queries]
-            fresh = [verdict_to_doc(check_one(q, at(seed))) for q in queries]
-            assert reused == fresh
-            docs[seed] = fresh
+        for seed in (0, 1):
+            bounds = Bounds(2, 2, 2, 2, budget=100, seed=seed)
+            runs = [[verdict_to_doc(v)
+                     for v in check_query(queries, SystemSpace(bounds))]
+                    for _ in range(2)]
+            assert runs[0] == runs[1]
+            docs[seed] = runs[0]
         hits = [(a, b) for a, b in zip(docs[0], docs[1])
                 if "state" in a or "state" in b]
         assert hits and any(a != b for a, b in hits)
@@ -679,7 +677,7 @@ class TestPlan:
         ops = counting_registry(calls)
         queries = with_covers(all_queries(ops),
                               lambda: reading((), lambda sys, action: False))
-        verdicts = check_query(queries, bounds)
+        verdicts = check_query(queries, SystemSpace(bounds))
         assert calls == []
         assert {v.kind for v in verdicts} == {"holds-at-bounds",
                                               "no-witness-at-bounds"}
@@ -765,14 +763,10 @@ class TestPlan:
         assert seen[reader.id] == list(states[:4])
 
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
-    def test_an_empty_row_gets_no_verdicts_and_reads_nothing(self, monkeypatch, bounds):
-        def no_space(b):
-            space = SystemSpace(b)
-            space.unrank = lambda r: pytest.fail("decoded a state for no query")
-            return space
-
-        monkeypatch.setattr(verifier, "SystemSpace", no_space)
-        assert check_query([], bounds) == []
+    def test_an_empty_row_gets_no_verdicts_and_reads_nothing(self, bounds):
+        space = SystemSpace(bounds)
+        space.unrank = lambda r: pytest.fail("decoded a state for no query")
+        assert check_query([], space) == []
 
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
     def test_a_query_tests_no_step_after_its_hit(self, monkeypatch, bounds):
@@ -814,32 +808,67 @@ class TestSuiteCalls:
         assert calls == rows
 
 
-class TestPrebuiltSpace:
+def bounds_read(monkeypatch):
+    """The bounds of each targeted family built and each sample stream
+    drawn by the search, in the order it asks for them."""
+    read = []
+    real_family, real_stream = verifier.targeted_states, verifier.state_stream
+
+    def family(bounds, tag):
+        read.append(bounds)
+        return real_family(bounds, tag)
+
+    def stream(space):
+        read.append(space.bounds)
+        return real_stream(space)
+
+    monkeypatch.setattr(verifier, "targeted_states", family)
+    monkeypatch.setattr(verifier, "state_stream", stream)
+    return read
+
+
+class TestSpaceBounds:
     @pytest.mark.parametrize("field", ["apps", "perms", "grps", "max_card"])
     @pytest.mark.parametrize("step", [1, -1], ids=["larger", "smaller"])
-    def test_a_space_for_other_sizes_is_rejected(self, field, step):
+    def test_a_space_for_other_sizes_is_searched_at_its_own(
+            self, monkeypatch, field, step):
         base = Bounds(1, 1, 1, 1, budget=98_304) if step > 0 else Bounds(2, 2, 2, 2)
         other = dataclasses.replace(base, **{field: getattr(base, field) + step})
-        with pytest.raises(ValueError, match="max_card"):
-            check_one(gen_security_queries()[1], base, SystemSpace(other))
-
-    def test_a_2222_space_under_1111_bounds_is_rejected(self):
-        # unchecked, the run would read the (2,2,2,2) space, too large for
-        # the budget, and report its first sample as a witness, where the
-        # exhaustive witness of (1,1,1,1) is at state 18,049
+        read = bounds_read(monkeypatch)
         q = gen_security_queries()[1]
-        with pytest.raises(ValueError):
-            check_one(q, Bounds(1, 1, 1, 1, budget=98_304),
-                        SystemSpace(Bounds(2, 2, 2, 2)))
+        space = SystemSpace(other)
+        (v,) = check_query([q], space)
+        # the base run at 1111 enumerates; every run here samples its space,
+        # and its witness is the first state of that space's family
+        assert (v.kind, v.states_examined, v.enumerated) == ("witness", 1, False)
+        assert set(read) == {other}
+        assert v.system == targeted_states(other, q.tag)[0]
+        st = v.system.state
+        assert st.apps <= set(space.pools.apps)
+        assert all(gs <= set(space.pools.groups) for _, gs in st.grantedPermGroups)
+
+    def test_a_2222_space_at_the_1111_budget_is_sampled(self):
+        # the exhaustive witness of (1,1,1,1) is at state 18,049; the
+        # (2,2,2,2) space is too large for the budget, and its family holds
+        # a witness at its first state
+        q = gen_security_queries()[1]
         v = check_one(q, Bounds(1, 1, 1, 1, budget=98_304))
         assert (v.kind, v.states_examined, v.enumerated) == ("witness", 18_049, True)
+        v = check_one(q, Bounds(2, 2, 2, 2, budget=98_304))
+        assert (v.kind, v.states_examined, v.enumerated) == ("witness", 1, False)
 
-    def test_a_space_at_the_same_sizes_is_accepted_at_any_budget_and_seed(self):
-        space = SystemSpace(Bounds(1, 1, 1, 1, budget=7, seed=9))
+    def test_a_space_is_searched_at_its_own_budget_and_seed(self, monkeypatch):
+        read = bounds_read(monkeypatch)
         queries = gen_security_queries()
-        for bounds in (TINY, SAMPLED):
-            got = [verdict_to_doc(check_one(q, bounds, space)) for q in queries]
-            assert got == [verdict_to_doc(check_one(q, bounds)) for q in queries]
+        for bounds in (TINY, SAMPLED, Bounds(1, 1, 1, 1, budget=7, seed=9)):
+            read.clear()
+            space = SystemSpace(bounds)
+            verdicts = check_query(queries, space)
+            sampled = space.size > bounds.budget
+            assert set(read) == ({bounds} if sampled else set())
+            for v in verdicts:
+                assert v.enumerated is not sampled
+                assert v.states_examined <= min(space.size, bounds.budget)
 
 
 class TestRecheck:
