@@ -17,11 +17,11 @@ unification, no search.  The bounded verifier built on top gets its power
 from enumeration instead of symbolic solving.  All operations are pure
 functions over immutable inputs and are safe to share across threads: the
 one write, caching a record's key, stores a value that depends only on the
-record's fields, so a racing write stores the same value.  The memos built
-on top follow the same rule, ``model.reusing`` for clauses and candidates
-and the registry's effect memo in ``operations``: each is one slot holding
-an immutable tuple of inputs and result, which a caller reads once into
-locals, and racing writes for the same inputs store equal values.
+record's fields, so a racing write stores the same value.  The one memo
+built on top, ``model.reusing`` for clauses and candidates, follows the
+same rule: it is one slot holding an immutable tuple of inputs and result,
+which a caller reads once into locals, and racing writes for the same
+inputs store equal values.
 """
 
 from __future__ import annotations

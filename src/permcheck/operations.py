@@ -28,11 +28,12 @@ failed conjunct, numbered as above, or None.  ``effect(State, action) ->
 State`` reads and writes only the dynamic ``State``, in one constructor
 call; the successor pairs it with the pre-state's ``Environment`` object.
 Each is declared once, in the table ``_OPERATIONS``, with the components
-its guard and effect read and the one component its candidate actions come
-from; ``OP_NAMES``, ``step`` and the registry of ``default_operations`` all
-derive from that table, and every one of them runs the guard and effect
-through ``_transition``.  ``step``, and ``grant_auto`` for grantAuto's
-``skip`` variants, reuse nothing and are the reference.
+its guard and effect read, the one component its candidate actions come
+from and its guard split into the conjuncts that read the Environment and
+those that read the State; ``OP_NAMES``, ``step`` and the registry of
+``default_operations`` all derive from that table, and every one of them
+runs the whole guard and the effect through ``_transition``.  ``step``,
+and ``grant_auto`` for grantAuto's ``skip`` variants, are the reference.
 
 Operations are total: preconditions that fail yield an error outcome
 carrying the conjunct id, never an exception.  On relations that are not
@@ -51,11 +52,13 @@ from .kernel import EMPTY, canonical_order, foplus, order_by_key
 from .model import (
     ATOM,
     DANGEROUS,
+    ENV_FIELDS,
     PERM,
     PERM_SET,
     Codec,
     ParseError,
     Perm,
+    STATE_FIELDS,
     State,
     System,
     _list,
@@ -155,6 +158,37 @@ def pre_grant_auto(sp: frozenset, sys: System, action: Action,
     if 5 not in skip:
         if p.group is None or not group_authorized(sys, a, p.group):
             return 5
+    return None
+
+
+# grantAuto's conjuncts split by what they read, for the registry's staged
+# split (below).  pre_grant_auto stays whole: it is the reference, and
+# ``step`` and ``grant_auto`` run it.
+
+def _grant_auto_env(sys: System, action: Action, skip: tuple = ()) -> Optional[frozenset]:
+    """Conjuncts 1, 2 and 4, which read only the Environment: the
+    system-permission set of the first variant that passes them, the empty
+    set when the permission is defined and the permission alone otherwise,
+    or None when they block both."""
+    p, a = action.perm, action.app
+    if 1 not in skip and not any(k == a and p in m.use for k, m in sys.environment.manifest):
+        return None
+    if 4 not in skip and p.level != DANGEROUS:
+        return None
+    return EMPTY if 2 in skip or usr_def_perm(sys, p) else frozenset((p,))
+
+
+def _grant_auto_state(sp: frozenset, sys: System, action: Action,
+                      skip: tuple = ()) -> Optional[int]:
+    """Conjuncts 3 and 5, which read only the State: the first that fails,
+    or None."""
+    p, a = action.perm, action.app
+    if 3 not in skip:
+        images = _images(sys.state.perms, a)
+        if len(images) > 1 or images and p in images[0]:
+            return 3
+    if 5 not in skip and (p.group is None or not group_authorized(sys, a, p.group)):
+        return 5
     return None
 
 
@@ -273,21 +307,32 @@ def has_permission(sys: System, p: Perm, a: str) -> bool:
 
 # op id -> (guard, effect, the components the guard and the effect read,
 # the component its candidates read, its candidate actions given that
-# component), for each operation that changes state.  An effect writes only
-# grantedPermGroups and perms, and keeps every other component as the same
-# object.
+# component, its Environment part, its State guard), for each operation that
+# changes state.  An effect writes only grantedPermGroups and perms, and
+# keeps every other component as the same object.  The last two columns
+# split the guard by what it reads.  The Environment part takes (system,
+# action) and gives the system-permission set of the first variant the
+# search tries (the empty set, then the action's permission) that passes
+# the guard's Environment conjuncts, or None when they block both; None in
+# the column means the guard has no Environment conjunct, so the empty set
+# always.  The State guard is a guard of the remaining conjuncts, which read
+# only the State and not the system-permission set.  The action is enabled
+# exactly when both pass, with that set.
 _OPERATIONS = {
     "grantAuto": (pre_grant_auto, _grant_auto_effect,
                   ("grantedPermGroups", "perms", "manifest", "defPerms",
                    "systemImage"),
-                  "manifest", partial(_manifest_actions, "grantAuto")),
+                  "manifest", partial(_manifest_actions, "grantAuto"),
+                  _grant_auto_env, _grant_auto_state),
     "grant": (partial(pre_grant_auto, skip=(5,)), _grant_effect,
               ("grantedPermGroups", "perms", "manifest", "defPerms", "systemImage"),
-              "manifest", partial(_manifest_actions, "grant")),
-    "revoke": (_revoke_guard, _revoke_effect, ("perms",), "perms", _revoke_actions),
+              "manifest", partial(_manifest_actions, "grant"),
+              _grant_auto_env, partial(_grant_auto_state, skip=(5,))),
+    "revoke": (_revoke_guard, _revoke_effect, ("perms",), "perms", _revoke_actions,
+               None, _revoke_guard),
     "revokeGroup": (_revoke_group_guard, _revoke_group_effect,
                     ("grantedPermGroups", "perms"), "grantedPermGroups",
-                    _revoke_group_actions),
+                    _revoke_group_actions, None, _revoke_group_guard),
 }
 
 OP_NAMES = (*_OPERATIONS, "hasPermission")
@@ -311,41 +356,43 @@ class Operation:
     candidates: Callable[[System], Iterable[Action]]
 
 
-# Each registry entry reuses work while what it reads is unchanged.  Its
-# ``apply`` runs the guard on every call and reuses the last effect while
-# the pre-state's State object and the action are the same; its
-# ``candidates`` is ``model.reusing`` on the one component it reads.  A
-# state stream in rank order changes the low components first, so
-# consecutive states share their State and most components.  Both carry
-# the components they read as ``reads`` (``model.reading``), from which
-# the verifier picks each footprint's representatives, and gates them on
-# the one component the candidates read.
+# Each registry entry's ``apply`` runs the guard and the effect on every
+# call, and carries the components it reads as ``reads``
+# (``model.reading``), from which the verifier picks each footprint's
+# representatives; its ``candidates`` is ``model.reusing`` on the one
+# component it reads, on which the verifier gates them.  The ``apply`` also carries its
+# *staged split* as ``staged``: the pair (Environment part, State part), each
+# declaring its reads.  The State part gives the successor's State, from the
+# State guard and the effect, or None when the State guard blocks.  An
+# enumerated pass runs the Environment part once per (Environment, action)
+# and the State part once per (State, action) instead of ``apply`` once per
+# step.  ``dataclasses.replace(op, apply=...)`` drops the split with the
+# callable, so a replaced ``apply`` is always the one that runs.
 
-def _reused(effect: Callable) -> Callable:
-    last = (None, None, None)  # (State, action, successor State)
-
-    def reused(st: State, action: Action) -> State:
-        nonlocal last
-        pre, act, post = last
-        if pre is not st or (act is not action and act != action):
-            post = effect(st, action)
-            last = (st, action, post)
-        return post
-    return reused
+def _state_part(guard: Callable, effect: Callable, sys: System,
+                action: Action) -> Optional[State]:
+    return effect(sys.state, action) if guard(EMPTY, sys, action) is None else None
 
 
 def _operation(id: str, guard: Callable, effect: Callable, reads: tuple,
-               candidates_read: str, actions: Callable) -> Operation:
-    return Operation(id, reading(reads, partial(_transition, guard, _reused(effect))),
-                     reusing((candidates_read,), actions))
+               candidates_read: str, actions: Callable, env_part: Optional[Callable],
+               state_guard: Callable) -> Operation:
+    apply = reading(reads, partial(_transition, guard, effect))
+    apply.staged = (
+        env_part and reading(tuple(n for n in reads if n in ENV_FIELDS), partial(env_part)),
+        reading(tuple(n for n in reads if n in STATE_FIELDS),
+                partial(_state_part, state_guard, effect)))
+    return Operation(id, apply, reusing((candidates_read,), actions))
 
 
 def grant_auto_operation(skip: tuple = ()) -> Operation:
     """The grantAuto registry entry; ``skip`` builds broken variants, which
     read no more than the entry does."""
-    guard, effect, reads, candidates_read, actions = _OPERATIONS["grantAuto"]
+    guard, effect, reads, candidates_read, actions, env_part, state_guard = \
+        _OPERATIONS["grantAuto"]
     return _operation("grantAuto", partial(guard, skip=skip), effect, reads,
-                      candidates_read, partial(actions, dangerous_only=4 not in skip))
+                      candidates_read, partial(actions, dangerous_only=4 not in skip),
+                      partial(env_part, skip=skip), partial(state_guard, skip=skip))
 
 
 def default_operations() -> dict[str, Operation]:

@@ -16,7 +16,8 @@ in a fixed order or sampled uniformly by drawing integer ranks, and
 ``Bounds`` counts its limits through it.  A space keeps its bounds, and
 a search reads its states, budget and seed from the space alone, through
 three readers: ``representatives``, the lowest-rank system of each
-projection on some components, in rank order; ``state_stream(space)``,
+projection on some components, in rank order, which is every State of the
+projection with every Environment (``factors``); ``state_stream(space)``,
 uniform samples drawn with replacement, a pure function of the bounds,
 each decoded when the stream reaches it and kept by none; and
 ``targeted_states``, below.  The first two build systems from the
@@ -63,7 +64,8 @@ MAX_APP_PERM_PAIRS = 100_000
 # so larger caps are rejected.
 MAX_CARD = 32
 # An enumerated pass holds every Environment of its footprint, about 170
-# bytes each (``SystemSpace.representatives``), and no component has more
+# bytes each (``SystemSpace.factors``), and a factored pass one reference
+# more per Environment, to its shared record; no component has more
 # values than the four environment components multiply to.  Bounds whose
 # whole space fits the budget, so that their run is enumerated, are rejected
 # up front when that product, counted through ``SystemSpace``, exceeds this
@@ -285,6 +287,19 @@ class SystemSpace:
         are held for the pass, so iterate only footprints swept whole; an
         enumerated run holds at most ``MAX_ENVIRONMENTS`` of them.
         """
+        states, envs = self.factors(footprint, gate)
+        for rank, state in states:
+            for r, env in envs:
+                yield rank + r, System(state, env)
+
+    def factors(self, footprint: Optional[Iterable[str]],
+                gate: Optional[tuple[str, Callable[[object], bool]]] = None
+                ) -> tuple[Iterator[tuple[int, State]], list[tuple[int, Environment]]]:
+        """The two factors of ``representatives(footprint, gate)``: its
+        States and its Environments, each as ``(rank, value)`` in rank
+        order, the States built as the iterator reaches them.  The
+        representatives are every State with every Environment, States
+        outer, each ranked by the sum of its two parts' ranks."""
         axes, weight = [], 1
         for name, space in reversed(self.components):  # least significant first
             picked = space.size if footprint is None or name in footprint else 1
@@ -296,10 +311,9 @@ class SystemSpace:
         axes.reverse()
         envs = [(sum(r for r, _ in e), Environment(*(v for _, v in e)))
                 for e in product(*axes[4:])]
-        for st in product(*axes[:4]):
-            rank, state = sum(r for r, _ in st), State(*(v for _, v in st))
-            for r, env in envs:
-                yield rank + r, System(state, env)
+        states = ((sum(r for r, _ in st), State(*(v for _, v in st)))
+                  for st in product(*axes[:4]))
+        return states, envs
 
 
 def state_stream(space: SystemSpace) -> Iterator[System]:

@@ -81,18 +81,37 @@ every state of its families and samples.  A callable that declares no
 ``reads``, as a ``dataclasses.replace``d ``apply``, ``eval`` or
 ``candidates`` does, leaves its query without a footprint, and the query
 reads the whole space in rank order, with no gate.
+
+A pass's representatives are every State of its footprint with every
+Environment, States outer (``SystemSpace.factors``), so an enumerated pass
+is *factored* (``_factored_sweep``): each callable runs once at the loop
+where everything it reads is fixed.  What reads only State components runs
+once per State, and what reads only Environment components once per
+Environment of the pass.  An operation steps through its *staged split*
+(``operations``): its Environment part runs once per (Environment,
+candidate action) and gives the system-permission variant, and its State
+part once per (State, action) and gives the successor's State.  Only what
+reads both, such as the existential's validity conclusion, runs per
+step, and only at a step where its query can still hit.  A pass whose
+hypotheses or candidates read both or declare no reads, or one of whose
+operations carries no staged split, as a replaced ``apply`` does, takes one
+step at a time instead (``_sweep``), so a replaced ``apply`` is never
+bypassed.  Both give the same verdicts, ``statesExamined``, hits and
+variants.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses, valid_state
 from .kernel import EMPTY
-from .model import (DANGEROUS, PERM_SET, Perm, System, group_authorized, perm_to_doc,
-                    reading, state_from_doc, state_to_doc, with_component)
+from .model import (DANGEROUS, ENV_FIELDS, PERM_SET, STATE_FIELDS, Environment, Perm,
+                    State, System, group_authorized, perm_to_doc, reading,
+                    state_from_doc, state_to_doc, with_component)
 from .operations import (Action, Operation, action_from_doc, action_to_doc,
                          default_operations)
 from .statespace import Bounds, SystemSpace, state_stream, targeted_states
@@ -285,7 +304,8 @@ def _plan(queries: Sequence[Query]) -> tuple:
 
 def _first_hits(plan: tuple, sys: System) -> list:
     """The first hit in one state of each query of ``plan``, as (query,
-    system perms, action, successor).
+    system perms, action, successor): the step of a sampled pass, and of an
+    enumerated one that is not factored.
 
     Each distinct hypothesis is evaluated at most once on the state, and
     each operation's candidates are enumerated once.  When no query of an
@@ -388,6 +408,16 @@ def recheck(v: Verdict) -> bool:
             == {"next_system": v.next_system, "bindings": v.bindings})
 
 
+def _verdict(p: Query, sp: frozenset, action: Action, sys: System, nxt: System,
+             examined: int, enumerated: bool) -> Verdict:
+    """The verdict of a hit of ``p``, rechecked."""
+    v = Verdict(p.id, VERDICT_KINDS[p.kind][0], examined, enumerated, system=sys,
+                system_perms=sp, action=action, query=p, **_hit_fields(p, action, nxt))
+    if not recheck(v):
+        raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
+    return v
+
+
 def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
            before: dict, budget: int, enumerated: bool) -> dict:
     """Check ``queries`` in one pass over ``states``, (position, state)
@@ -403,18 +433,235 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
     for i, sys in states:
         hits = _first_hits(plan, sys)
         for p, sp, action, nxt in hits:
-            v = Verdict(p.id, VERDICT_KINDS[p.kind][0], before[p] + i, enumerated,
-                        system=sys, system_perms=sp, action=action, query=p,
-                        **_hit_fields(p, action, nxt))
-            if not recheck(v):
-                raise VerifierError(f"unsound {v.kind} emitted for {p.id}")
-            verdicts[p] = v
+            verdicts[p] = _verdict(p, sp, action, sys, nxt, before[p] + i, enumerated)
         if hits or i >= stop:
             # a new plan, of the queries still searching after position i
             searching = [p for p in searching if p not in verdicts and budget - before[p] > i]
             if not searching:
                 break
             plan, stop = _plan(searching), min(budget - before[p] for p in searching)
+    return verdicts
+
+
+# -- factored passes --------------------------------------------------------------
+
+_STATE_FIELDS, _ENV_FIELDS = frozenset(STATE_FIELDS), frozenset(ENV_FIELDS)
+
+
+def _level(fn: Callable) -> Optional[str]:
+    """The loop of a factored pass that evaluates ``fn``: "state" when it
+    declares reads of State components only (or of none), "env" when of
+    Environment components only, and None, the step, otherwise."""
+    reads = getattr(fn, "reads", None)
+    if reads is None:
+        return None
+    if _STATE_FIELDS.issuperset(reads):
+        return "state"
+    return "env" if _ENV_FIELDS.issuperset(reads) else None
+
+
+def _by_level(pairs: Iterable[tuple[Callable, int]]) -> dict:
+    """The distinct callables of ``pairs``, (callable, query bit), by
+    level, each with the bits of the queries it serves:
+    ``{level: ((callable, bits), ...)}``."""
+    out: dict = {"state": {}, "env": {}, None: {}}
+    for fn, bit in pairs:
+        group = out[_level(fn)]
+        group[fn] = group.get(fn, 0) | bit
+    return {level: tuple(group.items()) for level, group in out.items()}
+
+
+def _staged_plan(queries: Sequence[Query]) -> Optional[tuple]:
+    """The plan of a factored pass over ``queries``, each query standing
+    for its bit, ``1 << position``; None when a hypothesis is per step, or
+    an operation has no staged split (``operations``), or its candidates
+    are per step, or they are per State while its guard has an Environment
+    part or a filter of its queries is per Environment.
+
+    The plan is (the hypotheses by level, one entry per operation, in order
+    of first appearance).  An entry is the tuple (the bits of its queries,
+    its queries with their bits, its per-step filters, its per-step
+    conclusions, the bits of the queries they serve, its candidates, their
+    level, its Environment part, its State part, its filters and its
+    conclusions by level)."""
+    bits = {q: 1 << i for i, q in enumerate(queries)}
+    by_op: dict[Operation, list] = {}
+    for q in queries:
+        by_op.setdefault(q.op, []).append(q)
+    entries = []
+    for op, group in by_op.items():
+        staged, level = getattr(op.apply, "staged", None), _level(op.candidates)
+        if staged is None or level is None:
+            return None
+        env_part, state_part = staged
+        covers = _by_level((q.covers, bits[q]) for q in group)
+        concludes = _by_level((q.concludes, bits[q]) for q in group)
+        if _level(state_part) != "state" or env_part is not None and (
+                _level(env_part) is None) or level == "state" and (
+                env_part is not None or covers["env"]):
+            return None
+        per_step = 0
+        for _, b in covers[None] + concludes[None]:
+            per_step |= b
+        entries.append((sum(bits[q] for q in group), tuple((q, bits[q]) for q in group),
+                        covers[None], concludes[None], per_step, op.candidates, level,
+                        env_part, state_part, covers, concludes))
+    hypotheses = _by_level((q.hypothesis, bits[q]) for q in queries)
+    return None if hypotheses[None] else (hypotheses, tuple(entries))
+
+
+def _factored_sweep(queries: Sequence[Query], plan: tuple,
+                    states: Iterable[tuple[int, State]],
+                    envs: Sequence[tuple[int, Environment]]) -> dict:
+    """Check ``queries`` over every State of ``states`` with every
+    Environment of ``envs``, each a (rank, value) pair in rank order, States
+    outer, and return the verdicts ``_sweep`` gives over those
+    representatives.  ``plan`` is ``_staged_plan(queries)``.
+
+    What reads only the Environment runs once per Environment of the pass,
+    on it and the first State, and its results are kept beside ``envs`` as
+    records shared by the Environments that give equal ones; a conclusion
+    there takes that system as both pre-state and successor, since a staged
+    step keeps the Environment.  What reads only the State runs once per
+    State, on it and the first Environment, and the State-level filters,
+    State part and conclusions once per (State, action).  The rest runs per
+    step.  Query sets are bit masks: a query can hit at a step only if its
+    bit survives both the State's and the Environment's results, so a State
+    at which none can is skipped whole."""
+    hypotheses, entries = plan
+    states = iter(states)
+    first = next(states, None)
+    if first is None or not envs:
+        return {}
+    searching = (1 << len(queries)) - 1
+    # per entry, its candidate actions of the pass, by value, to positions
+    pools: list[dict] = [{} for _ in entries]
+    records: dict = {}  # each Environment record once, by value
+
+    def env_record(env: Environment) -> tuple:
+        # (the bits of the queries whose Environment-level hypothesis and
+        # conclusion hold, and per entry, for each candidate action that
+        # passes its Environment part, (its position in the pool, its
+        # system-permission set, the bits of the queries that cover it);
+        # None for an entry whose candidates read the State)
+        sys = System(first[1], env)
+        may = searching
+        for h, b in hypotheses["env"]:
+            if not h(sys):
+                may &= ~b
+        kept = []
+        for (mask, *_, candidates, level, env_part, _, covers, concludes), pool in zip(
+                entries, pools):
+            for c, b in concludes["env"]:
+                if may & b and not c(sys, sys):
+                    may &= ~b
+            if level != "env":
+                kept.append(None)
+                continue
+            steps = []
+            for action in candidates(sys):
+                sp = EMPTY if env_part is None else env_part(sys, action)
+                if sp is None:
+                    continue
+                cov = mask & may
+                for c, b in covers["env"]:
+                    if cov & b and not c(sys, action):
+                        cov &= ~b
+                if cov:
+                    steps.append((pool.setdefault(action, len(pool)), sp, cov))
+            kept.append(tuple(steps))
+        record = (may, tuple(kept))
+        return records.setdefault(record, record)
+
+    def state_records(sys: System, want: int, actions: Iterable[Action],
+                      state_part: Callable, covers: dict, concludes: dict) -> list:
+        # per action, (the action, its successor's State or None when it is
+        # blocked, the bits of the queries of ``want`` that cover it and
+        # whose State-level conclusion holds on its successor)
+        out = []
+        for action in actions:
+            ok = want
+            for c, b in covers["state"]:
+                if ok & b and not c(sys, action):
+                    ok &= ~b
+            nxt = state_part(sys, action) if ok else None
+            if nxt is None:
+                ok = 0
+            else:
+                successor = System(nxt, sys.environment)
+                for c, b in concludes["state"]:
+                    if ok & b and not c(sys, successor):
+                        ok &= ~b
+            out.append((action, nxt, ok))
+        return out
+
+    env_records = [env_record(env) for _, env in envs]
+    anywhere = 0
+    for may, _ in records:
+        anywhere |= may
+    inner = [entry[:5] for entry in entries]
+    verdicts = {}
+    for rank, st in chain((first,), states):
+        sys = System(st, envs[0][1])
+        live_here = searching & anywhere
+        for h, b in hypotheses["state"]:
+            if live_here & b and not h(sys):
+                live_here &= ~b
+        if not live_here:
+            continue
+        at_state, per_state, reachable = [], [], 0
+        for (mask, *_, candidates, level, _, state_part, covers, concludes), pool in zip(
+                entries, pools):
+            recs = state_records(sys, mask & live_here,
+                                 candidates(sys) if level == "state" else pool,
+                                 state_part, covers, concludes)
+            for *_, ok in recs:
+                reachable |= ok
+            at_state.append(recs)
+            per_state.append(tuple((i, EMPTY, mask) for i in range(len(recs)))
+                             if level == "state" else None)
+        live_here &= reachable
+        if not live_here:
+            continue
+        for (r, env), (may, kept) in zip(envs, env_records):
+            live = live_here & may & searching
+            if not live:
+                continue
+            system, found, hits = None, 0, []
+            for (mask, members, step_covers, step_concludes, per_step), recs, steps, kept_here \
+                    in zip(inner, at_state, per_state, kept):
+                todo = live & mask
+                if not todo:
+                    continue
+                for i, sp, cov in steps if kept_here is None else kept_here:
+                    action, nxt, ok = recs[i]
+                    hit = todo & cov & ok
+                    if hit & per_step:
+                        if system is None:
+                            system = System(st, env)
+                        successor = System(nxt, env)
+                        for c, b in step_covers:
+                            if hit & b and not c(system, action):
+                                hit &= ~b
+                        for c, b in step_concludes:
+                            if hit & b and not c(system, successor):
+                                hit &= ~b
+                    if hit:
+                        hits += [(p, sp, action, nxt) for p, b in members if hit & b]
+                        found |= hit
+                        todo &= ~hit
+                        if not todo:
+                            break
+            if not hits:
+                continue
+            if system is None:
+                system = System(st, env)
+            for p, sp, action, nxt in hits:
+                verdicts[p] = _verdict(p, sp, action, system, System(nxt, env),
+                                       rank + r + 1, True)
+            searching &= ~found
+            if not searching:
+                return verdicts
     return verdicts
 
 
@@ -439,8 +686,13 @@ def check_query(queries: Sequence[Query], space: SystemSpace) -> list[Verdict]:
         for (footprint, name), group in _passes(queries).items():
             gate = None if name is None else (
                 name, _acting(space, name, {p.op for p in group}))
-            verdicts.update(_sweep(group, space.representatives(footprint, gate),
-                                   dict.fromkeys(group, 1), budget, True))
+            plan = _staged_plan(group)
+            if plan is None:
+                verdicts.update(_sweep(group, space.representatives(footprint, gate),
+                                       dict.fromkeys(group, 1), budget, True))
+            else:
+                verdicts.update(_factored_sweep(group, plan,
+                                                *space.factors(footprint, gate)))
         conclusive = set(queries)
     else:
         by_tag: dict[str, list] = {}

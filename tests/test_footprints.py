@@ -5,13 +5,17 @@ pass reads, for each footprint (what a query and its operation read),
 only the lowest-rank state of each projection on it, and of those only
 the ones at which the operation has a candidate action.  These tests
 check the declarations by poisoning every other component, check that
-reading only the representatives leaves every verdict byte-identical, and
-check that a run reads them where it should and nowhere else.
+reading only the representatives leaves every verdict byte-identical,
+check that a run reads them where it should and nowhere else, and check
+that a factored pass runs each staged part once per State or Environment
+and finds the first step from each component value that a pass taking one
+step at a time finds.
 """
 
 import collections
 import dataclasses
 import json
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -19,11 +23,12 @@ import pytest
 import permcheck.operations as operations
 import permcheck.verifier as verifier
 from permcheck.invariants import standard_clauses
+from permcheck.kernel import EMPTY
 from permcheck.model import (COMPONENTS, ENV_FIELDS, STATE_FIELDS, Environment, State,
                              System, get_component, reading)
 from permcheck.operations import default_operations, grant_auto_operation
 from permcheck.statespace import Bounds, SystemSpace, state_stream
-from permcheck.verifier import (gen_invariance_queries,
+from permcheck.verifier import (check_query, gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
 from conftest import sp_variants
 from test_verifier import keep_stale, stale_perms_from
@@ -103,6 +108,14 @@ def check_reads(ops, queries, states):
             for action in actions:
                 for q in by_op[op]:
                     assert q.covers(cut(q.covers), action) == q.covers(sys, action), q.id
+                env_part, state_part = op.apply.staged
+                if env_part is not None:
+                    assert env_part(cut(env_part), action) == env_part(sys, action)
+                nxt, cut_nxt = state_part(sys, action), state_part(cut(state_part), action)
+                assert (cut_nxt is None) == (nxt is None), (op.id, action)
+                if nxt is not None:
+                    assert all(getattr(cut_nxt, n) == getattr(nxt, n)
+                               for n in state_part.reads), (op.id, action)
                 for sp in sp_variants(action):
                     out = op.apply(sp, sys, action)
                     cut_out = op.apply(sp, cut(op.apply), action)
@@ -142,9 +155,14 @@ def test_declared_reads_cover_what_each_callable_reads(source):
         states = state_stream(SystemSpace(b))
     ops = default_operations()
     queries = suite_queries(ops)
-    for fn in [f for op in ops.values() for f in (op.apply, op.candidates)] + [
+    for fn in [f for op in ops.values()
+               for f in (op.apply, op.candidates, *op.apply.staged) if f is not None] + [
             f for q in queries for f in (q.hypothesis, q.covers, q.concludes)]:
         assert fn.reads is not None and set(fn.reads) <= set(COMPONENTS)
+    for op in ops.values():
+        env_part, state_part = op.apply.staged
+        assert set(state_part.reads) <= set(STATE_FIELDS)
+        assert env_part is None or set(env_part.reads) <= set(ENV_FIELDS)
     assert check_reads(ops, queries, states) > 1000
 
 
@@ -260,50 +278,147 @@ def test_an_apply_reading_undeclared_components_is_never_skipped(monkeypatch):
 
 # -- the representatives -------------------------------------------------------
 
-def grant_auto_guarded_states(monkeypatch, row):
-    """The states grantAuto's guard ran for in one row of the exhaustive
-    slice, once each, in order; the replay of a hit is not counted."""
-    guard, *rest = operations._OPERATIONS["grantAuto"]
-    guarded, rechecking = {}, [False]
+def grant_auto_staged_calls(monkeypatch, row):
+    """The (Environment, action) pairs grantAuto's Environment part ran for
+    and the (State, action) pairs its State guard ran for in one row of the
+    exhaustive slice, in order, and how often its whole guard ran."""
+    guard, effect, reads, read, actions, env_part, state_guard = \
+        operations._OPERATIONS["grantAuto"]
+    env_calls, state_calls, guard_calls = [], [], []
+
+    def counting_env(sys, action):
+        env_calls.append((sys.environment, action))
+        return env_part(sys, action)
+
+    def counting_state(sp, sys, action):
+        state_calls.append((sys.state, action))
+        return state_guard(sp, sys, action)
 
     def counting_guard(sp, sys, action):
-        if not rechecking[0]:
-            guarded[id(sys)] = sys
+        guard_calls.append(action)
         return guard(sp, sys, action)
 
-    def marking_recheck(v, real=verifier.recheck):
-        rechecking[0] = True
-        try:
-            return real(v)
-        finally:
-            rechecking[0] = False
-
     with monkeypatch.context() as m:
-        m.setitem(operations._OPERATIONS, "grantAuto", (counting_guard, *rest))
-        m.setattr(verifier, "recheck", marking_recheck)
+        m.setitem(operations._OPERATIONS, "grantAuto",
+                  (counting_guard, effect, reads, read, actions, counting_env, counting_state))
         report = run_suite(row, TINY, None, slice_clauses())
     assert all(v.kind in ("holds-at-bounds", "witness") for v in report.verdicts)
-    return list(guarded.values())
+    hits = [v for v in report.verdicts if v.action is not None]
+    return env_calls, state_calls, len(guard_calls), hits
 
 
 @pytest.mark.parametrize("row", ["invariance", "security"])
-def test_grant_auto_runs_once_per_new_projection_on_the_slice(monkeypatch, row):
-    # the footprint of every grantAuto query in both rows: what the
-    # operation reads and the slice's clauses; the security filters read
-    # nothing else.  It has 3 x 8 x 8 x 8 x 8 = 12,288 values among the
-    # 98,304 states.  The pass is gated on the manifest, 2 of whose 8
-    # values list a dangerous permission, so it reads 3,072
-    # representatives, whose other components take their rank-0 values
-    reads = operations._OPERATIONS["grantAuto"][2]
-    footprint = sorted(set(reads) | {"perms", "defPerms", "systemImage"})
-    unread = ("apps", "alreadyVerified", "cert")
-    assert not set(footprint) & set(unread)
+def test_grant_auto_runs_each_part_once_per_state_or_environment(monkeypatch, row):
+    # the footprint of every grantAuto query in both rows is what the
+    # operation reads: the slice's clauses and the security filters read
+    # nothing else.  Gated on the 2 of 8 manifests that list a dangerous
+    # permission, each with one candidate action, its pass is 3 x 8 = 24
+    # States (grantedPermGroups x perms) by 2 x 8 x 8 = 128 Environments
+    # (manifest x defPerms x systemImage), 3,072 representatives
+    env_calls, state_calls, guard_calls, hits = grant_auto_staged_calls(monkeypatch, row)
     lowest = SystemSpace(TINY).unrank(0)
-    states = grant_auto_guarded_states(monkeypatch, row)
-    projections = {tuple(get_component(s, n) for n in footprint) for s in states}
-    assert 1000 < len(projections) == len(states) <= 3_072
-    for s in states:
-        assert all(get_component(s, n) == get_component(lowest, n) for n in unread)
+    envs = {id(env): env for env, _ in env_calls}
+    assert len(envs) == len(env_calls) == 128
+    assert all(env.cert == lowest.environment.cert for env in envs.values())
+    actions = {action for _, action in env_calls}
+    assert len(actions) == 2
+    # the State part runs at most once per (State, action), and in the
+    # invariance row, whose queries cover every action, exactly once
+    pairs = {(id(st), action) for st, action in state_calls}
+    assert len(pairs) == len(state_calls) <= 24 * 2
+    assert {action for _, action in state_calls} <= actions
+    assert len({id(st) for st, _ in state_calls}) <= 24
+    # what no query of the pass reads takes its rank-0 value
+    assert all((st.apps, st.alreadyVerified) == (lowest.state.apps,
+                                                 lowest.state.alreadyVerified)
+               for st, _ in state_calls)
+    if row == "invariance":
+        assert len(state_calls) == 24 * 2
+    # the whole guard runs only to recheck a hit of grantAuto
+    assert guard_calls == sum(v.action.op == "grantAuto" for v in hits)
+    assert (row == "security") == bool(guard_calls)
+
+
+def pass_sizes(monkeypatch, row, bounds):
+    """The number of representatives of each pass of ``row`` at
+    ``bounds``: its States times its Environments."""
+    sizes, real = [], SystemSpace.factors
+
+    def counting(self, footprint, gate=None):
+        states, envs = real(self, footprint, gate)
+        states = list(states)
+        sizes.append(len(states) * len(envs))
+        return iter(states), envs
+
+    with monkeypatch.context() as m:
+        m.setattr(SystemSpace, "factors", counting)
+        run_suite(row, bounds)
+    return sizes
+
+
+@pytest.mark.parametrize("bounds, invariance, security", [
+    (TINY, 10_226, [3_072, 6_144]),
+    (Bounds(2, 1, 1, 1, budget=6_834_375), 279_894, [67_500, 202_500])],
+    ids=["1111", "2111"])
+def test_each_pass_reads_its_gated_representatives(monkeypatch, bounds, invariance,
+                                                   security):
+    # 15 passes of the invariance row, one per footprint and gate; the
+    # largest without cert is grantAuto's and grant's, 3,072 at (1,1,1,1).
+    # The security row's two passes: the universal property's, which
+    # reads what grantAuto reads, and the existential's, which reads cert
+    sizes = pass_sizes(monkeypatch, "invariance", bounds)
+    assert len(sizes) == 15 and sum(sizes) == invariance
+    assert sizes[0] == security[0] and max(sizes) == security[1]
+    assert pass_sizes(monkeypatch, "security", bounds) == security
+
+
+def probes(op):
+    """One query of ``op`` per value at TINY of each component ``op``
+    reads: its hypothesis holds where the component takes that value, it
+    covers every action, and every step is a hit.  So its verdict is the
+    first enabled step in rank order from a state with that value: the
+    state, the system-permission set, the action and the successor."""
+    out = []
+    for name, values in SystemSpace(TINY).components:
+        if name not in op.apply.reads:
+            continue
+        for d in range(values.size):
+            at = reading((name,), lambda sys, name=name, v=values.unrank(d):
+                         get_component(sys, name) == v)
+            out.append(verifier.Query(f"probe/{op.id}/{name}/{d}", "invariance", op,
+                                      "probe", op.id, at, verifier._always,
+                                      verifier._always))
+    return out
+
+
+PROBED = {"registry": default_operations,
+          **{f"grantAuto-skip{c}": lambda c=c: {"grantAuto": grant_auto_operation(skip=(c,))}
+             for c in (2, 3, 5)}}
+
+
+@pytest.mark.parametrize("case", PROBED)
+def test_a_factored_pass_finds_the_first_step_from_every_component_value(case):
+    # the same probes through the registry's staged split and through an
+    # ``apply`` that runs per step.  A memo of the factored pass keyed on
+    # too few components (an Environment's actions reused across a changed
+    # defPerms, a State's steps across a changed grantedPermGroups) moves
+    # the first step from some value: its variant, its action or whether
+    # there is one
+    ops = PROBED[case]()
+    staged = [q for op in ops.values() for q in probes(op)]
+    per_step = [dataclasses.replace(q, op=dataclasses.replace(
+        q.op, apply=reading(q.op.apply.reads, partial(q.op.apply)))) for q in staged]
+    assert verifier._staged_plan(staged) is not None
+    assert verifier._staged_plan(per_step) is None
+    got = check_query(staged, SystemSpace(TINY))
+    assert [verdict_to_doc(v) for v in got] == [
+        verdict_to_doc(v) for v in check_query(per_step, SystemSpace(TINY))]
+    hits = [v for v in got if v.kind == "counterexample"]
+    assert len(hits) > len(got) // 2
+    if case != "grantAuto-skip2":
+        # both variants: a hit of each kind checks the Environment records
+        variants = {v.system_perms for v in hits if v.query.op.id == "grantAuto"}
+        assert EMPTY in variants and len(variants) > 1
 
 
 def test_a_sampled_run_reads_no_representatives(monkeypatch):

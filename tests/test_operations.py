@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 
@@ -11,6 +12,7 @@ from permcheck.model import (
     Manifest,
     ParseError,
     Perm,
+    System,
     get_component,
     state_to_doc,
 )
@@ -397,11 +399,10 @@ def test_candidates_follow_canonical_order(source):
 @pytest.mark.parametrize("skip", [None, (2,), (3,), (4,), (5,)],
                          ids=["default", "skip2", "skip3", "skip4", "skip5"])
 def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
-    # one registry for the whole stream, so each entry reuses its effects
-    # from state to state as in a sweep; both system-permission variants of
-    # every candidate, enabled or not.  A grantAuto entry built with ``skip``
-    # is checked against grant_auto(..., skip) on the first 24 States of
-    # (1,1,1,1), each with all 1,024 environments, and the samples.
+    # both system-permission variants of every candidate, enabled or not.  A
+    # grantAuto entry built with ``skip`` is checked against
+    # grant_auto(..., skip) on the first 24 States of (1,1,1,1), each with
+    # all 1,024 environments, and the samples.
     if skip is None:
         ops, reference, states = default_operations(), step, rank_order_states()
     else:
@@ -410,25 +411,65 @@ def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
 
         def reference(sp, sys, action):
             return grant_auto(sp, sys, action.perm, action.app, skip=skip)
-    last = {}  # op id -> the last successor State it gave
-    enabled = reused = 0
+    enabled = 0
     for sys in states:
         for op in ops.values():
             for action in op.candidates(sys):
                 for sp in sp_variants(action):
                     out = op.apply(sp, sys, action)
                     assert out == reference(sp, sys, action), (op.id, action)
-                    if out.ok:
-                        enabled += 1
-                        reused += out.system.state is last.get(op.id)
-                        last[op.id] = out.system.state
-    # a reused effect gives the very State object it gave last time
-    if skip is None:
-        assert enabled > 100_000 and reused > enabled * 9 // 10
-    else:
-        # fewer steps in rank order, so the samples, which share no State,
-        # weigh more
-        assert enabled > 2_000 and reused > enabled * 6 // 10
+                    enabled += out.ok
+    assert enabled > (100_000 if skip is None else 2_000)
+
+
+STAGED = {**{op_id: lambda op_id=op_id: default_operations()[op_id]
+             for op_id in ("grantAuto", "grant", "revoke", "revokeGroup")},
+          **{f"grantAuto-skip{c}": lambda c=c: grant_auto_operation(skip=(c,))
+             for c in range(1, 6)}}
+
+
+def every_action(op_id, pools):
+    """Every action of ``op_id`` over the pools: the candidates of any
+    state, and the actions they prune."""
+    if op_id == "revokeGroup":
+        return [Action(op_id, group=g, app=a) for a in pools.apps for g in pools.groups]
+    return [Action(op_id, perm=p, app=a) for a in pools.apps for p in pools.all_perms]
+
+
+@pytest.mark.parametrize("case", STAGED)
+def test_staged_split_conforms_to_apply(case):
+    # at every representative of the operation's footprint at (1,1,1,1),
+    # for every action, a candidate or not: the Environment part's variant
+    # and the State part's successor State give what ``apply`` gives with
+    # each system-permission set, the first enabled variant and its
+    # successor
+    op = STAGED[case]()
+    apply, (env_part, state_part) = op.apply, op.apply.staged
+    footprint = set(apply.reads) | set(op.candidates.reads)
+    space = SystemSpace(Bounds(1, 1, 1, 1))
+    actions = [(a, sp_variants(a)) for a in every_action(op.id, space.pools)]
+    seen = collections.Counter()
+    for _, sys in space.representatives(footprint):
+        for action, sps in actions:
+            variant = EMPTY if env_part is None else env_part(sys, action)
+            nxt = state_part(sys, action)
+            first = None
+            for sp in sps:
+                out = apply(sp, sys, action)
+                # the empty set passes only when it is the variant, and the
+                # action's permission whenever some variant does
+                assert out.ok == (variant is not None and nxt is not None
+                                  and (sp == variant or sp != EMPTY)), (action, sp)
+                if out.ok and first is None:
+                    first = sp
+                    assert sp == variant
+                    assert out.system == System(nxt, sys.environment)
+                    assert out.system.environment is sys.environment
+            seen["env" if variant is None else "state" if nxt is None else
+                 "enabled, empty set" if first == EMPTY else "enabled, permission"] += 1
+    assert seen["state"] and seen["enabled, empty set"], seen
+    if env_part is not None:
+        assert seen["env"] and (seen["enabled, permission"] or case == "grantAuto-skip2"), seen
 
 
 # the one component each registry entry's candidates come from
