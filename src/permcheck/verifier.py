@@ -1,22 +1,24 @@
 """Bounded verification of the permission model.
 
 Every proof obligation is a ``Query`` record on one operation, made of
-three plain callables: a *hypothesis* on a state S (always true for the
-security kinds), checked once before any step; an *action filter* on the
-operation's candidate actions, applied before any step is tried; and a
-*conclusion* on S and the successor S' of an enabled step S -a-> S', which
-says whether the step is a hit.  One search loop runs every query.
+three plain callables: a *hypothesis* on a state S, checked once before
+any step; an *action filter* on the operation's candidate actions, applied
+before any step is tried; and a *conclusion* on S and the successor S' of
+an enabled step S -a-> S', which says whether the step is a hit (always,
+for the security kinds).  One search loop runs every query.
 
 * *invariance*: the hypothesis is one validity clause I, the filter keeps
   every action, and a step is a counterexample when not I(S').  One query
   per (clause, operation) pair, so a failure names exactly the clause an
   operation breaks.
-* *universal* (``cannotAutoGrantWithoutGroup``): the filter keeps grantAuto
-  of a dangerous grouped permission whose group the user never authorized
-  for the app; every enabled such step is a counterexample.
-* *existential* (``execAutoGrantWithoutIndividualPerms``): the filter keeps
+* *universal* (``cannotAutoGrantWithoutGroup``): the hypothesis always
+  holds, and the filter keeps grantAuto of a dangerous grouped permission
+  whose group the user never authorized for the app; every enabled such
+  step is a counterexample.
+* *existential* (``execAutoGrantWithoutIndividualPerms``): the hypothesis
+  is validity, the conjunction of every clause, and the filter keeps
   grantAuto of a dangerous permission of a group the app holds no
-  permission of; an enabled such step from a valid state is a witness.
+  permission of; an enabled such step is a witness.
 
 An operation reads the system-permission set only through membership of
 the action's permission, so the loop tries the empty set, then that one
@@ -87,16 +89,16 @@ Environment, States outer (``SystemSpace.factors``), so an enumerated pass
 is *factored* (``_factored_sweep``): each callable runs once at the loop
 where everything it reads is fixed.  What reads only State components runs
 once per State, and what reads only Environment components once per
-Environment of the pass.  An operation steps through its *staged split*
-(``operations``): its Environment part runs once per (Environment,
-candidate action) and gives the system-permission variant, and its State
-part once per (State, action) and gives the successor's State.  Only what
-reads both, such as the existential's validity conclusion, runs per
-step, and only at a step where its query can still hit.  A pass whose
-hypotheses or candidates read both or declare no reads, or one of whose
-operations carries no staged split, as a replaced ``apply`` does, takes one
-step at a time instead (``_sweep``), so a replaced ``apply`` is never
-bypassed.  Both give the same verdicts, ``statesExamined``, hits and
+Environment of the pass; a conjunction, as the existential's validity
+hypothesis is, runs each of its conjuncts at its own loop.  An operation
+steps through its *staged split* (``operations``): its Environment part
+runs once per (Environment, candidate action) and gives the
+system-permission variant, and its State part once per (State, action)
+and gives the successor's State.  A pass with a callable that reads both
+or declares no reads, or with a filter that reads the Environment, or one
+of whose operations carries no staged split, as a replaced ``apply`` does,
+takes ``_sweep`` instead, one step at a time, so a replaced ``apply`` is
+never bypassed.  Both give the same verdicts, ``statesExamined``, hits and
 variants.
 """
 
@@ -107,7 +109,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .invariants import InvariantClause, standard_clauses, valid_state
+from .invariants import InvariantClause, standard_clauses
 from .kernel import EMPTY
 from .model import (DANGEROUS, ENV_FIELDS, PERM_SET, STATE_FIELDS, Environment, Perm,
                     State, System, group_authorized, perm_to_doc, reading,
@@ -208,6 +210,16 @@ def _reading_as(fns: Sequence[Callable], fn: Callable) -> Callable:
     return fn if reads is None else reading(tuple(sorted(reads)), fn)
 
 
+def _all_of(fns: Sequence[Callable]) -> Callable[[System], bool]:
+    """The conjunction of the predicates ``fns``, declaring them as its
+    ``conjuncts``, for a factored pass to run each at its own loop, and what
+    they read together as its ``reads``."""
+    fns = tuple(fns)
+    holds = _reading_as(fns, lambda sys: all(fn(sys) for fn in fns))
+    holds.conjuncts = fns
+    return holds
+
+
 def _always(*_) -> bool:
     return True
 
@@ -261,17 +273,14 @@ def gen_security_queries(operations: Optional[dict] = None,
     ops = operations if operations is not None else default_operations()
     cls = tuple(clauses) if clauses is not None else standard_clauses()
 
-    def query(name, kind, covers, concludes) -> Query:
+    def query(name, kind, hypothesis, covers) -> Query:
         return Query(f"sec/{name}", kind, ops["grantAuto"], name, name,
-                     _always, covers, concludes)
+                     hypothesis, covers, _always)
 
     return [
-        query("cannotAutoGrantWithoutGroup", "universal",
-              _group_unauthorized, _always),
+        query("cannotAutoGrantWithoutGroup", "universal", _always, _group_unauthorized),
         query("execAutoGrantWithoutIndividualPerms", "existential",
-              _holds_none_of_group,
-              _reading_as([c.eval for c in cls],
-                          lambda sys, nxt: valid_state(sys, cls))),
+              _all_of([c.eval for c in cls]), _holds_none_of_group),
     ]
 
 
@@ -462,28 +471,29 @@ def _level(fn: Callable) -> Optional[str]:
 
 def _by_level(pairs: Iterable[tuple[Callable, int]]) -> dict:
     """The distinct callables of ``pairs``, (callable, query bit), by
-    level, each with the bits of the queries it serves:
+    level, each with the bits of the queries it serves, a conjunction
+    (``_all_of``) standing for its conjuncts:
     ``{level: ((callable, bits), ...)}``."""
     out: dict = {"state": {}, "env": {}, None: {}}
     for fn, bit in pairs:
-        group = out[_level(fn)]
-        group[fn] = group.get(fn, 0) | bit
+        for part in getattr(fn, "conjuncts", (fn,)):
+            group = out[_level(part)]
+            group[part] = group.get(part, 0) | bit
     return {level: tuple(group.items()) for level, group in out.items()}
 
 
 def _staged_plan(queries: Sequence[Query]) -> Optional[tuple]:
     """The plan of a factored pass over ``queries``, each query standing
-    for its bit, ``1 << position``; None when a hypothesis is per step, or
-    an operation has no staged split (``operations``), or its candidates
-    are per step, or they are per State while its guard has an Environment
-    part or a filter of its queries is per Environment.
+    for its bit, ``1 << position``; None when a hypothesis or conclusion is
+    per step, or a filter is not per State, or an operation has no staged
+    split (``operations``), or its candidates are per step, or they are per
+    State while its guard has an Environment part.
 
     The plan is (the hypotheses by level, one entry per operation, in order
     of first appearance).  An entry is the tuple (the bits of its queries,
-    its queries with their bits, its per-step filters, its per-step
-    conclusions, the bits of the queries they serve, its candidates, their
-    level, its Environment part, its State part, its filters and its
-    conclusions by level)."""
+    its queries with their bits, its candidates, their level, its
+    Environment part, its State part, its filters, which are per State,
+    and its conclusions by level)."""
     bits = {q: 1 << i for i, q in enumerate(queries)}
     by_op: dict[Operation, list] = {}
     for q in queries:
@@ -496,16 +506,13 @@ def _staged_plan(queries: Sequence[Query]) -> Optional[tuple]:
         env_part, state_part = staged
         covers = _by_level((q.covers, bits[q]) for q in group)
         concludes = _by_level((q.concludes, bits[q]) for q in group)
-        if _level(state_part) != "state" or env_part is not None and (
-                _level(env_part) is None) or level == "state" and (
-                env_part is not None or covers["env"]):
+        if (_level(state_part) != "state" or covers["env"] or covers[None]
+                or concludes[None] or env_part is not None
+                and (level == "state" or _level(env_part) is None)):
             return None
-        per_step = 0
-        for _, b in covers[None] + concludes[None]:
-            per_step |= b
         entries.append((sum(bits[q] for q in group), tuple((q, bits[q]) for q in group),
-                        covers[None], concludes[None], per_step, op.candidates, level,
-                        env_part, state_part, covers, concludes))
+                        op.candidates, level, env_part, state_part, covers["state"],
+                        concludes))
     hypotheses = _by_level((q.hypothesis, bits[q]) for q in queries)
     return None if hypotheses[None] else (hypotheses, tuple(entries))
 
@@ -518,16 +525,17 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
     outer, and return the verdicts ``_sweep`` gives over those
     representatives.  ``plan`` is ``_staged_plan(queries)``.
 
-    What reads only the Environment runs once per Environment of the pass,
-    on it and the first State, and its results are kept beside ``envs`` as
-    records shared by the Environments that give equal ones; a conclusion
-    there takes that system as both pre-state and successor, since a staged
-    step keeps the Environment.  What reads only the State runs once per
-    State, on it and the first Environment, and the State-level filters,
-    State part and conclusions once per (State, action).  The rest runs per
-    step.  Query sets are bit masks: a query can hit at a step only if its
-    bit survives both the State's and the Environment's results, so a State
-    at which none can is skipped whole."""
+    Every callable runs at one of two levels.  What reads only the
+    Environment runs once per Environment of the pass, on it and the first
+    State, and its results are kept beside ``envs`` as records shared by
+    the Environments that give equal ones; a conclusion there takes that
+    system as both pre-state and successor, since a staged step keeps the
+    Environment.  What reads only the State runs once per State, on it and
+    the first Environment, and the filters, State part and State-level
+    conclusions once per (State, action).  A step then only combines the
+    two: query sets are bit masks, and a query hits at a step when its bit
+    survives both the State's and the Environment's results, so a State at
+    which none can is skipped whole."""
     hypotheses, entries = plan
     states = iter(states)
     first = next(states, None)
@@ -542,15 +550,15 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
         # (the bits of the queries whose Environment-level hypothesis and
         # conclusion hold, and per entry, for each candidate action that
         # passes its Environment part, (its position in the pool, its
-        # system-permission set, the bits of the queries that cover it);
-        # None for an entry whose candidates read the State)
+        # system-permission set); None for an entry whose candidates read
+        # the State)
         sys = System(first[1], env)
         may = searching
         for h, b in hypotheses["env"]:
             if not h(sys):
                 may &= ~b
         kept = []
-        for (mask, *_, candidates, level, env_part, _, covers, concludes), pool in zip(
+        for (mask, _, candidates, level, env_part, _, _, concludes), pool in zip(
                 entries, pools):
             for c, b in concludes["env"]:
                 if may & b and not c(sys, sys):
@@ -559,29 +567,23 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
                 kept.append(None)
                 continue
             steps = []
-            for action in candidates(sys):
+            for action in candidates(sys) if mask & may else ():
                 sp = EMPTY if env_part is None else env_part(sys, action)
-                if sp is None:
-                    continue
-                cov = mask & may
-                for c, b in covers["env"]:
-                    if cov & b and not c(sys, action):
-                        cov &= ~b
-                if cov:
-                    steps.append((pool.setdefault(action, len(pool)), sp, cov))
+                if sp is not None:
+                    steps.append((pool.setdefault(action, len(pool)), sp))
             kept.append(tuple(steps))
         record = (may, tuple(kept))
         return records.setdefault(record, record)
 
     def state_records(sys: System, want: int, actions: Iterable[Action],
-                      state_part: Callable, covers: dict, concludes: dict) -> list:
+                      state_part: Callable, covers: tuple, concludes: tuple) -> list:
         # per action, (the action, its successor's State or None when it is
         # blocked, the bits of the queries of ``want`` that cover it and
         # whose State-level conclusion holds on its successor)
         out = []
         for action in actions:
             ok = want
-            for c, b in covers["state"]:
+            for c, b in covers:
                 if ok & b and not c(sys, action):
                     ok &= ~b
             nxt = state_part(sys, action) if ok else None
@@ -589,7 +591,7 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
                 ok = 0
             else:
                 successor = System(nxt, sys.environment)
-                for c, b in concludes["state"]:
+                for c, b in concludes:
                     if ok & b and not c(sys, successor):
                         ok &= ~b
             out.append((action, nxt, ok))
@@ -599,7 +601,6 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
     anywhere = 0
     for may, _ in records:
         anywhere |= may
-    inner = [entry[:5] for entry in entries]
     verdicts = {}
     for rank, st in chain((first,), states):
         sys = System(st, envs[0][1])
@@ -610,15 +611,15 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
         if not live_here:
             continue
         at_state, per_state, reachable = [], [], 0
-        for (mask, *_, candidates, level, _, state_part, covers, concludes), pool in zip(
+        for (mask, _, candidates, level, _, state_part, covers, concludes), pool in zip(
                 entries, pools):
             recs = state_records(sys, mask & live_here,
                                  candidates(sys) if level == "state" else pool,
-                                 state_part, covers, concludes)
+                                 state_part, covers, concludes["state"])
             for *_, ok in recs:
                 reachable |= ok
             at_state.append(recs)
-            per_state.append(tuple((i, EMPTY, mask) for i in range(len(recs)))
+            per_state.append(tuple((i, EMPTY) for i in range(len(recs)))
                              if level == "state" else None)
         live_here &= reachable
         if not live_here:
@@ -627,25 +628,15 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
             live = live_here & may & searching
             if not live:
                 continue
-            system, found, hits = None, 0, []
-            for (mask, members, step_covers, step_concludes, per_step), recs, steps, kept_here \
-                    in zip(inner, at_state, per_state, kept):
+            found, hits = 0, []
+            for (mask, members, *_), recs, steps, kept_here in zip(
+                    entries, at_state, per_state, kept):
                 todo = live & mask
                 if not todo:
                     continue
-                for i, sp, cov in steps if kept_here is None else kept_here:
+                for i, sp in steps if kept_here is None else kept_here:
                     action, nxt, ok = recs[i]
-                    hit = todo & cov & ok
-                    if hit & per_step:
-                        if system is None:
-                            system = System(st, env)
-                        successor = System(nxt, env)
-                        for c, b in step_covers:
-                            if hit & b and not c(system, action):
-                                hit &= ~b
-                        for c, b in step_concludes:
-                            if hit & b and not c(system, successor):
-                                hit &= ~b
+                    hit = todo & ok
                     if hit:
                         hits += [(p, sp, action, nxt) for p, b in members if hit & b]
                         found |= hit
@@ -654,8 +645,7 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
                             break
             if not hits:
                 continue
-            if system is None:
-                system = System(st, env)
+            system = System(st, env)
             for p, sp, action, nxt in hits:
                 verdicts[p] = _verdict(p, sp, action, system, System(nxt, env),
                                        rank + r + 1, True)

@@ -421,6 +421,40 @@ def test_a_factored_pass_finds_the_first_step_from_every_component_value(case):
         assert EMPTY in variants and len(variants) > 1
 
 
+@pytest.mark.parametrize("clauses", [standard_clauses, slice_clauses],
+                         ids=["standard", "exhaustive-1111"])
+def test_no_shipped_callable_is_per_step(clauses):
+    # every hypothesis conjunct, filter and conclusion of a shipped query
+    # runs once per State or once per Environment, so every pass of an
+    # enumerated run is factored
+    for queries in (gen_invariance_queries(None, clauses()),
+                    gen_security_queries(None, clauses())):
+        callables = [(fn, 1) for q in queries
+                     for fn in (q.hypothesis, q.covers, q.concludes)]
+        assert verifier._by_level(callables)[None] == ()
+        for group in verifier._passes(queries).values():
+            assert verifier._staged_plan(group) is not None
+
+
+@pytest.mark.parametrize("clauses", [standard_clauses, slice_clauses],
+                         ids=["standard", "exhaustive-1111"])
+def test_the_existential_hypothesis_is_its_conjuncts(clauses):
+    # a factored pass runs the conjuncts in place of the conjunction, and
+    # recheck runs the conjunction: both must agree on every state.  A
+    # conjunct left out, such as notDupPerm.3, moves no verdict at the CI
+    # bounds (at (1,1,1,1) the first step it alone blocks comes after the
+    # witness), so it is caught here
+    hypothesis = gen_security_queries(None, clauses())[1].hypothesis
+    parts = hypothesis.conjuncts
+    assert set(hypothesis.reads) == {n for fn in parts for n in fn.reads}
+    seen = collections.Counter()
+    for sys in islice(SystemSpace(TINY), 0, None, 37):
+        held = hypothesis(sys)
+        assert held == all(fn(sys) for fn in parts)
+        seen[held, sum(not fn(sys) for fn in parts)] += 1
+    assert seen[False, 1] > 10 and seen[True, 0] > 10, seen
+
+
 def test_a_sampled_run_reads_no_representatives(monkeypatch):
     # a sampled run reads its families and samples, never representatives
     def no_representatives(self, footprint, gate=None):

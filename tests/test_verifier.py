@@ -656,19 +656,26 @@ class TestPlan:
     that does not filter, the second system-permission variant only when
     the empty set blocks, and no query searching past its hit."""
 
+    @pytest.mark.parametrize("reads", [(), ("manifest",), ("manifest", "perms")],
+                             ids=["no-reads", "environment", "per-step"])
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
     @pytest.mark.parametrize("operations", [
         default_operations, lambda: revoke_operations(stale_revoke),
         stale_groups_operations],
         ids=["standard", "revoke-stale-perms", "revokeGroup-stale-groups"])
     def test_always_true_filters_keep_the_verdicts(self, monkeypatch, bounds,
-                                                   operations):
+                                                   operations, reads):
         # each invariance query gets a filter of its own that keeps every
-        # action, so its group is searched as a filtering one
+        # action, so its group is searched as a filtering one.  A filter
+        # that reads the Environment, or both kinds of component, is not
+        # factored: its passes take one step at a time
         expected = verdict_sections("all", bounds, operations())
         real = verifier.gen_invariance_queries
         monkeypatch.setattr(verifier, "gen_invariance_queries", lambda *args: with_covers(
-            real(*args), lambda: reading((), lambda sys, action: True)))
+            real(*args), lambda: reading(reads, lambda sys, action: True)))
+        if reads:
+            passes = verifier._passes(verifier.gen_invariance_queries(operations()))
+            assert all(verifier._staged_plan(group) is None for group in passes.values())
         assert verdict_sections("all", bounds, operations()) == expected
 
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
