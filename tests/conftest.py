@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from permcheck.invariants import standard_clauses
 from permcheck.kernel import EMPTY, foplus
 from permcheck.model import (
     COMPONENTS,
@@ -57,6 +58,15 @@ def f1():
         manifest=frozenset((("a1", Manifest(frozenset((READ,)))),)),
     )
     return {"sp": frozenset((READ,)), "sys": sys, "p": READ, "app": "a1"}
+
+
+# perfbench's exhaustive slice of the clauses
+SLICE = ("allMapsCorrect.perms", "notDupPerm.3")
+
+
+def slice_clauses():
+    by_id = {c.id: c for c in standard_clauses()}
+    return tuple(by_id[c] for c in SLICE)
 
 
 def sp_variants(action) -> tuple:

@@ -16,6 +16,7 @@ import pytest
 
 import brute
 from conftest import random_grant_auto_state, src_env
+from mutants import registry
 from permcheck.kernel import (
     AmbiguousApplication,
     comp,
@@ -28,13 +29,7 @@ from permcheck.kernel import (
     rel_apply,
 )
 from permcheck.model import DANGEROUS, emit_state, parse_state
-from permcheck.operations import (
-    Action,
-    default_operations,
-    grant_auto,
-    grant_auto_operation,
-    pre_grant_auto,
-)
+from permcheck.operations import Action, grant_auto, pre_grant_auto
 from permcheck.statespace import Bounds, SystemSpace
 from permcheck.invariants import valid_state
 from permcheck.verifier import (
@@ -63,9 +58,7 @@ def report_2222():
 
 @pytest.fixture(scope="module")
 def mutation_verdict():
-    ops = default_operations()
-    ops["grantAuto"] = grant_auto_operation(skip=(5,))
-    query = gen_security_queries(operations=ops)[0]
+    query = gen_security_queries(operations=registry("grantAuto-skip5"))[0]
     (verdict,) = check_query([query], SystemSpace(Bounds(2, 2, 2, 2, budget=10_000)))
     return verdict
 

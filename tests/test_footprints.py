@@ -5,8 +5,8 @@ pass reads, for each footprint (what a query and its operation read),
 only the lowest-rank state of each projection on it, and of those only
 the ones at which the operation has a candidate action.  These tests
 check the declarations by poisoning every other component, check that
-reading only the representatives leaves every verdict byte-identical,
-check that a run reads them where it should and nowhere else, and check
+an ``apply`` that declares no reads is never skipped, check that a run
+reads the representatives where it should and nowhere else, and check
 that a factored pass runs each staged part once per State or Environment
 and finds the first step from each component value that a pass taking one
 step at a time finds.
@@ -26,15 +26,14 @@ from permcheck.invariants import standard_clauses
 from permcheck.kernel import EMPTY
 from permcheck.model import (COMPONENTS, ENV_FIELDS, STATE_FIELDS, Environment, State,
                              System, get_component, reading)
-from permcheck.operations import default_operations, grant_auto_operation
+from permcheck.operations import default_operations
 from permcheck.statespace import Bounds, SystemSpace, state_stream
 from permcheck.verifier import (check_query, gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
-from conftest import sp_variants
-from test_verifier import keep_stale, stale_perms_from
+from conftest import slice_clauses, sp_variants
+from mutants import FAULTS, bare_registry, per_step, registry, stale_perms_from
 
 TINY = Bounds(1, 1, 1, 1, budget=98_304)  # exactly the whole space
-SLICE = ("allMapsCorrect.perms", "notDupPerm.3")  # perfbench's exhaustive slice
 
 
 class PoisonRead(Exception):
@@ -66,11 +65,6 @@ def poisoned(sys, reads):
     value = {n: get_component(sys, n) if n in reads else POISON[n] for n in COMPONENTS}
     return System(State(*(value[n] for n in STATE_FIELDS)),
                   Environment(*(value[n] for n in ENV_FIELDS)))
-
-
-def slice_clauses():
-    by_id = {c.id: c for c in standard_clauses()}
-    return tuple(by_id[c] for c in SLICE)
 
 
 def sections(report):
@@ -178,101 +172,23 @@ def test_poisoned_component_raises():
 
 # -- exactness -----------------------------------------------------------------
 
-def bare(fn, wrapped):
-    """A wrapper of ``fn`` that declares no reads, one per callable."""
-    if fn not in wrapped:
-        wrapped[fn] = lambda *args: fn(*args)
-    return wrapped[fn]
-
-
-def without_reads(monkeypatch):
-    """Make every query that the suites generate, and its operation, carry
-    callables that declare no reads, so that every query reads the whole
-    space in rank order."""
-    wrapped = {}
-
-    def bare_op(op):
-        if op not in wrapped:
-            wrapped[op] = dataclasses.replace(op, apply=bare(op.apply, wrapped),
-                                              candidates=bare(op.candidates, wrapped))
-        return wrapped[op]
-
-    def bare_queries(real):
-        def generate(*args):
-            return [dataclasses.replace(
-                q, op=bare_op(q.op), hypothesis=bare(q.hypothesis, wrapped),
-                covers=bare(q.covers, wrapped), concludes=bare(q.concludes, wrapped))
-                for q in real(*args)]
-        return generate
-
-    for name in ("gen_invariance_queries", "gen_security_queries"):
-        monkeypatch.setattr(verifier, name, bare_queries(getattr(verifier, name)))
-
-
-def perfbench_mutants():
-    """The three mutants of perfbench's mutants workload in one registry,
-    rebuilt so that each declares what it reads: grantAuto without its
-    group conjunct, revoke keeping the app's old granted set, and
-    revokeGroup keeping the app's old group set.  Each breaks queries of
-    its own operation only, so each gets the verdicts it gets alone."""
-    ops = default_operations()
-    ops["grantAuto"] = grant_auto_operation(skip=(5,))
-    for op_id, component in (("revoke", "perms"), ("revokeGroup", "grantedPermGroups")):
-        ops[op_id] = dataclasses.replace(
-            ops[op_id], apply=keep_stale(component, ops[op_id].apply))
-    return ops
-
-
-EXACT_CASES = {
-    "all": (default_operations, None),
-    "slice": (default_operations, slice_clauses),
-    "perfbench-mutants": (perfbench_mutants, None),
-}
-
-
-@pytest.mark.parametrize("case", EXACT_CASES)
-def test_representatives_leave_every_verdict_section_unchanged(monkeypatch, case):
-    operations_, clauses = EXACT_CASES[case]
-    representatives = run_suite("all", TINY, operations_(), clauses and clauses())
-    with monkeypatch.context() as m:
-        without_reads(m)
-        searched = run_suite("all", TINY, operations_(), clauses and clauses())
-    assert sections(representatives) == sections(searched)
-    hits = {v.query_id for v in representatives.verdicts if v.system is not None}
-    assert "sec/execAutoGrantWithoutIndividualPerms" in hits
-    if case == "perfbench-mutants":
-        assert {"sec/cannotAutoGrantWithoutGroup", "inv/allMapsCorrect.perms/revoke",
-                "inv/allMapsCorrect.grantedPermGroups/revokeGroup"} < hits
-
-
-def test_an_apply_reading_undeclared_components_is_never_skipped(monkeypatch):
+def test_an_apply_reading_undeclared_components_is_never_skipped():
     # stale_perms_from's apply reads the whole state.  It breaks the perms
     # map only from states with installed and verified apps, the last
     # quarter of rank order, which no representative of a declared
     # footprint is: none reads apps or alreadyVerified
     space = list(SystemSpace(TINY))
     late = {s for s in space if s.state.apps and s.state.alreadyVerified}
-
-    def stale_ops(declared):
-        ops = default_operations()
-        for k, op in ops.items():
-            apply = stale_perms_from(late, op.apply)
-            ops[k] = dataclasses.replace(
-                op, apply=reading(op.apply.reads, apply) if declared else apply)
-        return ops
-
     clauses = slice_clauses()[:1]  # allMapsCorrect.perms
-    replaced = run_suite("invariance", TINY, stale_ops(False), clauses)
-    with monkeypatch.context() as m:
-        without_reads(m)
-        searched = run_suite("invariance", TINY, stale_ops(False), clauses)
+    replaced = run_suite("invariance", TINY, stale_perms_from(late), clauses)
+    searched = run_suite("invariance", TINY, bare_registry(stale_perms_from(late)), clauses)
     assert sections(replaced) == sections(searched)
     hits = [v for v in replaced.verdicts if v.kind == "counterexample"]
     assert hits and all(v.system in late for v in hits)
     assert all(v.states_examined == space.index(v.system) + 1 for v in hits)
     # the same mutant declaring the reads of the apply it replaced reads no
     # late state: the declaration is what the representatives trust
-    wrongly_declared = run_suite("invariance", TINY, stale_ops(True), clauses)
+    wrongly_declared = run_suite("invariance", TINY, stale_perms_from(late, True), clauses)
     assert not any(v.kind == "counterexample" for v in wrongly_declared.verdicts)
 
 
@@ -392,7 +308,7 @@ def probes(op):
 
 
 PROBED = {"registry": default_operations,
-          **{f"grantAuto-skip{c}": lambda c=c: {"grantAuto": grant_auto_operation(skip=(c,))}
+          **{f"grantAuto-skip{c}": lambda c=c: {"grantAuto": FAULTS[f"grantAuto-skip{c}"].entry()}
              for c in (2, 3, 5)}}
 
 
@@ -406,13 +322,13 @@ def test_a_factored_pass_finds_the_first_step_from_every_component_value(case):
     # there is one
     ops = PROBED[case]()
     staged = [q for op in ops.values() for q in probes(op)]
-    per_step = [dataclasses.replace(q, op=dataclasses.replace(
-        q.op, apply=reading(q.op.apply.reads, partial(q.op.apply)))) for q in staged]
+    twins = [dataclasses.replace(q, op=per_step(
+        q.op, reading(q.op.apply.reads, partial(q.op.apply)))) for q in staged]
     assert verifier._staged_plan(staged) is not None
-    assert verifier._staged_plan(per_step) is None
+    assert verifier._staged_plan(twins) is None
     got = check_query(staged, SystemSpace(TINY))
     assert [verdict_to_doc(v) for v in got] == [
-        verdict_to_doc(v) for v in check_query(per_step, SystemSpace(TINY))]
+        verdict_to_doc(v) for v in check_query(twins, SystemSpace(TINY))]
     hits = [v for v in got if v.kind == "counterexample"]
     assert len(hits) > len(got) // 2
     if case != "grantAuto-skip2":
@@ -426,14 +342,16 @@ def test_a_factored_pass_finds_the_first_step_from_every_component_value(case):
 def test_no_shipped_callable_is_per_step(clauses):
     # every hypothesis conjunct, filter and conclusion of a shipped query
     # runs once per State or once per Environment, so every pass of an
-    # enumerated run is factored
-    for queries in (gen_invariance_queries(None, clauses()),
-                    gen_security_queries(None, clauses())):
-        callables = [(fn, 1) for q in queries
-                     for fn in (q.hypothesis, q.covers, q.concludes)]
-        assert verifier._by_level(callables)[None] == ()
-        for group in verifier._passes(queries).values():
-            assert verifier._staged_plan(group) is not None
+    # enumerated run is factored, on the registry and on every catalogue
+    # fault: a fault keeps its row's staged split
+    for ops in [None] + [registry(name) for name in FAULTS]:
+        for queries in (gen_invariance_queries(ops, clauses()),
+                        gen_security_queries(ops, clauses())):
+            callables = [(fn, 1) for q in queries
+                         for fn in (q.hypothesis, q.covers, q.concludes)]
+            assert verifier._by_level(callables)[None] == ()
+            for group in verifier._passes(queries).values():
+                assert verifier._staged_plan(group) is not None
 
 
 @pytest.mark.parametrize("clauses", [standard_clauses, slice_clauses],

@@ -23,7 +23,6 @@ from permcheck.operations import (
     action_from_doc,
     action_to_doc,
     default_operations,
-    grant_auto_operation,
     grant_auto,
     has_permission,
     pre_grant_auto,
@@ -31,6 +30,7 @@ from permcheck.operations import (
     step,
 )
 from permcheck.statespace import Bounds, SystemSpace
+from mutants import FAULTS
 
 
 def granted(sys, app):
@@ -385,7 +385,7 @@ def test_candidates_follow_canonical_order(source):
     else:
         systems = iter(multiply_keyed_systems())
     ops = [(op.id, op, True) for op in default_operations().values()]
-    ops.append(("grantAuto", grant_auto_operation(skip=(4,)), False))
+    ops.append(("grantAuto", FAULTS["grantAuto-skip4"].entry(), False))
     longest = 0
     for sys in systems:
         for op_id, op, dangerous_only in ops:
@@ -406,7 +406,8 @@ def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
     if skip is None:
         ops, reference, states = default_operations(), step, rank_order_states()
     else:
-        ops = {"grantAuto": grant_auto_operation(skip=skip)}
+        (c,) = skip
+        ops = {"grantAuto": FAULTS[f"grantAuto-skip{c}"].entry()}
         states = rank_order_states(24 * 1024)
 
         def reference(sp, sys, action):
@@ -422,10 +423,11 @@ def test_registry_apply_equals_the_plain_transition_in_rank_order(skip):
     assert enabled > (100_000 if skip is None else 2_000)
 
 
+# the registry's entries, and every guard fault of the catalogue: a guard
+# fault splits its guard as the registry's entry does
 STAGED = {**{op_id: lambda op_id=op_id: default_operations()[op_id]
              for op_id in ("grantAuto", "grant", "revoke", "revokeGroup")},
-          **{f"grantAuto-skip{c}": lambda c=c: grant_auto_operation(skip=(c,))
-             for c in range(1, 6)}}
+          **{name: fault.entry for name, fault in FAULTS.items() if fault.replaces == "guard"}}
 
 
 def every_action(op_id, pools):
@@ -467,9 +469,13 @@ def test_staged_split_conforms_to_apply(case):
                     assert out.system.environment is sys.environment
             seen["env" if variant is None else "state" if nxt is None else
                  "enabled, empty set" if first == EMPTY else "enabled, permission"] += 1
-    assert seen["state"] and seen["enabled, empty set"], seen
+    # a State guard with no conjunct left blocks no State, and a guard that
+    # skips the system-permission conjunct 2 needs no permission
+    assert (seen["state"] or case in ("grant-skip3", "revokeGroup-skip1")), seen
+    assert seen["enabled, empty set"], seen
     if env_part is not None:
-        assert seen["env"] and (seen["enabled, permission"] or case == "grantAuto-skip2"), seen
+        assert seen["env"] and (seen["enabled, permission"]
+                                or case in ("grantAuto-skip2", "grant-skip2")), seen
 
 
 # the one component each registry entry's candidates come from

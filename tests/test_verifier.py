@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -11,16 +12,8 @@ import permcheck.invariants as invariants
 import permcheck.verifier as verifier
 from permcheck.invariants import standard_clauses, valid_state
 from permcheck.kernel import EMPTY, foplus
-from permcheck.model import (DANGEROUS, ENV_FIELDS, Perm, get_component, reading,
-                             with_component)
-from permcheck.operations import (
-    Action,
-    Outcome,
-    default_operations,
-    grant_auto_operation,
-    pre_grant_auto,
-    step,
-)
+from permcheck.model import DANGEROUS, ENV_FIELDS, Perm, reading, with_component
+from permcheck.operations import Action, Outcome, default_operations, pre_grant_auto, step
 from permcheck.statespace import Bounds, SystemSpace, state_stream, targeted_states
 from permcheck.verifier import (
     VerifierError,
@@ -31,6 +24,9 @@ from permcheck.verifier import (
     run_suite,
     verdict_to_doc,
 )
+from conftest import slice_clauses
+from mutants import (FAULTS, bare_registry, per_step, registry, stale_perms_from,
+                     stale_revoke, stale_revoke_of_system_perm)
 
 TINY = Bounds(1, 1, 1, 1)           # exhaustive at default budget (98304 states)
 SAMPLED = Bounds(1, 1, 1, 1, budget=3000, seed=5)
@@ -42,118 +38,16 @@ def check_one(q, bounds):
     return v
 
 
-def grant_auto_skip(skip):
-    """The registry with grantAuto's conjuncts ``skip`` disabled."""
-    ops = default_operations()
-    ops["grantAuto"] = grant_auto_operation(skip=skip)
-    return ops
-
-
-def mutated_operations():
-    """grantAuto without the group-membership conjunct."""
-    return grant_auto_skip((5,))
-
-
-# the registry entries the stale mutants wrap, built once; each mutant
-# declares what its entry reads, so enumerated runs gate its passes
-REVOKE = default_operations()["revoke"].apply
-REVOKE_GROUP = default_operations()["revokeGroup"].apply
-
-
-def stale_revoke(sp, sys, action):
-    """revoke whose successor keeps the app's old perms pair beside the new one."""
-    out = REVOKE(sp, sys, action)
-    if not out.ok:
-        return out
-    stale = sys.state.perms | out.system.state.perms
-    return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
-
-
-stale_revoke = reading(REVOKE.reads, stale_revoke)
-
-
-def stale_revoke_of_system_perm(sp, sys, action):
-    """stale_revoke, enabled only when the revoked permission is a system
-    permission: the search must try the variant holding it."""
-    if action.perm not in sp:
-        return Outcome(ok=False, failed_conjunct=1)
-    return stale_revoke(sp, sys, action)
-
-
-def stale_revoke_group(sp, sys, action):
-    """revokeGroup whose successor keeps the app's old grantedPermGroups pair
-    when the app is authorized for several groups, and its old perms pair
-    otherwise.  Two queries of revokeGroup hit, at different states: the
-    perms one within the targeted family, whose states authorize one group,
-    and the grantedPermGroups one only among the samples, at a state where
-    every group of the app gives a hitting step."""
-    out = REVOKE_GROUP(sp, sys, action)
-    if not out.ok:
-        return out
-    groups = [g for k, gs in sys.state.grantedPermGroups if k == action.app
-              for g in gs]
-    component = "grantedPermGroups" if len(groups) > 1 else "perms"
-    stale = get_component(sys, component) | get_component(out.system, component)
-    return dataclasses.replace(
-        out, system=with_component(out.system, component, stale))
-
-
-stale_revoke_group = reading(REVOKE_GROUP.reads, stale_revoke_group)
-
-
-def stale_perms_from(states, apply):
-    """``apply``, whose successor keeps the app's old perms pair beside the
-    new one when the pre-state is in ``states``."""
-    def run(sp, sys, action):
-        out = apply(sp, sys, action)
-        if not out.ok or sys not in states:
-            return out
-        stale = sys.state.perms | out.system.state.perms
-        return dataclasses.replace(out, system=with_component(out.system, "perms", stale))
-    return run
-
-
-def keep_stale(component, apply):
-    """``apply`` whose successor also keeps the pre-state's pairs of one
-    mapping component; it reads what ``apply`` reads, which includes that
-    component."""
-    def run(sp, sys, action):
-        out = apply(sp, sys, action)
-        if not out.ok:
-            return out
-        stale = get_component(sys, component) | get_component(out.system, component)
-        return dataclasses.replace(out, system=with_component(out.system, component, stale))
-    assert component in apply.reads
-    return reading(apply.reads, run)
-
-
-def stale_perms_operations(states):
-    return {k: dataclasses.replace(op, apply=stale_perms_from(states, op.apply))
-            for k, op in default_operations().items()}
-
-
-def replaced_operations(op_id, apply):
-    ops = default_operations()
-    ops[op_id] = dataclasses.replace(ops[op_id], apply=apply)
-    return ops
-
-
-def revoke_operations(apply):
-    return replaced_operations("revoke", apply)
-
-
-def stale_groups_operations():
-    """revokeGroup keeping the app's old grantedPermGroups pair, declaring
-    what the apply it replaces reads."""
-    ops = default_operations()
-    return replaced_operations("revokeGroup",
-                               keep_stale("grantedPermGroups", ops["revokeGroup"].apply))
-
-
-def revoke_query(apply):
-    (q,) = [q for q in gen_invariance_queries(revoke_operations(apply))
+def revoke_query(ops):
+    (q,) = [q for q in gen_invariance_queries(ops)
             if q.id == "inv/allMapsCorrect.perms/revoke"]
     return q
+
+
+def revoke_probe(apply):
+    """The perms query of revoke, its ``apply`` the per-step probe ``apply``."""
+    ops = default_operations()
+    return revoke_query({**ops, "revoke": per_step(ops["revoke"], apply)})
 
 
 def all_queries(operations=None):
@@ -188,7 +82,7 @@ class TestUniversalProperty:
         assert v.states_examined == SystemSpace(TINY).size
 
     def test_mutant_yields_counterexample(self):
-        q = gen_security_queries(operations=mutated_operations())[0]
+        q = gen_security_queries(operations=registry("grantAuto-skip5"))[0]
         v = check_one(q, Bounds(2, 2, 2, 2, budget=10_000))
         assert v.kind == "counterexample"
         assert recheck(v)
@@ -198,7 +92,7 @@ class TestUniversalProperty:
                        for k, gs in v.system.state.grantedPermGroups)
 
     def test_tampered_counterexample_fails_recheck(self):
-        q = gen_security_queries(operations=mutated_operations())[0]
+        q = gen_security_queries(operations=registry("grantAuto-skip5"))[0]
         v = check_one(q, Bounds(2, 2, 2, 2, budget=10_000))
         mg = v.system.state.grantedPermGroups
         authorized = foplus(mg, v.bindings["app"],
@@ -212,13 +106,13 @@ class TestUniversalProperty:
 
 class TestInvarianceCounterexample:
     def test_stale_revoke_breaks_perms_map(self):
-        v = check_one(revoke_query(stale_revoke), SAMPLED)
+        v = check_one(revoke_query(registry("revoke-stale-perms")), SAMPLED)
         assert v.kind == "counterexample" and v.bindings is None
         assert recheck(v)
 
     @pytest.mark.parametrize("tamper", ["hypothesis", "next"])
     def test_tampered_counterexample_fails_recheck(self, tamper):
-        v = check_one(revoke_query(stale_revoke), SAMPLED)
+        v = check_one(revoke_query(registry("revoke-stale-perms")), SAMPLED)
         if tamper == "hypothesis":
             # a second perms pair for the app: the clause fails before the step
             extra = (v.action.app, frozenset())
@@ -235,7 +129,7 @@ class TestInvarianceCounterexample:
 
 class TestSystemPermVariants:
     def test_step_enabled_only_by_a_system_permission_is_searched(self):
-        v = check_one(revoke_query(stale_revoke_of_system_perm), SAMPLED)
+        v = check_one(revoke_probe(stale_revoke_of_system_perm), SAMPLED)
         assert v.query_id == "inv/allMapsCorrect.perms/revoke"
         assert v.kind == "counterexample"
         assert v.system_perms == frozenset((v.action.perm,))
@@ -380,8 +274,8 @@ class TestSharedStream:
         assert all(v.exhaustive for v in report.verdicts)
 
     @pytest.mark.parametrize("operations", [
-        default_operations, mutated_operations,
-        lambda: revoke_operations(stale_revoke)],
+        default_operations, partial(registry, "grantAuto-skip5"),
+        partial(registry, "revoke-stale-perms")],
         ids=["default", "grantAuto-skip-group", "revoke-stale-perms"])
     def test_query_alone_gets_its_verdict_in_the_suite(self, monkeypatch,
                                                        operations):
@@ -400,7 +294,7 @@ class TestSharedStream:
     def test_stream_mates_hit_at_their_own_states(self):
         # with targeted families: the two hitting queries read one stream
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
-        ops = replaced_operations("revokeGroup", stale_revoke_group)
+        ops = registry("revokeGroup-stale")
         in_suite = [verdict_to_doc(v)
                     for v in run_suite("all", bounds, ops).verdicts]
         alone = [verdict_to_doc(check_one(q, bounds)) for q in all_queries(ops)]
@@ -424,7 +318,7 @@ class TestSharedStream:
         # query hits among the samples, after a family of its own length
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=seed)
         samples = list(state_stream(SystemSpace(bounds)))
-        ops = stale_perms_operations({s for s in samples if s.environment.systemImage})
+        ops = stale_perms_from({s for s in samples if s.environment.systemImage})
         in_suite = run_suite("all", bounds, ops).verdicts
         alone = [check_one(q, bounds) for q in all_queries(ops)]
         assert ([verdict_to_doc(v) for v in in_suite]
@@ -445,7 +339,7 @@ class TestSharedStream:
         # samples 152 on, which only revoke and revokeGroup read
         bounds = Bounds(2, 2, 2, 2, budget=200, seed=0)
         samples = list(state_stream(SystemSpace(bounds)))
-        ops = stale_perms_operations(set(samples[152:]))
+        ops = stale_perms_from(set(samples[152:]))
         in_suite = run_suite("invariance", bounds, ops).verdicts
         alone = [check_one(q, bounds) for q in gen_invariance_queries(ops)]
         assert ([verdict_to_doc(v) for v in in_suite]
@@ -475,46 +369,51 @@ class TestSharedStream:
                 assert v.kind == "holds-at-bounds"
 
 
-def bare_registry(ops):
-    """``ops`` with each ``apply`` and ``candidates`` wrapped to declare no
-    reads, so that every query of a run on it reads the whole space in rank
-    order, with no gate."""
-    return {k: dataclasses.replace(op, apply=lambda *args, f=op.apply: f(*args),
-                                   candidates=lambda sys, f=op.candidates: f(sys))
-            for k, op in ops.items()}
-
-
-# registries whose verdicts at TINY must not depend on the gated passes.
-# grantAuto-skip-group, whose counterexample is at state 641, comes first
+# runs whose verdicts at TINY must not depend on the gated passes, as (the
+# catalogue fault in place, or None, and the clauses, or None for the
+# standard ones).  grantAuto-skip-group, whose counterexample is at state
+# 641, comes first
 SHORTCUT_CASES = {
-    "grantAuto-skip-group": mutated_operations,
-    "standard": default_operations,
-    "grantAuto-skip-level": lambda: grant_auto_skip((4,)),
-    "grantAuto-skip-defined": lambda: grant_auto_skip((2,)),
-    "revoke-stale-perms": lambda: revoke_operations(stale_revoke),
-    "revokeGroup-stale": lambda: replaced_operations("revokeGroup", stale_revoke_group),
+    "grantAuto-skip-group": ("grantAuto-skip5", None),
+    "standard": (None, None),
+    "slice": (None, slice_clauses),
+    "grantAuto-skip-level": ("grantAuto-skip4", None),
+    "grantAuto-skip-defined": ("grantAuto-skip2", None),
+    "revoke-stale-perms": ("revoke-stale-perms", None),
+    "revokeGroup-stale": ("revokeGroup-stale", None),
 }
 
 
-def verdict_sections(suite, bounds, operations) -> str:
+def verdict_sections(suite, bounds, operations, clauses=None) -> str:
     """The verdict sections of a run, as the recorded digests hash them."""
-    report = run_suite(suite, bounds, operations)
+    report = run_suite(suite, bounds, operations, clauses)
     return json.dumps([verdict_to_doc(v) for v in report.verdicts], indent=2)
 
 
-def suite_sections(operations) -> str:
-    return verdict_sections("all", TINY, operations)
+def case_sections(case, whole_space=False) -> str:
+    """The verdict sections of ``case``'s run of the suite at TINY; with
+    ``whole_space``, on its registry made bare (``mutants.bare_registry``)."""
+    fault, clauses = SHORTCUT_CASES[case]
+    ops = default_operations() if fault is None else registry(fault)
+    return verdict_sections("all", TINY, bare_registry(ops) if whole_space else ops,
+                            clauses and clauses())
 
 
 @functools.lru_cache(maxsize=None)
 def reference_sections(case) -> str:
-    return suite_sections(bare_registry(SHORTCUT_CASES[case]()))
+    return case_sections(case, whole_space=True)
 
 
 class TestGatedPasses:
     @pytest.mark.parametrize("case", SHORTCUT_CASES)
     def test_the_verdicts_are_those_of_the_whole_space(self, case):
-        assert suite_sections(SHORTCUT_CASES[case]()) == reference_sections(case)
+        sections = case_sections(case)
+        assert sections == reference_sections(case)
+        # the witness, and a counterexample of each query that kills the fault
+        fault = SHORTCUT_CASES[case][0]
+        hits = {v["query"] for v in json.loads(sections) if "state" in v}
+        assert hits == {"sec/execAutoGrantWithoutIndividualPerms"} | (
+            FAULTS[fault].kills if fault else frozenset())
 
     def test_a_gate_dropping_a_value_with_a_candidate_moves_a_verdict(
             self, monkeypatch):
@@ -530,7 +429,7 @@ class TestGatedPasses:
             return lambda value: value != dropped and keep(value)
 
         monkeypatch.setattr(verifier, "_acting", leaky)
-        assert any(suite_sections(SHORTCUT_CASES[case]()) != reference_sections(case)
+        assert any(case_sections(case) != reference_sections(case)
                    for case in SHORTCUT_CASES)
 
 
@@ -613,7 +512,7 @@ class TestSharedSamples:
             assert 0 < len(decoded) <= read, suite
 
     @pytest.mark.parametrize("operations", [
-        mutated_operations, lambda: revoke_operations(stale_revoke)],
+        partial(registry, "grantAuto-skip5"), partial(registry, "revoke-stale-perms")],
         ids=["grantAuto-skip-group", "revoke-stale-perms"])
     def test_each_seed_reads_its_own_samples(self, monkeypatch, operations):
         monkeypatch.setattr(verifier, "targeted_states", lambda bounds, tag: ())
@@ -647,7 +546,7 @@ def counting_registry(calls, blocked=()):
                    else op.apply(sp, sys, action))
             calls.append((op.id, sys, sp, action, out.ok))
             return out
-        return dataclasses.replace(op, apply=reading(op.apply.reads, apply))
+        return per_step(op, reading(op.apply.reads, apply))
     return {k: counting(op) for k, op in default_operations().items()}
 
 
@@ -660,8 +559,8 @@ class TestPlan:
                              ids=["no-reads", "environment", "per-step"])
     @pytest.mark.parametrize("bounds", [TINY, SAMPLED], ids=["enumerated", "sampled"])
     @pytest.mark.parametrize("operations", [
-        default_operations, lambda: revoke_operations(stale_revoke),
-        stale_groups_operations],
+        default_operations, partial(registry, "revoke-stale-perms"),
+        partial(registry, "revokeGroup-stale-groups")],
         ids=["standard", "revoke-stale-perms", "revokeGroup-stale-groups"])
     def test_always_true_filters_keep_the_verdicts(self, monkeypatch, bounds,
                                                    operations, reads):
@@ -725,7 +624,7 @@ class TestPlan:
     def test_first_hits_edits_nothing_it_is_given(self):
         # the stale revoke and the existential witness both hit in the
         # targeted families; a plan edited at a hit would find none again
-        queries = all_queries(revoke_operations(stale_revoke))
+        queries = all_queries(registry("revoke-stale-perms"))
         plan = verifier._plan(queries)
         states = (targeted_states(TINY, "revoke")
                   + targeted_states(TINY, "execAutoGrantWithoutIndividualPerms"))
@@ -738,7 +637,7 @@ class TestPlan:
         assert kinds == {"invariance", "existential"}
 
     def test_sweep_returns_its_verdicts_and_edits_nothing_it_is_given(self):
-        queries = all_queries(revoke_operations(stale_revoke))
+        queries = all_queries(registry("revoke-stale-perms"))
         given = list(queries)
         before = dict.fromkeys(queries, 0)
         states = targeted_states(TINY, "execAutoGrantWithoutIndividualPerms")
@@ -761,7 +660,7 @@ class TestPlan:
                 drawn.append(i)
                 yield i, sys
 
-        hitter = revoke_query(stale_revoke)
+        hitter = revoke_query(registry("revoke-stale-perms"))
         reader = recording(gen_security_queries()[0], seen)
         verdicts = verifier._sweep([hitter, reader], stream(),
                                    {hitter: 0, reader: 6}, 10, False)
@@ -793,7 +692,7 @@ class TestPlan:
         real = verifier.gen_invariance_queries
         monkeypatch.setattr(verifier, "gen_invariance_queries",
                             lambda *args: [recording_hits(q) for q in real(*args)])
-        report = run_suite("invariance", bounds, revoke_operations(stale_revoke))
+        report = run_suite("invariance", bounds, registry("revoke-stale-perms"))
         (v,) = report.counterexamples
         assert v.query_id == "inv/allMapsCorrect.perms/revoke"
         # the search's hit, then the recheck's replay of it
@@ -895,7 +794,7 @@ class TestRecheck:
             return Outcome(ok=False, failed_conjunct=1)
 
         with pytest.raises(VerifierError):
-            check_one(revoke_query(first_call_only), SAMPLED)
+            check_one(revoke_probe(first_call_only), SAMPLED)
         assert len(calls) == 2  # the search's step, then the recheck's replay
 
     def test_replay_does_not_reuse_the_searched_objects(self):
@@ -913,7 +812,7 @@ class TestRecheck:
             return step(sp, sys, action)
 
         with pytest.raises(VerifierError):
-            check_one(revoke_query(stale_on_seen_states), TINY)
+            check_one(revoke_probe(stale_on_seen_states), TINY)
 
 
 class TestReuse:
@@ -936,7 +835,7 @@ class TestReuse:
                 if out.ok:
                     last.update(pre=sys, post=out.system)
                 return out
-            return dataclasses.replace(op, apply=apply)
+            return per_step(op, apply)
 
         def flagging(c):
             def eval(sys):
@@ -990,7 +889,7 @@ class TestRunSuite:
 
     def test_mutant_counterexample_counted_in_rows(self):
         report = run_suite("security", Bounds(2, 2, 2, 2, budget=10_000),
-                           operations=mutated_operations())
+                           operations=registry("grantAuto-skip5"))
         assert report.rows[0]["counterexamples"] >= 1
         assert report.counterexamples
 
@@ -1026,25 +925,25 @@ RECORDED_VERDICTS = {
     # an enumerated run with hits: a counterexample at state 641 and a
     # witness at state 1,665 of the rank order
     "grantAuto-skip-group-1111": (
-        "security", TINY, mutated_operations,
+        "security", TINY, partial(registry, "grantAuto-skip5"),
         "28e5dd082b948859519f31c8682196565438e42452e4b692294ef995a2947fb8"),
     # enumerated runs with invariance hits, both from gated passes: revoke's
     # mutant hits at state 2,049, revokeGroup's at state 16,385
     "revoke-stale-perms-1111": (
-        "all", TINY, lambda: revoke_operations(stale_revoke),
+        "all", TINY, partial(registry, "revoke-stale-perms"),
         "6ddaab618092119ad658d93fef2826ca33ede4d1adcc4cab2ec7dc77ab059a5c"),
     "revokeGroup-stale-groups-1111": (
-        "all", TINY, stale_groups_operations,
+        "all", TINY, partial(registry, "revokeGroup-stale-groups"),
         "7aeb8415a4e95c586a1ec22524e5451a9b9a83d6ff2b44867f1e60b96d66d97a"),
     # the exhaustive frontier: all 6,834,375 states, with the witness at
     # state 317,251
     "security-2111": ("security", Bounds(2, 1, 1, 1, budget=6_834_375), None,
                       "157a253f2930784be6c2f609f5730340f3a62c90502dd24380714979b33155f4"),
     "grantAuto-skip-group": (
-        "all", Bounds(2, 2, 2, 2, budget=200, seed=0), mutated_operations,
+        "all", Bounds(2, 2, 2, 2, budget=200, seed=0), partial(registry, "grantAuto-skip5"),
         "a2fd950e01c9222db387d06f113de8c78ac42b3ae20986d291692b191ae34cf9"),
     "revoke-stale-perms": (
-        "all", SAMPLED, lambda: revoke_operations(stale_revoke),
+        "all", SAMPLED, partial(registry, "revoke-stale-perms"),
         "e7bc9d847ac7960d9b23d714c9ff2db5b99de664a3b933d50273dbb209fb449e"),
     # every query holds here, so these three share the digest of all-2222:
     # they pin that other seeds' samples give no spurious hit
@@ -1055,10 +954,10 @@ RECORDED_VERDICTS = {
     "all-1111-sampled": ("all", SAMPLED, None,
                          "9b06bfcd520fa94a8a0775ce0cd87754ca054b92fc19ead669291ffd9c426f24"),
     "grantAuto-skip-level": (
-        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), lambda: grant_auto_skip((4,)),
+        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), partial(registry, "grantAuto-skip4"),
         "665a030c77fe7ac19a5336c0c4e2b285194fbd93b07891fe4e2aabe02f4a65c3"),
     "grantAuto-skip-defined": (
-        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), lambda: grant_auto_skip((2,)),
+        "all", Bounds(2, 1, 2, 2, budget=2000, seed=3), partial(registry, "grantAuto-skip2"),
         "e816d1652c0da32cb54c1d87d21902c4a16ea8981ea0fb395044cf91c307f46f"),
 }
 
@@ -1068,18 +967,18 @@ RECORDED_VERDICTS = {
 # another seed's samples, or the same sample over and over, moves these.
 RECORDED_SAMPLED_HITS = {
     "grantAuto-skip-group-nofamily-seed0": (
-        Bounds(2, 2, 2, 2, budget=100, seed=0), mutated_operations,
+        Bounds(2, 2, 2, 2, budget=100, seed=0), partial(registry, "grantAuto-skip5"),
         "faf92c5190cccebb2ffb61522dd057238b01356c81ae8f4fb402de9fff5f4aef"),
     "grantAuto-skip-group-nofamily-seed1": (
-        Bounds(2, 2, 2, 2, budget=100, seed=1), mutated_operations,
+        Bounds(2, 2, 2, 2, budget=100, seed=1), partial(registry, "grantAuto-skip5"),
         "2d0d32d7e8398e063fd65a9215fab9fa24c6c0d6a4d77fd46cf8eaf3bbc1f313"),
     "revoke-stale-perms-nofamily-seed0": (
         Bounds(2, 2, 2, 2, budget=100, seed=0),
-        lambda: revoke_operations(stale_revoke),
+        partial(registry, "revoke-stale-perms"),
         "ddcbb49d116f4ff123d23e3abbeef0435a7c527fd8ce985f00a70f5d1d974f53"),
     "revoke-stale-perms-nofamily-seed1": (
         Bounds(2, 2, 2, 2, budget=100, seed=1),
-        lambda: revoke_operations(stale_revoke),
+        partial(registry, "revoke-stale-perms"),
         "68f798afc62f059fc879e7b55cbcb628092d1c9c20cb674512f84b6e4ee88c20"),
 }
 
