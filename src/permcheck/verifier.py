@@ -88,9 +88,12 @@ A pass's representatives are every State of its footprint with every
 Environment, States outer (``SystemSpace.factors``), so an enumerated pass
 is *factored* (``_factored_sweep``): each callable runs once at the loop
 where everything it reads is fixed.  What reads only State components runs
-once per State, and what reads only Environment components once per
-Environment of the pass; a conjunction, as the existential's validity
-hypothesis is, runs each of its conjuncts at its own loop.  An operation
+once per State, with the empty Environment, and what reads only
+Environment components once per Environment of the pass, with the empty
+State; a conjunction, as the existential's validity hypothesis is, runs
+each of its conjuncts at its own loop.  Every component's rank-0 value is
+its empty default, so a gate, too, tests a value of its component with
+every other component empty.  An operation
 steps through its *staged split* (``operations``): its Environment part
 runs once per (Environment, candidate action) and gives the
 system-permission variant, and its State part once per (State, action)
@@ -106,7 +109,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .invariants import InvariantClause, standard_clauses
@@ -380,14 +383,12 @@ def _passes(queries: Sequence[Query]) -> dict:
     return out
 
 
-def _acting(space: SystemSpace, name: str, ops: Iterable[Operation]) -> Callable:
+def _acting(name: str, ops: Iterable[Operation]) -> Callable:
     """The test of a gate on component ``name``: whether some operation of
     ``ops``, whose candidates read only that component, has a candidate
-    action at a given value of it."""
-    lowest = space.unrank(0)
-
+    action at a given value of it, every other component empty."""
     def keep(value) -> bool:
-        sys = with_component(lowest, name, value)
+        sys = with_component(System(_EMPTY_STATE, _EMPTY_ENVIRONMENT), name, value)
         return any(True for op in ops for _ in op.candidates(sys))
     return keep
 
@@ -455,6 +456,9 @@ def _sweep(queries: Sequence[Query], states: Iterable[tuple[int, System]],
 # -- factored passes --------------------------------------------------------------
 
 _STATE_FIELDS, _ENV_FIELDS = frozenset(STATE_FIELDS), frozenset(ENV_FIELDS)
+# the model's empty halves, every component's rank-0 value: the other half
+# of the system a factored pass runs a one-level callable on
+_EMPTY_STATE, _EMPTY_ENVIRONMENT = State(), Environment()
 
 
 def _level(fn: Callable) -> Optional[str]:
@@ -525,21 +529,21 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
     outer, and return the verdicts ``_sweep`` gives over those
     representatives.  ``plan`` is ``_staged_plan(queries)``.
 
-    Every callable runs at one of two levels.  What reads only the
-    Environment runs once per Environment of the pass, on it and the first
-    State, and its results are kept beside ``envs`` as records shared by
-    the Environments that give equal ones; a conclusion there takes that
-    system as both pre-state and successor, since a staged step keeps the
-    Environment.  What reads only the State runs once per State, on it and
-    the first Environment, and the filters, State part and State-level
-    conclusions once per (State, action).  A step then only combines the
-    two: query sets are bit masks, and a query hits at a step when its bit
-    survives both the State's and the Environment's results, so a State at
-    which none can is skipped whole."""
+    Every callable runs at one of two levels, against an empty other half
+    (``_EMPTY_STATE`` or ``_EMPTY_ENVIRONMENT``), which it does not read.
+    What reads only the Environment runs once per Environment of the pass,
+    on ``System(_EMPTY_STATE, env)``, and its results are kept beside
+    ``envs`` as records shared by the Environments that give equal ones; a
+    conclusion there takes that system as both pre-state and successor,
+    since a staged step keeps the Environment.  What reads only the State
+    runs once per State, on ``System(st, _EMPTY_ENVIRONMENT)``, and the
+    filters, State part and State-level conclusions once per (State,
+    action).  A step then only combines the two: query sets are bit masks,
+    and a query hits at a step when its bit survives both the State's and
+    the Environment's results, so a State at which none can is skipped
+    whole."""
     hypotheses, entries = plan
-    states = iter(states)
-    first = next(states, None)
-    if first is None or not envs:
+    if not envs:
         return {}
     searching = (1 << len(queries)) - 1
     # per entry, its candidate actions of the pass, by value, to positions
@@ -552,7 +556,7 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
         # passes its Environment part, (its position in the pool, its
         # system-permission set); None for an entry whose candidates read
         # the State)
-        sys = System(first[1], env)
+        sys = System(_EMPTY_STATE, env)
         may = searching
         for h, b in hypotheses["env"]:
             if not h(sys):
@@ -575,52 +579,42 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
         record = (may, tuple(kept))
         return records.setdefault(record, record)
 
-    def state_records(sys: System, want: int, actions: Iterable[Action],
-                      state_part: Callable, covers: tuple, concludes: tuple) -> list:
-        # per action, (the action, its successor's State or None when it is
-        # blocked, the bits of the queries of ``want`` that cover it and
-        # whose State-level conclusion holds on its successor)
-        out = []
-        for action in actions:
-            ok = want
-            for c, b in covers:
-                if ok & b and not c(sys, action):
-                    ok &= ~b
-            nxt = state_part(sys, action) if ok else None
-            if nxt is None:
-                ok = 0
-            else:
-                successor = System(nxt, sys.environment)
-                for c, b in concludes:
-                    if ok & b and not c(sys, successor):
-                        ok &= ~b
-            out.append((action, nxt, ok))
-        return out
-
     env_records = [env_record(env) for _, env in envs]
     anywhere = 0
     for may, _ in records:
         anywhere |= may
     verdicts = {}
-    for rank, st in chain((first,), states):
-        sys = System(st, envs[0][1])
+    for rank, st in states:
+        sys = System(st, _EMPTY_ENVIRONMENT)
         live_here = searching & anywhere
         for h, b in hypotheses["state"]:
             if live_here & b and not h(sys):
                 live_here &= ~b
         if not live_here:
             continue
-        at_state, per_state, reachable = [], [], 0
+        # per entry and action, (the action, its successor's State or None
+        # when it is blocked, the bits of the queries that cover it and
+        # whose State-level conclusion holds on its successor)
+        at_state, reachable = [], 0
         for (mask, _, candidates, level, _, state_part, covers, concludes), pool in zip(
                 entries, pools):
-            recs = state_records(sys, mask & live_here,
-                                 candidates(sys) if level == "state" else pool,
-                                 state_part, covers, concludes["state"])
-            for *_, ok in recs:
-                reachable |= ok
+            recs = []
+            for action in candidates(sys) if level == "state" else pool:
+                ok = mask & live_here
+                for c, b in covers:
+                    if ok & b and not c(sys, action):
+                        ok &= ~b
+                nxt = state_part(sys, action) if ok else None
+                if nxt is None:
+                    ok = 0
+                else:
+                    successor = System(nxt, _EMPTY_ENVIRONMENT)
+                    for c, b in concludes["state"]:
+                        if ok & b and not c(sys, successor):
+                            ok &= ~b
+                    reachable |= ok
+                recs.append((action, nxt, ok))
             at_state.append(recs)
-            per_state.append(tuple((i, EMPTY) for i in range(len(recs)))
-                             if level == "state" else None)
         live_here &= reachable
         if not live_here:
             continue
@@ -629,12 +623,14 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
             if not live:
                 continue
             found, hits = 0, []
-            for (mask, members, *_), recs, steps, kept_here in zip(
-                    entries, at_state, per_state, kept):
+            for (mask, members, *_), recs, kept_here in zip(entries, at_state, kept):
                 todo = live & mask
                 if not todo:
                     continue
-                for i, sp in steps if kept_here is None else kept_here:
+                # a State-level entry's steps are its records, in order, with
+                # the empty system-permission set
+                steps = enumerate(repeat(EMPTY, len(recs))) if kept_here is None else kept_here
+                for i, sp in steps:
                     action, nxt, ok = recs[i]
                     hit = todo & ok
                     if hit:
@@ -674,8 +670,7 @@ def check_query(queries: Sequence[Query], space: SystemSpace) -> list[Verdict]:
         # which its operations have a candidate action, and a hit at rank r
         # examined r + 1 states (see the module docstring)
         for (footprint, name), group in _passes(queries).items():
-            gate = None if name is None else (
-                name, _acting(space, name, {p.op for p in group}))
+            gate = None if name is None else (name, _acting(name, {p.op for p in group}))
             plan = _staged_plan(group)
             if plan is None:
                 verdicts.update(_sweep(group, space.representatives(footprint, gate),

@@ -32,6 +32,7 @@ from permcheck.verifier import (check_query, gen_invariance_queries,
                                 gen_security_queries, run_suite, verdict_to_doc)
 from conftest import slice_clauses, sp_variants
 from mutants import FAULTS, bare_registry, per_step, registry, stale_perms_from
+from test_verifier import RECORDED_VERDICTS, verdicts_digest
 
 TINY = Bounds(1, 1, 1, 1, budget=98_304)  # exactly the whole space
 
@@ -192,6 +193,24 @@ def test_an_apply_reading_undeclared_components_is_never_skipped():
     assert not any(v.kind == "counterexample" for v in wrongly_declared.verdicts)
 
 
+def test_a_conclusion_reading_outside_its_operation_widens_the_footprint():
+    # neither revoke nor revokeGroup reads the manifest, but this conclusion
+    # does: a footprint without it holds the manifest at its rank-0 value,
+    # the empty one, at which no step is a hit
+    concludes = reading(("manifest",), lambda sys, nxt: bool(nxt.environment.manifest))
+
+    def queries(ops):
+        return [verifier.Query(f"manifest/{name}", "invariance", ops[name], "manifest",
+                               name, verifier._always, verifier._always, concludes)
+                for name in ("revoke", "revokeGroup")]
+
+    got = check_query(queries(default_operations()), SystemSpace(TINY))
+    whole = check_query(queries(bare_registry(default_operations())), SystemSpace(TINY))
+    assert [verdict_to_doc(v) for v in got] == [verdict_to_doc(v) for v in whole]
+    assert [(v.kind, v.states_examined) for v in got] == [
+        ("counterexample", 2_177), ("counterexample", 16_513)]
+
+
 # -- the representatives -------------------------------------------------------
 
 def grant_auto_staged_calls(monkeypatch, row):
@@ -335,6 +354,22 @@ def test_a_factored_pass_finds_the_first_step_from_every_component_value(case):
         # both variants: a hit of each kind checks the Environment records
         variants = {v.system_perms for v in hits if v.query.op.id == "grantAuto"}
         assert EMPTY in variants and len(variants) > 1
+
+
+@pytest.mark.parametrize("name", ["security-1111", "grantAuto-skip-group-1111",
+                                  "revoke-stale-perms-1111", "revokeGroup-stale-groups-1111",
+                                  "security-2111"])
+def test_each_level_reads_only_its_own_half(monkeypatch, name):
+    # a factored pass and a gate run each callable with the half of the
+    # system it does not read empty.  With every component of both empty
+    # halves poisoned, the enumerated recorded runs keep their digests; a
+    # kernel that ran a State-level callable on the Environment's system,
+    # or the reverse, would read a poison
+    monkeypatch.setattr(verifier, "_EMPTY_STATE", State(*(POISON[n] for n in STATE_FIELDS)))
+    monkeypatch.setattr(verifier, "_EMPTY_ENVIRONMENT",
+                        Environment(*(POISON[n] for n in ENV_FIELDS)))
+    suite, bounds, operations, digest = RECORDED_VERDICTS[name]
+    assert verdicts_digest(suite, bounds, operations and operations()) == digest
 
 
 @pytest.mark.parametrize("clauses", [standard_clauses, slice_clauses],

@@ -119,11 +119,15 @@ class TestPools:
 
 
 class TestSpace:
-    def test_max_card_zero_space_is_a_single_empty_system(self):
-        space = SystemSpace(Bounds(1, 1, 1, 0))
-        assert space.size == 1
-        sys = space.unrank(0)
-        assert sys == System()
+    @pytest.mark.parametrize("bounds", [
+        (1, 1, 1, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 2, 1, 1), (1, 1, 1, 3)])
+    def test_rank_zero_is_the_empty_system(self, bounds):
+        # every component's rank-0 value is its empty default, which a
+        # factored pass and a gate take for the components they do not read;
+        # at max_card 0 it is the only system
+        space = SystemSpace(Bounds(*bounds))
+        assert space.unrank(0) == System()
+        assert (space.size == 1) == (bounds[3] == 0)
 
     def test_component_counts_match_hand_formulas_1111(self):
         space = SystemSpace(Bounds(1, 1, 1, 1))

@@ -422,9 +422,9 @@ class TestGatedPasses:
         # grantAuto, the manifest listing the grouped dangerous permission
         real = verifier._acting
 
-        def leaky(space, name, ops):
-            keep = real(space, name, ops)
-            values = dict(space.components)[name]
+        def leaky(name, ops):
+            keep = real(name, ops)
+            values = dict(SystemSpace(TINY).components)[name]
             dropped = [v for v in map(values.unrank, range(values.size)) if keep(v)][-1]
             return lambda value: value != dropped and keep(value)
 
