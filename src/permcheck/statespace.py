@@ -63,13 +63,12 @@ MAX_APP_PERM_PAIRS = 100_000
 # about 0.7 s at 32, 5.5 s at 48 and 23 s at 64 (2-vCPU VM, Python 3.11),
 # so larger caps are rejected.
 MAX_CARD = 32
-# An enumerated pass holds every Environment of its footprint, about 170
-# bytes each (``SystemSpace.factors``), and a factored pass one reference
-# more per Environment, to its shared record; no component has more
-# values than the four environment components multiply to.  Bounds whose
-# whole space fits the budget, so that their run is enumerated, are rejected
-# up front when that product, counted through ``SystemSpace``, exceeds this
-# limit: at (2,2,2,2) it is 2.1e14.
+# A per-step pass (``SystemSpace.representatives``) holds every Environment
+# of its footprint, about 170 bytes each, a factored pass one per distinct
+# record; no component has more values than the four environment components
+# multiply to.  Bounds whose whole space fits the budget, so that their run
+# is enumerated, are rejected up front when that product, counted through
+# ``SystemSpace``, exceeds this limit: at (2,2,2,2) it is 2.1e14.
 MAX_ENVIRONMENTS = 1_000_000
 
 
@@ -284,20 +283,21 @@ class SystemSpace:
 
         Each component value is decoded once, each State built once per
         state prefix and each Environment once per pass; the Environments
-        are held for the pass, so iterate only footprints swept whole; an
-        enumerated run holds at most ``MAX_ENVIRONMENTS`` of them.
+        are listed and held for the pass, so iterate only footprints swept
+        whole; an enumerated run holds at most ``MAX_ENVIRONMENTS`` of them.
         """
         states, envs = self.factors(footprint, gate)
+        envs = list(envs)
         for rank, state in states:
             for r, env in envs:
                 yield rank + r, System(state, env)
 
     def factors(self, footprint: Optional[Iterable[str]],
                 gate: Optional[tuple[str, Callable[[object], bool]]] = None
-                ) -> tuple[Iterator[tuple[int, State]], list[tuple[int, Environment]]]:
+                ) -> tuple[Iterator[tuple[int, State]], Iterator[tuple[int, Environment]]]:
         """The two factors of ``representatives(footprint, gate)``: its
         States and its Environments, each as ``(rank, value)`` in rank
-        order, the States built as the iterator reaches them.  The
+        order, each value built as its iterator reaches it.  The
         representatives are every State with every Environment, States
         outer, each ranked by the sum of its two parts' ranks."""
         axes, weight = [], 1
@@ -309,8 +309,8 @@ class SystemSpace:
             axes.append(axis)
             weight *= space.size
         axes.reverse()
-        envs = [(sum(r for r, _ in e), Environment(*(v for _, v in e)))
-                for e in product(*axes[4:])]
+        envs = ((sum(r for r, _ in e), Environment(*(v for _, v in e)))
+                for e in product(*axes[4:]))
         states = ((sum(r for r, _ in st), State(*(v for _, v in st)))
                   for st in product(*axes[:4]))
         return states, envs

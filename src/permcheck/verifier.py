@@ -88,21 +88,21 @@ A pass's representatives are every State of its footprint with every
 Environment, States outer (``SystemSpace.factors``), so an enumerated pass
 is *factored* (``_factored_sweep``): each callable runs once at the loop
 where everything it reads is fixed.  What reads only State components runs
-once per State, with the empty Environment, and what reads only
-Environment components once per Environment of the pass, with the empty
-State; a conjunction, as the existential's validity hypothesis is, runs
-each of its conjuncts at its own loop.  Every component's rank-0 value is
-its empty default, so a gate, too, tests a value of its component with
-every other component empty.  An operation
-steps through its *staged split* (``operations``): its Environment part
-runs once per (Environment, candidate action) and gives the
-system-permission variant, and its State part once per (State, action)
-and gives the successor's State.  A pass with a callable that reads both
-or declares no reads, or with a filter that reads the Environment, or one
-of whose operations carries no staged split, as a replaced ``apply`` does,
-takes ``_sweep`` instead, one step at a time, so a replaced ``apply`` is
-never bypassed.  Both give the same verdicts, ``statesExamined``, hits and
-variants.
+once per State, with the empty Environment, and what reads only Environment
+components once per Environment of the pass, with the empty State, and of
+the Environments with equal results there the pass keeps only the first; a
+conjunction, as the existential's validity hypothesis is, runs each of its
+conjuncts at its own loop.  Every component's rank-0 value is its empty
+default, so a gate, too, tests a value of its component with every other
+component empty.  An operation steps through its *staged split*
+(``operations``): its Environment part runs once per (Environment,
+candidate action) and gives the system-permission variant, and its State
+part once per (State, action) and gives the successor's State.  A pass with
+a callable that reads both or declares no reads, or with a filter that
+reads the Environment, or one of whose operations carries no staged split,
+as a replaced ``apply`` does, takes ``_sweep`` instead, one step at a time,
+so a replaced ``apply`` is never bypassed.  Both give the same verdicts,
+``statesExamined``, hits and variants.
 """
 
 from __future__ import annotations
@@ -523,7 +523,7 @@ def _staged_plan(queries: Sequence[Query]) -> Optional[tuple]:
 
 def _factored_sweep(queries: Sequence[Query], plan: tuple,
                     states: Iterable[tuple[int, State]],
-                    envs: Sequence[tuple[int, Environment]]) -> dict:
+                    envs: Iterable[tuple[int, Environment]]) -> dict:
     """Check ``queries`` over every State of ``states`` with every
     Environment of ``envs``, each a (rank, value) pair in rank order, States
     outer, and return the verdicts ``_sweep`` gives over those
@@ -532,23 +532,20 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
     Every callable runs at one of two levels, against an empty other half
     (``_EMPTY_STATE`` or ``_EMPTY_ENVIRONMENT``), which it does not read.
     What reads only the Environment runs once per Environment of the pass,
-    on ``System(_EMPTY_STATE, env)``, and its results are kept beside
-    ``envs`` as records shared by the Environments that give equal ones; a
-    conclusion there takes that system as both pre-state and successor,
-    since a staged step keeps the Environment.  What reads only the State
-    runs once per State, on ``System(st, _EMPTY_ENVIRONMENT)``, and the
-    filters, State part and State-level conclusions once per (State,
-    action).  A step then only combines the two: query sets are bit masks,
-    and a query hits at a step when its bit survives both the State's and
-    the Environment's results, so a State at which none can is skipped
-    whole."""
+    on ``System(_EMPTY_STATE, env)``, as ``envs`` streams by, and the pass
+    keeps the lowest-rank Environment of each record, the only one that can
+    hold a query's first hit; a conclusion there takes that system as both
+    pre-state and successor, since a staged step keeps the Environment.
+    What reads only the State runs once per State, on ``System(st,
+    _EMPTY_ENVIRONMENT)``, and the filters, State part and State-level
+    conclusions once per (State, action).  A step then only combines the
+    two: query sets are bit masks, and a query hits at a step when its bit
+    survives both the State's and the Environment's results, so a State at
+    which none can is skipped whole."""
     hypotheses, entries = plan
-    if not envs:
-        return {}
     searching = (1 << len(queries)) - 1
     # per entry, its candidate actions of the pass, by value, to positions
     pools: list[dict] = [{} for _ in entries]
-    records: dict = {}  # each Environment record once, by value
 
     def env_record(env: Environment) -> tuple:
         # (the bits of the queries whose Environment-level hypothesis and
@@ -576,13 +573,16 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
                 if sp is not None:
                     steps.append((pool.setdefault(action, len(pool)), sp))
             kept.append(tuple(steps))
-        record = (may, tuple(kept))
-        return records.setdefault(record, record)
+        return may, tuple(kept)
 
-    env_records = [env_record(env) for _, env in envs]
+    firsts: dict = {}  # each distinct record, in rank order, to its first (r, env)
+    for r, env in envs:
+        firsts.setdefault(env_record(env), (r, env))
     anywhere = 0
-    for may, _ in records:
+    for may, _ in firsts:
         anywhere |= may
+    if not anywhere:
+        return {}
     verdicts = {}
     for rank, st in states:
         sys = System(st, _EMPTY_ENVIRONMENT)
@@ -618,7 +618,7 @@ def _factored_sweep(queries: Sequence[Query], plan: tuple,
         live_here &= reachable
         if not live_here:
             continue
-        for (r, env), (may, kept) in zip(envs, env_records):
+        for (may, kept), (r, env) in firsts.items():
             live = live_here & may & searching
             if not live:
                 continue

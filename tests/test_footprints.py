@@ -280,10 +280,9 @@ def pass_sizes(monkeypatch, row, bounds):
     sizes, real = [], SystemSpace.factors
 
     def counting(self, footprint, gate=None):
-        states, envs = real(self, footprint, gate)
-        states = list(states)
+        states, envs = map(list, real(self, footprint, gate))
         sizes.append(len(states) * len(envs))
-        return iter(states), envs
+        return iter(states), iter(envs)
 
     with monkeypatch.context() as m:
         m.setattr(SystemSpace, "factors", counting)

@@ -80,7 +80,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("bounds", [
         (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1), (1, 1, 1, 2),
-        (3, 2, 1, 1), (2, 2, 3, 1)])
+        (3, 2, 1, 1), (2, 2, 3, 1), (3, 2, 2, 1)])
     def test_the_frontier_bounds_enumerate(self, bounds):
         space = SystemSpace(Bounds(*bounds))
         sizes = component_sizes(space)
@@ -280,6 +280,13 @@ class TestRepresentatives:
         for footprint in ((), ("perms",), GRANT_AUTO_SLICE):
             assert (list(space.representatives(footprint + ("opaque5",)))
                     == list(space.representatives(footprint)))
+
+    @pytest.mark.parametrize("gate", [None, ("manifest", bool)], ids=["ungated", "gated"])
+    def test_the_environments_are_a_one_shot_stream(self, gate):
+        # a factored pass reads them once and keeps one per distinct record
+        _, envs = SystemSpace(TINY).factors(GRANT_AUTO_SLICE, gate)
+        assert iter(envs) is envs
+        assert list(envs) and list(envs) == []
 
     def test_systems_share_states_and_environments(self):
         space = SystemSpace(TINY)
