@@ -63,18 +63,14 @@ MAX_APP_PERM_PAIRS = 100_000
 # about 0.7 s at 32, 5.5 s at 48 and 23 s at 64 (2-vCPU VM, Python 3.11),
 # so larger caps are rejected.
 MAX_CARD = 32
-# A per-step pass (``SystemSpace.representatives``) holds every Environment
-# of its footprint, about 170 bytes each, a factored pass one per distinct
-# record; no component has more values than the four environment components
-# multiply to.  Bounds whose whole space fits the budget, so that their run
-# is enumerated, are rejected up front when that product, counted through
-# ``SystemSpace``, exceeds this limit: at (2,2,2,2) it is 2.1e14.
-MAX_ENVIRONMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search bounds: pool sizes, set cardinality cap, budget and seed."""
+    """Search bounds: pool sizes, set cardinality cap, budget and seed.
+    An enumerated run (the whole space fits the budget) decodes whole each
+    component it reads, so it is rejected if a component has more values
+    than ``CACHE_LIMIT``, the most a decode cache keeps."""
 
     apps: int = 2
     perms: int = 2
@@ -95,10 +91,10 @@ class Bounds:
             raise ValueError(f"bounds give {pairs:,} (app, permission triple) "
                              f"pairs; the limit is {MAX_APP_PERM_PAIRS:,}")
         space = SystemSpace(self)  # decodes nothing
-        envs = prod(s.size for _, s in space.components[4:])
-        if space.size <= self.budget and envs > MAX_ENVIRONMENTS:
-            raise ValueError(f"an enumerated run at these bounds holds {envs:,} "
-                             f"environments; the limit is {MAX_ENVIRONMENTS:,}")
+        for name, component in space.components:
+            if space.size <= self.budget and component.size > CACHE_LIMIT:
+                raise ValueError(f"an enumerated run decodes {component.size:,} "
+                                 f"values of {name}; the limit is {CACHE_LIMIT:,}")
 
     def to_doc(self) -> dict:
         return {"apps": self.apps, "perms": self.perms, "grps": self.grps,
@@ -282,9 +278,12 @@ class SystemSpace:
         are unchanged.
 
         Each component value is decoded once, each State built once per
-        state prefix and each Environment once per pass; the Environments
+        state prefix and each Environment once per pass.  The Environments
         are listed and held for the pass, so iterate only footprints swept
-        whole; an enumerated run holds at most ``MAX_ENVIRONMENTS`` of them.
+        whole.  Only a per-step pass reads this (an ``apply`` replaced
+        through the Python API, never the CLI's); past 10^6 Environments
+        it takes over 10^10 steps, so time, not memory, bounds it, and
+        yielding them per State made whole-space iteration 2.5-3.5x slower.
         """
         states, envs = self.factors(footprint, gate)
         envs = list(envs)

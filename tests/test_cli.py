@@ -181,14 +181,14 @@ class TestVerify:
         ("--apps", "20000", "--budget", "1", "--suite", "security"),
         ("--suite", "security", "--apps", "16000", "--perms", "1", "--grps", "1",
          "--maxcard", "16000", "--budget", "1"),
-        ("--budget", "3000000000000000000000"),
+        ("--apps", "1", "--perms", "3", "--grps", "3", "--maxcard", "3",
+         "--budget", "2718023665429180103786496"),
     ])
     def test_oversize_bounds_are_rejected_before_any_work(self, bounds):
         # the first two used to build pools until MemoryError (exit 4) under
         # 1 GiB; the third, inside the pair limit, ran for minutes decoding;
-        # the fourth fits the whole (2,2,2,2) space, so its run would be
-        # enumerated over 2.1e14 environments, and it used to end in
-        # MemoryError after about 50 s under 1.5 GB
+        # the fourth fits the whole (1,3,3,3) space, so its run would be
+        # enumerated, decoding all 7.9e10 values of systemImage
         r = run_cli("verify", *bounds, preexec_fn=lambda: limit_memory(128 << 20),
                     timeout=5)
         assert r.returncode == 2, r.stderr

@@ -20,6 +20,7 @@ from itertools import islice
 
 import pytest
 
+import permcheck.cli
 import permcheck.operations as operations
 import permcheck.verifier as verifier
 from permcheck.invariants import standard_clauses
@@ -415,3 +416,17 @@ def test_a_sampled_run_reads_no_representatives(monkeypatch):
     monkeypatch.setattr(SystemSpace, "representatives", no_representatives)
     report = run_suite("all", Bounds(2, 2, 2, 2, budget=1000))
     assert {v.kind for v in report.verdicts} == {"holds-at-bounds", "witness"}
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 1, 1), (2, 1, 1, 1)])
+def test_an_enumerated_cli_run_reads_no_representatives(monkeypatch, capsys, bounds):
+    # every pass of the CLI's registry is factored: it streams its
+    # Environments, where representatives lists them all for the pass
+    def no_representatives(self, footprint, gate=None):
+        raise AssertionError("representatives read by an enumerated CLI run")
+
+    monkeypatch.setattr(SystemSpace, "representatives", no_representatives)
+    flags = [f"--{k}={v}" for k, v in zip(("apps", "perms", "grps", "maxcard"), bounds)]
+    size = SystemSpace(Bounds(*bounds)).size
+    assert permcheck.cli.main(["verify", *flags, "--budget", str(size)]) == 0, \
+        capsys.readouterr().err

@@ -3,7 +3,7 @@ import itertools
 import random
 import tracemalloc
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 import pytest
 
@@ -70,22 +70,25 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(**kwargs)
 
-    def test_an_enumerated_run_holding_too_many_environments_is_rejected(self):
-        # at (2,2,2,2) the environment components multiply to 2.1e14, every
-        # one of which an enumerated pass would hold; a sampled run holds none
-        size = SystemSpace(Bounds()).size
-        with pytest.raises(ValueError, match="environments"):
-            Bounds(budget=size)
-        assert Bounds(budget=size - 1)
+    def test_an_enumerated_run_decoding_a_component_past_the_caches_is_rejected(self):
+        # an enumerated pass decodes whole each component it reads: at
+        # (1,3,3,3) systemImage has 7.9e10 values; a sampled run decodes only
+        # its samples.  (2,2,2,2)'s largest component, 59,341 values, fits
+        size = SystemSpace(Bounds(1, 3, 3, 3)).size
+        with pytest.raises(ValueError, match="systemImage"):
+            Bounds(1, 3, 3, 3, budget=size)
+        assert Bounds(1, 3, 3, 3, budget=size - 1)
+        assert Bounds(budget=SystemSpace(Bounds()).size)
 
     @pytest.mark.parametrize("bounds", [
         (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1), (1, 1, 1, 2),
-        (3, 2, 1, 1), (2, 2, 3, 1), (3, 2, 2, 1)])
+        (3, 2, 1, 1), (2, 2, 3, 1), (3, 2, 2, 1), (4, 1, 1, 1), (3, 2, 3, 1),
+        (1, 1, 2, 2)])
     def test_the_frontier_bounds_enumerate(self, bounds):
         space = SystemSpace(Bounds(*bounds))
         sizes = component_sizes(space)
         assert sizes == expected_component_sizes(*bounds)
-        assert prod(list(sizes.values())[4:]) <= statespace.MAX_ENVIRONMENTS
+        assert max(sizes.values()) <= statespace.CACHE_LIMIT
         assert Bounds(*bounds, budget=space.size)
 
 
